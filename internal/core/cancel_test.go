@@ -25,6 +25,11 @@ func TestCancelRunDegradesFailureSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := testConfig()
+	// One sweep worker: the plan uses two servers, and with a worker per
+	// scenario both are dispatched before the cancel below is observed,
+	// which makes the report complete instead of truncated on any host
+	// with a second core.
+	cfg.Workers = 1
 	// Cancel the moment the failure sweep starts its first scenario:
 	// translation and consolidation have finished, so Run still returns
 	// a full report whose failure section is a truncated prefix.
@@ -49,9 +54,20 @@ func TestCancelRunDegradesFailureSweep(t *testing.T) {
 	if !report.Failures.Truncated {
 		t.Error("failure sweep should be flagged Truncated")
 	}
-	used := report.Consolidation.ServersUsed()
-	if len(report.Failures.Scenarios) >= used {
-		t.Errorf("truncated sweep evaluated %d of %d scenarios", len(report.Failures.Scenarios), used)
+	var used []string // the sweep's scenarios, in its order
+	for _, u := range report.Consolidation.Plan.Usages {
+		if len(u.AppIDs) > 0 {
+			used = append(used, u.Server.ID)
+		}
+	}
+	got := report.Failures.Scenarios
+	if len(got) >= len(used) {
+		t.Fatalf("truncated sweep evaluated %d of %d scenarios", len(got), len(used))
+	}
+	for i, s := range got {
+		if s.FailedServer != used[i] {
+			t.Errorf("scenario %d is %q, want the contiguous prefix entry %q", i, s.FailedServer, used[i])
+		}
 	}
 }
 

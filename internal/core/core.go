@@ -327,11 +327,10 @@ func (f *Framework) PlanForFailures(ctx context.Context, t *Translation, c *Cons
 	if t == nil || c == nil {
 		return nil, errors.New("core: need a translation and a consolidation")
 	}
-	failApps := make([]placement.App, len(t.Failure))
-	for i, p := range t.Failure {
-		failApps[i] = partitionApp(p)
+	in, err := f.failureInput(t, c)
+	if err != nil {
+		return nil, err
 	}
-	in := failure.Input{Problem: c.Problem, FailureApps: failApps, GA: f.cfg.GA, Hooks: f.cfg.Hooks, Inject: f.cfg.Inject, Workers: f.cfg.Workers, Retry: f.cfg.Retry, Journal: f.cfg.Journal}
 	return failure.Analyze(ctx, in, c.Plan)
 }
 
@@ -343,11 +342,10 @@ func (f *Framework) PlanForMultiFailures(ctx context.Context, t *Translation, c 
 	if t == nil || c == nil {
 		return nil, errors.New("core: need a translation and a consolidation")
 	}
-	failApps := make([]placement.App, len(t.Failure))
-	for i, p := range t.Failure {
-		failApps[i] = partitionApp(p)
+	in, err := f.failureInput(t, c)
+	if err != nil {
+		return nil, err
 	}
-	in := failure.Input{Problem: c.Problem, FailureApps: failApps, GA: f.cfg.GA, Hooks: f.cfg.Hooks, Inject: f.cfg.Inject, Workers: f.cfg.Workers, Retry: f.cfg.Retry, Journal: f.cfg.Journal}
 	return failure.AnalyzeMulti(ctx, in, c.Plan, k)
 }
 
@@ -360,12 +358,22 @@ func (f *Framework) PlanForScenarios(ctx context.Context, t *Translation, c *Con
 	if t == nil || c == nil {
 		return nil, errors.New("core: need a translation and a consolidation")
 	}
-	failApps := make([]placement.App, len(t.Failure))
-	for i, p := range t.Failure {
-		failApps[i] = partitionApp(p)
+	in, err := f.failureInput(t, c)
+	if err != nil {
+		return nil, err
 	}
-	in := failure.Input{Problem: c.Problem, FailureApps: failApps, GA: f.cfg.GA, Hooks: f.cfg.Hooks, Inject: f.cfg.Inject, Workers: f.cfg.Workers, Retry: f.cfg.Retry, Journal: f.cfg.Journal}
 	return failure.AnalyzeScenarios(ctx, in, c.Plan, specs, econ)
+}
+
+// failureInput assembles a failure sweep's input: the consolidated
+// problem plus the failure-mode applications, prepared here once for
+// every scenario of the sweep.
+func (f *Framework) failureInput(t *Translation, c *Consolidation) (failure.Input, error) {
+	failApps, err := partitionApps(t.Failure)
+	if err != nil {
+		return failure.Input{}, err
+	}
+	return failure.Input{Problem: c.Problem, FailureApps: failApps, GA: f.cfg.GA, Hooks: f.cfg.Hooks, Inject: f.cfg.Inject, Workers: f.cfg.Workers, Retry: f.cfg.Retry, Journal: f.cfg.Journal}, nil
 }
 
 // Report is the full output of a capacity-management pass.
@@ -431,9 +439,9 @@ func (f *Framework) problemFor(t *Translation, parts []*portfolio.Partition) (*p
 	if len(parts) == 0 {
 		return nil, errors.New("core: no partitions")
 	}
-	apps := make([]placement.App, len(parts))
-	for i, p := range parts {
-		apps[i] = partitionApp(p)
+	apps, err := partitionApps(parts)
+	if err != nil {
+		return nil, err
 	}
 	servers := make([]placement.Server, len(parts))
 	for i := range servers {
@@ -458,14 +466,23 @@ func (f *Framework) problemFor(t *Translation, parts []*portfolio.Partition) (*p
 	}, nil
 }
 
-// partitionApp adapts a portfolio partition to a placement application.
-func partitionApp(p *portfolio.Partition) placement.App {
-	return placement.App{
-		ID: p.AppID,
-		Workload: sim.Workload{
-			AppID: p.AppID,
-			CoS1:  p.CoS1.Samples,
-			CoS2:  p.CoS2.Samples,
-		},
+// partitionApps adapts portfolio partitions to placement applications,
+// validating and digesting each translated trace here, once: the
+// prepared App values are what every Problem built from them carries.
+func partitionApps(parts []*portfolio.Partition) ([]placement.App, error) {
+	apps := make([]placement.App, len(parts))
+	for i, p := range parts {
+		apps[i] = placement.App{
+			ID: p.AppID,
+			Workload: sim.Workload{
+				AppID: p.AppID,
+				CoS1:  p.CoS1.Samples,
+				CoS2:  p.CoS2.Samples,
+			},
+		}
+		if err := apps[i].Prepare(); err != nil {
+			return nil, fmt.Errorf("core: translated workload: %w", err)
+		}
 	}
+	return apps, nil
 }

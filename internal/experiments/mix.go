@@ -84,6 +84,10 @@ func Mix(ctx context.Context, cfg MixConfig) ([]MixRow, error) {
 		apps[i] = placement.App{ID: tr.AppID, Workload: sim.Workload{
 			AppID: tr.AppID, CoS1: part.CoS1.Samples, CoS2: part.CoS2.Samples,
 		}}
+		// Prepared once here: the algorithms below share these values.
+		if err := apps[i].Prepare(); err != nil {
+			return nil, err
+		}
 	}
 	servers := make([]placement.Server, len(apps))
 	for i := range servers {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-
-	"ropus/internal/sim"
 )
 
 // Multiple capacity attributes. The paper characterizes workloads "for
@@ -49,9 +47,9 @@ func attributeUnion(apps []App) []Attribute {
 }
 
 // validateAttributes checks the multi-attribute invariants: every extra
-// workload is valid, aligned with the primary trace, and named
-// consistently; every server provides a positive capacity for every
-// attribute in use.
+// workload (its samples validated by App.Prepare) is aligned with the
+// primary trace and named consistently; every server provides a
+// positive capacity for every attribute in use.
 func validateAttributes(p *Problem) error {
 	attrs := attributeUnion(p.Apps)
 	if len(attrs) == 0 {
@@ -59,9 +57,6 @@ func validateAttributes(p *Problem) error {
 	}
 	for _, a := range p.Apps {
 		for attr, w := range a.Extra {
-			if err := w.Validate(); err != nil {
-				return fmt.Errorf("placement: app %q attribute %q: %w", a.ID, attr, err)
-			}
 			if w.AppID != a.ID {
 				return fmt.Errorf("placement: app %q attribute %q names workload %q",
 					a.ID, attr, w.AppID)
@@ -87,37 +82,29 @@ func validateAttributes(p *Problem) error {
 // against the server's per-attribute capacity. It returns the required
 // capacities and whether all attributes fit. The apps slice must be
 // non-empty and sorted.
-func (e *evaluator) evalAttributes(ctx context.Context, srv Server, apps []int) (map[Attribute]float64, bool, error) {
+func (e *evaluator) evalAttributes(ctx context.Context, sc *scratch, srv Server, apps []int) (map[Attribute]float64, bool, error) {
 	attrs := e.p.attrs
 	if len(attrs) == 0 {
 		return nil, true, nil
 	}
 	required := make(map[Attribute]float64, len(attrs))
 	allFit := true
-	cfg := sim.Config{
-		Commitment:    e.p.Commitment,
-		SlotsPerDay:   e.p.SlotsPerDay,
-		DeadlineSlots: e.p.DeadlineSlots,
-		Hooks:         e.p.Hooks,
-		Inject:        e.p.Inject,
-		InjectKey:     srv.ID,
-	}
+	cfg := e.simConfig(srv)
 	for _, attr := range attrs {
-		workloads := make([]sim.Workload, 0, len(apps))
+		sc.workloads = sc.workloads[:0]
 		for _, a := range apps {
 			if w, ok := e.p.Apps[a].Extra[attr]; ok {
-				workloads = append(workloads, w)
+				sc.workloads = append(sc.workloads, w)
 			}
 		}
-		if len(workloads) == 0 {
+		if len(sc.workloads) == 0 {
 			required[attr] = 0
 			continue
 		}
-		agg, err := sim.NewAggregate(workloads)
-		if err != nil {
+		if err := sc.agg.Rebuild(sc.workloads); err != nil {
 			return nil, false, err
 		}
-		req, _, ok, err := agg.RequiredCapacity(ctx, cfg, srv.Extra[attr], e.p.tolerance())
+		req, _, ok, err := sc.agg.RequiredCapacity(ctx, cfg, srv.Extra[attr], e.p.tolerance())
 		if err != nil {
 			return nil, false, err
 		}

@@ -29,6 +29,8 @@ func LeastCorrelatedFit(ctx context.Context, p *Problem) (*Plan, error) {
 		return nil, err
 	}
 	ev := newEvaluator(p)
+	sc := ev.acquire()
+	defer ev.release(sc)
 
 	// Total per-slot allocation per app, reused for correlations.
 	totals := make([][]float64, len(p.Apps))
@@ -55,6 +57,7 @@ func LeastCorrelatedFit(ctx context.Context, p *Problem) (*Plan, error) {
 	groups := make([][]int, len(p.Servers))
 	serverTotals := make([][]float64, len(p.Servers))
 	assignment := make(Assignment, len(p.Apps))
+	var trial []int // the candidate group, rebuilt per (app, server)
 
 	for _, app := range order {
 		if err := ctx.Err(); err != nil {
@@ -70,13 +73,12 @@ func LeastCorrelatedFit(ctx context.Context, p *Problem) (*Plan, error) {
 				}
 				continue // new servers only as a last resort
 			}
-			group := append(append([]int(nil), groups[s]...), app)
-			sort.Ints(group)
-			usage, err := ev.evalServer(ctx, s, group)
+			trial = withApp(trial, groups[s], app)
+			usage, err := ev.evalServer(ctx, sc, s, trial)
 			if err != nil {
 				return nil, err
 			}
-			if !usage.Feasible {
+			if !usage.feasible {
 				continue
 			}
 			corr, err := stats.Correlation(serverTotals[s], totals[app])
@@ -89,19 +91,18 @@ func LeastCorrelatedFit(ctx context.Context, p *Problem) (*Plan, error) {
 			}
 		}
 		if bestServer < 0 && firstEmpty >= 0 {
-			usage, err := ev.evalServer(ctx, firstEmpty, []int{app})
+			usage, err := ev.evalServer(ctx, sc, firstEmpty, []int{app})
 			if err != nil {
 				return nil, err
 			}
-			if usage.Feasible {
+			if usage.feasible {
 				bestServer = firstEmpty
 			}
 		}
 		if bestServer < 0 {
 			return nil, fmt.Errorf("placement: app %q fits on no server", p.Apps[app].ID)
 		}
-		groups[bestServer] = append(groups[bestServer], app)
-		sort.Ints(groups[bestServer])
+		groups[bestServer] = withApp(nil, groups[bestServer], app)
 		if serverTotals[bestServer] == nil {
 			serverTotals[bestServer] = make([]float64, len(totals[app]))
 		}

@@ -50,6 +50,8 @@ func Exact(ctx context.Context, p *Problem, maxNodes int) (*Plan, error) {
 	}
 
 	ev := newEvaluator(p)
+	sc := ev.acquire()
+	defer ev.release(sc)
 
 	// Decreasing peak order tightens the search: big items first.
 	order := make([]int, len(p.Apps))
@@ -70,6 +72,7 @@ func Exact(ctx context.Context, p *Problem, maxNodes int) (*Plan, error) {
 		ctx:      ctx,
 		p:        p,
 		ev:       ev,
+		sc:       sc,
 		order:    order,
 		groups:   make([][]int, 0, len(p.Servers)),
 		best:     len(p.Servers) + 1,
@@ -96,6 +99,7 @@ type exactSearch struct {
 	ctx        context.Context
 	p          *Problem
 	ev         *evaluator
+	sc         *scratch
 	order      []int
 	groups     [][]int
 	best       int
@@ -128,13 +132,12 @@ func (s *exactSearch) explore(level int) error {
 
 	// Try joining each open group.
 	for gi := range s.groups {
-		candidate := append(append([]int(nil), s.groups[gi]...), app)
-		sort.Ints(candidate)
-		usage, err := s.ev.evalServer(s.ctx, gi, candidate)
+		candidate := withApp(nil, s.groups[gi], app)
+		usage, err := s.ev.evalServer(s.ctx, s.sc, gi, candidate)
 		if err != nil {
 			return err
 		}
-		if !usage.Feasible {
+		if !usage.feasible {
 			continue
 		}
 		saved := s.groups[gi]
@@ -148,11 +151,11 @@ func (s *exactSearch) explore(level int) error {
 	// Open one new server (identical servers: a single branch suffices).
 	if len(s.groups) < len(s.p.Servers) && len(s.groups)+1 < s.best {
 		gi := len(s.groups)
-		usage, err := s.ev.evalServer(s.ctx, gi, []int{app})
+		usage, err := s.ev.evalServer(s.ctx, s.sc, gi, []int{app})
 		if err != nil {
 			return err
 		}
-		if usage.Feasible {
+		if usage.feasible {
 			s.groups = append(s.groups, []int{app})
 			if err := s.explore(level + 1); err != nil {
 				return err

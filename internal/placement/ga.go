@@ -165,7 +165,6 @@ func consolidateSingle(ctx context.Context, p *Problem, initial Assignment, cfg 
 		crossovers  = h.Counter("ga_crossovers_total")
 		mutations   = h.Counter("ga_mutations_total")
 		offspringC  = h.Counter("ga_offspring_evaluated_total")
-		truncatedC  = h.Counter("ga_truncated_total")
 		bestScore   = h.Gauge("ga_best_score")
 		meanScore   = h.Gauge("ga_mean_score")
 		bestServers = h.Gauge("ga_best_feasible_servers")
@@ -175,6 +174,9 @@ func consolidateSingle(ctx context.Context, p *Problem, initial Assignment, cfg 
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ev := newEvaluator(p)
+	sc := ev.acquire()
+	defer ev.release(sc)
+	var breed grouping // the mutation operators' scratch
 
 	var deadline time.Time
 	if cfg.TimeBudget > 0 {
@@ -187,8 +189,8 @@ func consolidateSingle(ctx context.Context, p *Problem, initial Assignment, cfg 
 
 	// Seed the population with the initial assignment, optional greedy
 	// packings, and mutated copies of the initial assignment.
-	pop := make([]*Plan, 0, cfg.PopulationSize)
-	first, err := ev.evaluate(seedCtx, initial)
+	pop := make([]*scored, 0, cfg.PopulationSize)
+	first, err := ev.score(seedCtx, sc, initial.Clone())
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +203,7 @@ func consolidateSingle(ctx context.Context, p *Problem, initial Assignment, cfg 
 			}
 			// Re-evaluate through this run's evaluator so the plan
 			// shares its cache and tolerance.
-			seeded, err := ev.evaluate(seedCtx, plan.Assignment)
+			seeded, err := ev.score(seedCtx, sc, plan.Assignment)
 			if err != nil {
 				return nil, err
 			}
@@ -210,12 +212,12 @@ func consolidateSingle(ctx context.Context, p *Problem, initial Assignment, cfg 
 	}
 	for len(pop) < cfg.PopulationSize {
 		a := initial.Clone()
-		mutate(a, p, rng)
-		plan, err := ev.evaluate(seedCtx, a)
+		mutate(a, p, rng, &breed)
+		c, err := ev.score(seedCtx, sc, a)
 		if err != nil {
 			return nil, err
 		}
-		pop = append(pop, plan)
+		pop = append(pop, c)
 	}
 	sortPopulation(pop)
 
@@ -232,7 +234,7 @@ func consolidateSingle(ctx context.Context, p *Problem, initial Assignment, cfg 
 			break
 		}
 		genStart := time.Now()
-		next := make([]*Plan, 0, cfg.PopulationSize)
+		next := make([]*scored, 0, cfg.PopulationSize)
 		for i := 0; i < cfg.Elite && i < len(pop); i++ {
 			next = append(next, pop[i])
 		}
@@ -241,16 +243,16 @@ func consolidateSingle(ctx context.Context, p *Problem, initial Assignment, cfg 
 		// the expensive part and are independent of each other.
 		offspring := make([]Assignment, 0, cfg.PopulationSize-len(next))
 		for len(next)+len(offspring) < cfg.PopulationSize {
-			a := crossover(tournament(pop, cfg.TournamentK, rng).Assignment,
-				tournament(pop, cfg.TournamentK, rng).Assignment, rng)
+			a := crossover(tournament(pop, cfg.TournamentK, rng).assignment,
+				tournament(pop, cfg.TournamentK, rng).assignment, rng)
 			crossovers.Inc()
 			if rng.Float64() < cfg.MutationRate {
-				mutate(a, p, rng)
+				mutate(a, p, rng, &breed)
 				mutations.Inc()
 			}
 			offspring = append(offspring, a)
 		}
-		plans, err := evaluateAll(ctx, ev, offspring, 0)
+		children, err := scoreAll(ctx, ev, offspring, 0)
 		if err != nil {
 			if ctx.Err() != nil {
 				// Cancellation mid-generation: discard the partial
@@ -260,10 +262,10 @@ func consolidateSingle(ctx context.Context, p *Problem, initial Assignment, cfg 
 			}
 			return nil, err
 		}
-		pop = append(next, plans...)
+		pop = append(next, children...)
 		sortPopulation(pop)
 
-		if cand := bestFeasible(pop); cand != nil && (best == nil || cand.Score > best.Score+1e-12) {
+		if cand := bestFeasible(pop); cand != nil && (best == nil || cand.score > best.score+1e-12) {
 			best = cand
 			stale = 0
 		} else {
@@ -272,18 +274,25 @@ func consolidateSingle(ctx context.Context, p *Problem, initial Assignment, cfg 
 		ran++
 
 		generations.Inc()
-		offspringC.Add(int64(len(plans)))
+		offspringC.Add(int64(len(children)))
 		staleGauge.Set(float64(stale))
-		meanScore.Set(meanPlanScore(pop))
+		meanScore.Set(meanScoreOf(pop))
 		if best != nil {
-			bestScore.Set(best.Score)
-			bestServers.Set(float64(best.ServersUsed))
+			bestScore.Set(best.score)
+			bestServers.Set(float64(best.serversUsed))
 		}
 		genSeconds.Observe(time.Since(genStart).Seconds())
 	}
 	span.SetAttr(telemetry.Int("generations", ran),
 		telemetry.Bool("feasible", best != nil),
 		telemetry.Bool("truncated", truncated))
+	return finishSearch(ctx, ev, sc, best, ran, truncated, cfg.MaxGenerations, span)
+}
+
+// finishSearch turns a search's best candidate into its result: the
+// materialised plan, flagged Truncated when the search was cut short,
+// or the error for a search that found nothing feasible.
+func finishSearch(ctx context.Context, ev *evaluator, sc *scratch, best *scored, ran int, truncated bool, maxGenerations int, span *telemetry.Span) (*Plan, error) {
 	if best == nil {
 		if truncated {
 			cause := ctx.Err()
@@ -292,41 +301,37 @@ func consolidateSingle(ctx context.Context, p *Problem, initial Assignment, cfg 
 			}
 			return nil, fmt.Errorf("placement: consolidation cancelled after %d generations with no feasible plan: %w", ran, cause)
 		}
-		return nil, fmt.Errorf("%w after %d generations", ErrNoFeasible, cfg.MaxGenerations)
+		return nil, fmt.Errorf("%w after %d generations", ErrNoFeasible, maxGenerations)
 	}
+	plan := ev.materialise(sc, best)
 	if truncated {
-		truncatedC.Inc()
-		// Copy before flagging: best may alias a population member that
-		// the evaluator's cache or the caller's initial plan shares.
-		partial := *best
-		partial.Truncated = true
-		best = &partial
+		telemetry.OrNop(ev.p.Hooks).Counter("ga_truncated_total").Inc()
+		plan.Truncated = true
 	}
-	span.SetAttr(telemetry.Int("servers_used", best.ServersUsed), telemetry.Float("score", best.Score))
-	return best, nil
+	span.SetAttr(telemetry.Int("servers_used", plan.ServersUsed), telemetry.Float("score", plan.Score))
+	return plan, nil
 }
 
-// meanPlanScore returns the population's mean consolidation score.
-func meanPlanScore(pop []*Plan) float64 {
+// meanScoreOf returns the population's mean consolidation score.
+func meanScoreOf(pop []*scored) float64 {
 	if len(pop) == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, plan := range pop {
-		sum += plan.Score
+	for _, c := range pop {
+		sum += c.score
 	}
 	return sum / float64(len(pop))
 }
 
-// evaluateAll evaluates assignments concurrently, preserving order.
+// scoreAll scores assignments concurrently, preserving order.
 // workers <= 0 selects GOMAXPROCS (island epochs pass their share of the
 // cores instead); the evaluator's cache is shared and thread-safe, so
 // duplicate groupings are still computed only ~once, and because every
 // evaluation is a pure content-keyed function the results are identical
 // at any worker count.
-func evaluateAll(ctx context.Context, ev *evaluator, assignments []Assignment, workers int) ([]*Plan, error) {
-	plans := make([]*Plan, len(assignments))
-	errs := make([]error, len(assignments))
+func scoreAll(ctx context.Context, ev *evaluator, assignments []Assignment, workers int) ([]*scored, error) {
+	out := make([]*scored, len(assignments))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -334,23 +339,28 @@ func evaluateAll(ctx context.Context, ev *evaluator, assignments []Assignment, w
 		workers = len(assignments)
 	}
 	if workers <= 1 {
+		sc := ev.acquire()
+		defer ev.release(sc)
 		for i, a := range assignments {
-			plan, err := ev.evaluate(ctx, a)
+			c, err := ev.score(ctx, sc, a)
 			if err != nil {
 				return nil, err
 			}
-			plans[i] = plan
+			out[i] = c
 		}
-		return plans, nil
+		return out, nil
 	}
+	errs := make([]error, len(assignments))
 	var wg sync.WaitGroup
 	jobs := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := ev.acquire()
+			defer ev.release(sc)
 			for i := range jobs {
-				plans[i], errs[i] = ev.evaluate(ctx, assignments[i])
+				out[i], errs[i] = ev.score(ctx, sc, assignments[i])
 			}
 		}()
 	}
@@ -364,35 +374,36 @@ func evaluateAll(ctx context.Context, ev *evaluator, assignments []Assignment, w
 			return nil, err
 		}
 	}
-	return plans, nil
+	return out, nil
 }
 
-// sortPopulation orders plans best-score-first, breaking ties in favour
-// of feasible plans and fewer servers.
-func sortPopulation(pop []*Plan) {
+// sortPopulation orders candidates best-score-first, breaking ties in
+// favour of feasible ones and fewer servers.
+func sortPopulation(pop []*scored) {
 	sort.SliceStable(pop, func(i, j int) bool {
-		if pop[i].Feasible != pop[j].Feasible {
-			return pop[i].Feasible
+		if pop[i].feasible != pop[j].feasible {
+			return pop[i].feasible
 		}
-		if pop[i].Score != pop[j].Score {
-			return pop[i].Score > pop[j].Score
+		if pop[i].score != pop[j].score {
+			return pop[i].score > pop[j].score
 		}
-		return pop[i].ServersUsed < pop[j].ServersUsed
+		return pop[i].serversUsed < pop[j].serversUsed
 	})
 }
 
-// bestFeasible returns the best feasible plan in a sorted population.
-func bestFeasible(pop []*Plan) *Plan {
-	for _, plan := range pop {
-		if plan.Feasible {
-			return plan
+// bestFeasible returns the best feasible candidate in a sorted
+// population.
+func bestFeasible(pop []*scored) *scored {
+	for _, c := range pop {
+		if c.feasible {
+			return c
 		}
 	}
 	return nil
 }
 
 // tournament picks the best of k random population members.
-func tournament(pop []*Plan, k int, rng *rand.Rand) *Plan {
+func tournament(pop []*scored, k int, rng *rand.Rand) *scored {
 	best := pop[rng.Intn(len(pop))]
 	for i := 1; i < k; i++ {
 		if cand := pop[rng.Intn(len(pop))]; better(cand, best) {
@@ -402,12 +413,12 @@ func tournament(pop []*Plan, k int, rng *rand.Rand) *Plan {
 	return best
 }
 
-// better orders two plans the same way as sortPopulation.
-func better(a, b *Plan) bool {
-	if a.Feasible != b.Feasible {
-		return a.Feasible
+// better orders two candidates the same way as sortPopulation.
+func better(a, b *scored) bool {
+	if a.feasible != b.feasible {
+		return a.feasible
 	}
-	return a.Score > b.Score
+	return a.score > b.score
 }
 
 // crossover mates two assignments: each application inherits its server
@@ -429,28 +440,35 @@ func crossover(a, b Assignment, rng *rand.Rand) Assignment {
 // tends to reduce the number of servers in use by one (per the paper);
 // the rest of the time it moves a single application, giving the search
 // a fine-grained repair move for nearly-feasible packings.
-func mutate(a Assignment, p *Problem, rng *rand.Rand) {
+func mutate(a Assignment, p *Problem, rng *rand.Rand, g *grouping) {
 	if rng.Float64() < 0.4 {
-		moveOneApp(a, p, rng)
+		moveOneApp(a, p, rng, g)
 		return
 	}
-	emptyOneServer(a, p, rng)
+	emptyOneServer(a, p, rng, g)
+}
+
+// usedServers lists into g.used the servers hosting at least one app
+// under g's current grouping, skipping server except.
+func usedServers(g *grouping, servers, except int) []int {
+	g.used = g.used[:0]
+	for s := 0; s < servers; s++ {
+		if s != except && len(g.of(s)) > 0 {
+			g.used = append(g.used, s)
+		}
+	}
+	return g.used
 }
 
 // moveOneApp reassigns one random application to another server that is
 // currently in use (or any server when only one is used).
-func moveOneApp(a Assignment, p *Problem, rng *rand.Rand) {
+func moveOneApp(a Assignment, p *Problem, rng *rand.Rand, g *grouping) {
 	if len(a) == 0 {
 		return
 	}
 	app := rng.Intn(len(a))
-	groups := groupByServer(a, len(p.Servers))
-	var used []int
-	for s, g := range groups {
-		if len(g) > 0 && s != a[app] {
-			used = append(used, s)
-		}
-	}
+	groupByServer(a, len(p.Servers), g)
+	used := usedServers(g, len(p.Servers), a[app])
 	if len(used) == 0 {
 		a[app] = rng.Intn(len(p.Servers))
 		return
@@ -459,14 +477,9 @@ func moveOneApp(a Assignment, p *Problem, rng *rand.Rand) {
 }
 
 // emptyOneServer migrates every application off one donor server.
-func emptyOneServer(a Assignment, p *Problem, rng *rand.Rand) {
-	groups := groupByServer(a, len(p.Servers))
-	var used []int
-	for s, g := range groups {
-		if len(g) > 0 {
-			used = append(used, s)
-		}
-	}
+func emptyOneServer(a Assignment, p *Problem, rng *rand.Rand, g *grouping) {
+	groupByServer(a, len(p.Servers), g)
+	used := usedServers(g, len(p.Servers), -1)
 	if len(used) < 2 {
 		// A single used server: migrate one random app to a random
 		// server to keep the search moving.
@@ -477,16 +490,16 @@ func emptyOneServer(a Assignment, p *Problem, rng *rand.Rand) {
 	}
 	// Weight donors by how lightly loaded they are (few apps => likely
 	// donor), a cheap stand-in for 1 - f(U) that needs no simulation.
-	weights := make([]float64, len(used))
+	g.weights = g.weights[:0]
 	total := 0.0
-	for i, s := range used {
-		w := 1 / float64(len(groups[s]))
-		weights[i] = w
+	for _, s := range used {
+		w := 1 / float64(len(g.of(s)))
+		g.weights = append(g.weights, w)
 		total += w
 	}
 	r := rng.Float64() * total
 	donor := used[len(used)-1]
-	for i, w := range weights {
+	for i, w := range g.weights {
 		if r < w {
 			donor = used[i]
 			break
@@ -494,7 +507,7 @@ func emptyOneServer(a Assignment, p *Problem, rng *rand.Rand) {
 		r -= w
 	}
 	// Migrate every app on the donor to another used server.
-	for _, app := range groups[donor] {
+	for _, app := range g.of(donor) {
 		dest := donor
 		for dest == donor {
 			dest = used[rng.Intn(len(used))]

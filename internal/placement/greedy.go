@@ -62,6 +62,8 @@ func greedy(ctx context.Context, p *Problem, pick func([]candidate) candidate) (
 		return nil, err
 	}
 	ev := newEvaluator(p)
+	sc := ev.acquire()
+	defer ev.release(sc)
 
 	// Order applications by decreasing peak total allocation.
 	order := make([]int, len(p.Apps))
@@ -82,34 +84,43 @@ func greedy(ctx context.Context, p *Problem, pick func([]candidate) candidate) (
 
 	groups := make([][]int, len(p.Servers))
 	assignment := make(Assignment, len(p.Apps))
+	var trial []int // the candidate group, rebuilt per (app, server)
+	var cands []candidate
 	for _, app := range order {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("placement: greedy packing: %w", err)
 		}
-		var cands []candidate
+		cands = cands[:0]
 		for s := range p.Servers {
-			group := append(append([]int(nil), groups[s]...), app)
-			sort.Ints(group)
-			usage, err := ev.evalServer(ctx, s, group)
+			trial = withApp(trial, groups[s], app)
+			usage, err := ev.evalServer(ctx, sc, s, trial)
 			if err != nil {
 				return nil, err
 			}
-			if !usage.Feasible {
+			if !usage.feasible {
 				continue
 			}
 			cands = append(cands, candidate{
 				server:   s,
-				required: usage.Required,
-				headroom: p.Servers[s].Capacity() - usage.Required,
+				required: usage.required,
+				headroom: p.Servers[s].Capacity() - usage.required,
 			})
 		}
 		if len(cands) == 0 {
 			return nil, fmt.Errorf("placement: app %q fits on no server", p.Apps[app].ID)
 		}
 		chosen := pick(cands)
-		groups[chosen.server] = append(groups[chosen.server], app)
-		sort.Ints(groups[chosen.server])
+		groups[chosen.server] = withApp(nil, groups[chosen.server], app)
 		assignment[app] = chosen.server
 	}
 	return ev.evaluate(ctx, assignment)
+}
+
+// withApp writes the sorted group with app inserted in order into buf
+// (reusing its storage) and returns it.
+func withApp(buf, group []int, app int) []int {
+	i := sort.SearchInts(group, app)
+	buf = append(buf[:0], group[:i]...)
+	buf = append(buf, app)
+	return append(buf, group[i:]...)
 }

@@ -2,7 +2,6 @@ package placement
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"time"
@@ -66,14 +65,17 @@ func islandSizes(size, n int) []int {
 type island struct {
 	idx  int
 	rng  *rand.Rand
-	pop  []*Plan
+	pop  []*scored
 	size int
+	// breed is the mutation operators' scratch; islands breed
+	// concurrently, so each has its own.
+	breed grouping
 
-	// best is the island's best feasible plan so far; stale counts
+	// best is the island's best feasible candidate so far; stale counts
 	// generations since it improved. An island with stale >= Stagnation
 	// is parked: it stops breeding but stays in the migration ring and
 	// revives when a migrant improves its best.
-	best  *Plan
+	best  *scored
 	stale int
 
 	ran       int  // generations actually run
@@ -94,7 +96,7 @@ func (isl *island) runEpoch(ctx context.Context, ev *evaluator, cfg GAConfig, ge
 			isl.truncated = true
 			return
 		}
-		next := make([]*Plan, 0, isl.size)
+		next := make([]*scored, 0, isl.size)
 		for i := 0; i < cfg.Elite && i < len(isl.pop); i++ {
 			next = append(next, isl.pop[i])
 		}
@@ -103,16 +105,16 @@ func (isl *island) runEpoch(ctx context.Context, ev *evaluator, cfg GAConfig, ge
 		// offspring on this island's share of the worker pool.
 		offspring := make([]Assignment, 0, isl.size-len(next))
 		for len(next)+len(offspring) < isl.size {
-			a := crossover(tournament(isl.pop, cfg.TournamentK, isl.rng).Assignment,
-				tournament(isl.pop, cfg.TournamentK, isl.rng).Assignment, isl.rng)
+			a := crossover(tournament(isl.pop, cfg.TournamentK, isl.rng).assignment,
+				tournament(isl.pop, cfg.TournamentK, isl.rng).assignment, isl.rng)
 			tel.crossovers.Inc()
 			if isl.rng.Float64() < cfg.MutationRate {
-				mutate(a, p, isl.rng)
+				mutate(a, p, isl.rng, &isl.breed)
 				tel.mutations.Inc()
 			}
 			offspring = append(offspring, a)
 		}
-		plans, err := evaluateAll(ctx, ev, offspring, workers)
+		children, err := scoreAll(ctx, ev, offspring, workers)
 		if err != nil {
 			if ctx.Err() != nil {
 				isl.truncated = true
@@ -121,19 +123,19 @@ func (isl *island) runEpoch(ctx context.Context, ev *evaluator, cfg GAConfig, ge
 			isl.err = err
 			return
 		}
-		isl.pop = append(next, plans...)
+		isl.pop = append(next, children...)
 		sortPopulation(isl.pop)
 		isl.observeBest()
 		isl.ran++
 		tel.generations.Inc()
-		tel.offspring.Add(int64(len(plans)))
+		tel.offspring.Add(int64(len(children)))
 	}
 }
 
 // observeBest folds the current population into the island's best/stale
 // tracking, using the same improvement threshold as the single search.
 func (isl *island) observeBest() {
-	if cand := bestFeasible(isl.pop); cand != nil && (isl.best == nil || cand.Score > isl.best.Score+1e-12) {
+	if cand := bestFeasible(isl.pop); cand != nil && (isl.best == nil || cand.score > isl.best.score+1e-12) {
 		isl.best = cand
 		isl.stale = 0
 	} else {
@@ -169,10 +171,11 @@ func consolidateIslands(ctx context.Context, p *Problem, initial Assignment, cfg
 	}
 	migrationsC := h.Counter("ga_migrations_total")
 	revivalsC := h.Counter("ga_island_revivals_total")
-	truncatedC := h.Counter("ga_truncated_total")
 	h.Gauge("ga_islands").Set(float64(n))
 
 	ev := newEvaluator(p)
+	sc := ev.acquire()
+	defer ev.release(sc)
 	var deadline time.Time
 	if cfg.TimeBudget > 0 {
 		deadline = time.Now().Add(cfg.TimeBudget)
@@ -190,18 +193,18 @@ func consolidateIslands(ctx context.Context, p *Problem, initial Assignment, cfg
 	// seeding cost does not grow with the island count.
 	sizes := islandSizes(cfg.PopulationSize, n)
 	islands := make([]*island, n)
-	first, err := ev.evaluate(seedCtx, initial)
+	first, err := ev.score(seedCtx, sc, initial.Clone())
 	if err != nil {
 		return nil, err
 	}
-	var greedy []*Plan
+	var greedy []*scored
 	if cfg.SeedGreedy {
 		for _, greedyFn := range []func(context.Context, *Problem) (*Plan, error){FirstFitDecreasing, BestFitDecreasing} {
 			plan, err := greedyFn(seedCtx, p)
 			if err != nil {
 				continue // a greedy failure just means no warm start
 			}
-			seeded, err := ev.evaluate(seedCtx, plan.Assignment)
+			seeded, err := ev.score(seedCtx, sc, plan.Assignment)
 			if err != nil {
 				return nil, err
 			}
@@ -224,18 +227,18 @@ func consolidateIslands(ctx context.Context, p *Problem, initial Assignment, cfg
 		start := len(fill)
 		for want := isl.size - len(isl.pop); want > 0; want-- {
 			a := initial.Clone()
-			mutate(a, p, isl.rng)
+			mutate(a, p, isl.rng, &isl.breed)
 			fill = append(fill, a)
 		}
 		fillOf[i] = [2]int{start, len(fill)}
 	}
-	plans, err := evaluateAll(seedCtx, ev, fill, 0)
+	filled, err := scoreAll(seedCtx, ev, fill, 0)
 	if err != nil {
 		return nil, err
 	}
 	for i, isl := range islands {
 		lo, hi := fillOf[i][0], fillOf[i][1]
-		isl.pop = append(isl.pop, plans[lo:hi]...)
+		isl.pop = append(isl.pop, filled[lo:hi]...)
 		sortPopulation(isl.pop)
 		isl.observeBest()
 		isl.stale = 0 // seeding is generation zero, not a stagnation tick
@@ -291,7 +294,7 @@ func consolidateIslands(ctx context.Context, p *Problem, initial Assignment, cfg
 		// Migration barrier: snapshot every island's best member first,
 		// then replace each right neighbour's worst member, so a migrant
 		// travels one hop per barrier regardless of apply order.
-		migrants := make([]*Plan, n)
+		migrants := make([]*scored, n)
 		for i, isl := range islands {
 			migrants[i] = isl.pop[0]
 		}
@@ -320,9 +323,9 @@ func consolidateIslands(ctx context.Context, p *Problem, initial Assignment, cfg
 	// The global best is collected deterministically in island order
 	// with the single search's improvement threshold, so ties go to the
 	// lowest island index.
-	var best *Plan
+	var best *scored
 	for _, isl := range islands {
-		if isl.best != nil && (best == nil || isl.best.Score > best.Score+1e-12) {
+		if isl.best != nil && (best == nil || isl.best.score > best.score+1e-12) {
 			best = isl.best
 		}
 	}
@@ -336,22 +339,5 @@ func consolidateIslands(ctx context.Context, p *Problem, initial Assignment, cfg
 		telemetry.Int("epochs", epochs),
 		telemetry.Bool("feasible", best != nil),
 		telemetry.Bool("truncated", truncated))
-	if best == nil {
-		if truncated {
-			cause := ctx.Err()
-			if cause == nil {
-				cause = context.DeadlineExceeded // time budget elapsed
-			}
-			return nil, fmt.Errorf("placement: consolidation cancelled after %d generations with no feasible plan: %w", ran, cause)
-		}
-		return nil, fmt.Errorf("%w after %d generations", ErrNoFeasible, cfg.MaxGenerations)
-	}
-	if truncated {
-		truncatedC.Inc()
-		partial := *best
-		partial.Truncated = true
-		best = &partial
-	}
-	span.SetAttr(telemetry.Int("servers_used", best.ServersUsed), telemetry.Float("score", best.Score))
-	return best, nil
+	return finishSearch(ctx, ev, sc, best, ran, truncated, cfg.MaxGenerations, span)
 }

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -106,6 +105,44 @@ type App struct {
 	// Extra holds per-attribute allocation traces for additional
 	// capacity attributes (memory, disk I/O, ...); may be nil.
 	Extra map[Attribute]sim.Workload
+
+	// digest is the content hash of the traces above, recorded by
+	// Prepare once they have been validated; zero means not prepared.
+	digest uint64
+}
+
+// Prepare validates the application's traces and records their content
+// digest, the identity every simulation cache keys on. It makes both a
+// once-per-fleet cost: the digest travels with the App value into every
+// Problem built from it (a sub-pool's, a failure scenario's), and
+// Problem.Validate prepares only the apps that arrive without one. Call
+// it where the App is built and before the value is shared. A
+// prepared app's samples must not change afterwards; changed traces
+// need a new App value.
+func (a *App) Prepare() error {
+	if a.digest != 0 {
+		return nil
+	}
+	if err := a.Workload.Validate(); err != nil {
+		return err
+	}
+	h := fnvString(fnvOffset64, a.ID)
+	h = fnvSamples(h, a.Workload.CoS1)
+	h = fnvSamples(h, a.Workload.CoS2)
+	for _, attr := range attributeUnion([]App{*a}) { // sorted
+		w := a.Extra[attr]
+		if err := w.Validate(); err != nil {
+			return fmt.Errorf("placement: app %q attribute %q: %w", a.ID, attr, err)
+		}
+		h = fnvString(h, string(attr))
+		h = fnvSamples(h, w.CoS1)
+		h = fnvSamples(h, w.CoS2)
+	}
+	if h == 0 {
+		h = 1 // zero is the "not prepared" mark
+	}
+	a.digest = h
+	return nil
 }
 
 // Problem is a consolidation exercise: which servers may host which
@@ -147,7 +184,9 @@ type Problem struct {
 	attrs []Attribute
 }
 
-// Validate checks the problem's structural invariants.
+// Validate checks the problem's structural invariants and prepares
+// (see App.Prepare) every application that is not prepared yet, in
+// which case p.Apps is replaced by a copy holding the digests.
 func (p *Problem) Validate() error {
 	if len(p.Apps) == 0 {
 		return errors.New("placement: no applications")
@@ -157,8 +196,16 @@ func (p *Problem) Validate() error {
 	}
 	seenApp := make(map[string]bool, len(p.Apps))
 	n := -1
-	for _, a := range p.Apps {
-		if err := a.Workload.Validate(); err != nil {
+	owned := false
+	for i := range p.Apps {
+		if p.Apps[i].digest == 0 && !owned {
+			// Digests go into a private copy, so shallow Problem copies
+			// sharing one Apps array may validate concurrently.
+			p.Apps = append([]App(nil), p.Apps...)
+			owned = true
+		}
+		a := &p.Apps[i]
+		if err := a.Prepare(); err != nil {
 			return err
 		}
 		if a.ID == "" || a.ID != a.Workload.AppID {
@@ -300,13 +347,25 @@ func serverValue(u float64, z, nApps int, feasible bool, model ScoreModel) float
 	return math.Pow(u, 2*float64(z))
 }
 
-// inflightEval tracks one in-progress per-server simulation so that
-// concurrent callers needing the same (server, app-group) wait for the
-// single computation instead of racing to duplicate it.
+// groupEval is the compact outcome of simulating one app group on one
+// server shape: what a ServerUsage holds minus the server and the app
+// IDs, which whoever asks already knows. It is the record both the
+// per-run cache and the shared SimCache store.
+type groupEval struct {
+	required float64
+	value    float64
+	feasible bool
+	result   sim.Result
+	extra    map[Attribute]float64
+}
+
+// inflightEval lets goroutines that need a (server, app-group) another
+// goroutine is already simulating wait for that single computation
+// instead of racing to duplicate it.
 type inflightEval struct {
-	done  chan struct{}
-	usage ServerUsage
-	err   error
+	done chan struct{}
+	eval groupEval
+	err  error
 }
 
 // evalShards is the number of independent lock+map shards the
@@ -318,11 +377,23 @@ type inflightEval struct {
 const evalShards = 16
 
 // evalShard is one lock's worth of the per-run evaluation cache plus
-// its in-flight (singleflight) table.
+// its in-flight (singleflight) table. A key being computed maps to nil
+// in inflight until a second goroutine actually has to wait for it.
 type evalShard struct {
 	mu       sync.Mutex
-	cache    map[uint64]ServerUsage
+	cache    map[uint64]groupEval
 	inflight map[uint64]*inflightEval
+}
+
+// scratch is one goroutine's working memory for scoring assignments:
+// the per-server grouping of the assignment at hand, and the aggregate
+// (slot buffers) and workload list a cache miss sums its group into.
+// It belongs to the evaluator that handed it out and dies with it; a
+// process-wide pool would keep traces alive past their job.
+type scratch struct {
+	groups    grouping
+	agg       sim.Aggregate
+	workloads []sim.Workload
 }
 
 // evaluator evaluates assignments against a problem, caching per-server
@@ -341,7 +412,6 @@ type evaluator struct {
 	shared      *SimCache
 	cfgSig      uint64
 	serverSigs  []uint64
-	appHashes   []uint64
 	sharedHitC  *telemetry.Counter
 	sharedMissC *telemetry.Counter
 	warmHitC    *telemetry.Counter
@@ -352,6 +422,10 @@ type evaluator struct {
 	hits, misses atomic.Int64
 	// hitC/missC mirror hits/misses into the problem's metrics registry.
 	hitC, missC *telemetry.Counter
+
+	// free holds the scratch not in use; see acquire.
+	freeMu sync.Mutex
+	free   []*scratch
 }
 
 func newEvaluator(p *Problem) *evaluator {
@@ -362,7 +436,7 @@ func newEvaluator(p *Problem) *evaluator {
 		missC: h.Counter("placement_eval_cache_misses_total"),
 	}
 	for i := range e.shards {
-		e.shards[i].cache = make(map[uint64]ServerUsage)
+		e.shards[i].cache = make(map[uint64]groupEval)
 		e.shards[i].inflight = make(map[uint64]*inflightEval)
 	}
 	if p.Cache != nil && p.Inject == nil {
@@ -372,16 +446,31 @@ func newEvaluator(p *Problem) *evaluator {
 		for i, s := range p.Servers {
 			e.serverSigs[i] = hashServerShape(s, p.attrs)
 		}
-		e.appHashes = make([]uint64, len(p.Apps))
-		for i, a := range p.Apps {
-			e.appHashes[i] = hashApp(a, p.attrs)
-		}
 		e.sharedHitC = h.Counter("placement_shared_cache_hits_total")
 		e.sharedMissC = h.Counter("placement_shared_cache_misses_total")
 		e.warmHitC = h.Counter("placement_shared_cache_warm_hits_total")
 		e.evictC = h.Counter("placement_shared_cache_evictions_total")
 	}
 	return e
+}
+
+// acquire lends the calling goroutine a scratch until it calls release,
+// so a search allocates one per concurrent scorer, not per generation.
+func (e *evaluator) acquire() *scratch {
+	e.freeMu.Lock()
+	defer e.freeMu.Unlock()
+	if n := len(e.free); n > 0 {
+		sc := e.free[n-1]
+		e.free = e.free[:n-1]
+		return sc
+	}
+	return new(scratch)
+}
+
+func (e *evaluator) release(sc *scratch) {
+	e.freeMu.Lock()
+	e.free = append(e.free, sc)
+	e.freeMu.Unlock()
 }
 
 // key builds the per-run cache key for a server and a sorted app-index
@@ -399,107 +488,114 @@ func (e *evaluator) key(server int, apps []int) uint64 {
 // evalServer simulates the given apps on the given server. The apps
 // slice must be sorted ascending. Concurrent calls for the same group
 // share one computation; waiters give up when ctx is cancelled.
-func (e *evaluator) evalServer(ctx context.Context, server int, apps []int) (ServerUsage, error) {
-	srv := e.p.Servers[server]
+func (e *evaluator) evalServer(ctx context.Context, sc *scratch, server int, apps []int) (groupEval, error) {
 	if len(apps) == 0 {
-		return ServerUsage{Server: srv, Feasible: true, Value: 1}, nil
+		return groupEval{feasible: true, value: 1}, nil
 	}
 	k := e.key(server, apps)
 	sh := &e.shards[k&(evalShards-1)]
 	for {
 		sh.mu.Lock()
-		if u, ok := sh.cache[k]; ok {
-			e.hits.Add(1)
+		if ev, ok := sh.cache[k]; ok {
 			sh.mu.Unlock()
+			e.hits.Add(1)
 			e.hitC.Inc()
-			return u, nil
+			return ev, nil
 		}
-		if fl, ok := sh.inflight[k]; ok {
+		if fl, computing := sh.inflight[k]; computing {
+			if fl == nil {
+				fl = &inflightEval{done: make(chan struct{})}
+				sh.inflight[k] = fl
+			}
 			sh.mu.Unlock()
 			select {
 			case <-fl.done:
 			case <-ctx.Done():
-				return ServerUsage{}, fmt.Errorf("placement: evaluate server %q: %w", srv.ID, ctx.Err())
+				return groupEval{}, fmt.Errorf("placement: evaluate server %q: %w", e.p.Servers[server].ID, ctx.Err())
 			}
 			if fl.err != nil {
 				// The leader failed; nothing was cached, so loop around and
 				// recompute (the failure may have been ctx-specific).
 				if ctx.Err() != nil {
-					return ServerUsage{}, fl.err
+					return groupEval{}, fl.err
 				}
 				continue
 			}
 			e.hitC.Inc()
-			return fl.usage, nil
+			return fl.eval, nil
 		}
-		fl := &inflightEval{done: make(chan struct{})}
-		sh.inflight[k] = fl
-		e.misses.Add(1)
+		sh.inflight[k] = nil
 		sh.mu.Unlock()
+		e.misses.Add(1)
 		e.missC.Inc()
 
-		fl.usage, fl.err = e.loadOrCompute(ctx, server, srv, apps)
+		ev, err := e.loadOrCompute(ctx, sc, server, apps)
 		sh.mu.Lock()
-		if fl.err == nil {
-			sh.cache[k] = fl.usage
+		fl := sh.inflight[k]
+		if err == nil {
+			sh.cache[k] = ev
 		}
 		delete(sh.inflight, k)
 		sh.mu.Unlock()
-		close(fl.done)
-		return fl.usage, fl.err
+		if fl != nil {
+			fl.eval, fl.err = ev, err
+			close(fl.done)
+		}
+		return ev, err
 	}
 }
 
 // loadOrCompute checks the shared cross-run cache for the full
 // (server-shape, group) result before falling back to a fresh
 // computation, which it then publishes for every later run.
-func (e *evaluator) loadOrCompute(ctx context.Context, server int, srv Server, apps []int) (ServerUsage, error) {
+func (e *evaluator) loadOrCompute(ctx context.Context, sc *scratch, server int, apps []int) (groupEval, error) {
+	srv := e.p.Servers[server]
 	if e.shared == nil {
-		return e.computeServer(ctx, srv, apps)
+		return e.computeServer(ctx, sc, srv, apps, 0)
 	}
-	k := usageKey{cfg: e.cfgSig, server: e.serverSigs[server], group: hashGroup(e.appHashes, apps)}
-	if u, ok := e.shared.getUsage(k); ok {
+	group := hashGroup(e.p.Apps, apps)
+	k := cacheKey{cfg: e.cfgSig, server: e.serverSigs[server], group: group}
+	if ev, ok := e.shared.getUsage(k); ok {
 		e.sharedHitC.Inc()
-		u.Server = srv // cached entries are server-identity-agnostic
-		return u, nil
+		return ev, nil
 	}
 	e.sharedMissC.Inc()
-	u, err := e.computeServer(ctx, srv, apps)
+	ev, err := e.computeServer(ctx, sc, srv, apps, group)
 	if err != nil {
-		return u, err
+		return ev, err
 	}
-	stored := u
-	stored.Server = Server{} // any same-shape server may claim it
-	if n := e.shared.putUsage(k, stored); n > 0 {
+	if n := e.shared.put(k, ev); n > 0 {
 		e.evictC.Add(int64(n))
 	}
-	return u, nil
+	return ev, nil
 }
 
-// computeServer runs the simulator for one (server, app-group) pair.
-func (e *evaluator) computeServer(ctx context.Context, srv Server, apps []int) (ServerUsage, error) {
-	ids := make([]string, len(apps))
-	for i, a := range apps {
-		ids[i] = e.p.Apps[a].ID
-	}
-	required, res, ok, err := e.searchPrimary(ctx, srv, apps)
+// computeServer runs the simulator for one (server, app-group) pair;
+// group is the group's content hash when a shared cache is in use.
+func (e *evaluator) computeServer(ctx context.Context, sc *scratch, srv Server, apps []int, group uint64) (groupEval, error) {
+	required, res, ok, err := e.searchPrimary(ctx, sc, srv, apps, group)
 	if err != nil {
-		return ServerUsage{}, err
+		return groupEval{}, err
 	}
-	extraRequired, extraOK, err := e.evalAttributes(ctx, srv, apps)
+	extra, extraOK, err := e.evalAttributes(ctx, sc, srv, apps)
 	if err != nil {
-		return ServerUsage{}, err
+		return groupEval{}, err
 	}
-	usage := ServerUsage{
-		Server:        srv,
-		AppIDs:        ids,
-		Required:      required,
-		Feasible:      ok && extraOK,
-		Result:        res,
-		ExtraRequired: extraRequired,
+	ev := groupEval{required: required, feasible: ok && extraOK, result: res, extra: extra}
+	ev.value = serverValue(required/srv.Capacity(), srv.CPUs, len(apps), ev.feasible, e.p.Score)
+	return ev, nil
+}
+
+// simConfig is the replay configuration for simulations on srv.
+func (e *evaluator) simConfig(srv Server) sim.Config {
+	return sim.Config{
+		Commitment:    e.p.Commitment,
+		SlotsPerDay:   e.p.SlotsPerDay,
+		DeadlineSlots: e.p.DeadlineSlots,
+		Hooks:         e.p.Hooks,
+		Inject:        e.p.Inject,
+		InjectKey:     srv.ID,
 	}
-	usage.Value = serverValue(usage.Utilization(), srv.CPUs, len(apps), usage.Feasible, e.p.Score)
-	return usage, nil
 }
 
 // searchPrimary runs (or warm-starts) the primary-attribute
@@ -509,84 +605,169 @@ func (e *evaluator) computeServer(ctx context.Context, srv Server, apps []int) (
 // Unclamped, its interval [CoS1Peak, TotalPeak] is limit-independent,
 // so any server with capacity >= the group's TotalPeak would reproduce
 // it bit for bit — the gate getWarm enforces.
-func (e *evaluator) searchPrimary(ctx context.Context, srv Server, apps []int) (float64, sim.Result, bool, error) {
-	var wk warmKey
+func (e *evaluator) searchPrimary(ctx context.Context, sc *scratch, srv Server, apps []int, group uint64) (float64, sim.Result, bool, error) {
+	wk := cacheKey{cfg: e.cfgSig, group: group, warm: true}
 	if e.shared != nil {
-		wk = warmKey{cfg: e.cfgSig, group: hashGroup(e.appHashes, apps)}
 		if w, ok := e.shared.getWarm(wk, srv.Capacity()); ok {
 			e.warmHitC.Inc()
 			return w.required, w.result, true, nil
 		}
 	}
-	workloads := make([]sim.Workload, len(apps))
-	for i, a := range apps {
-		workloads[i] = e.p.Apps[a].Workload
+	// The traces were validated when their App was prepared; the sum goes
+	// into this goroutine's slot buffers, in ascending app order.
+	sc.workloads = sc.workloads[:0]
+	for _, a := range apps {
+		sc.workloads = append(sc.workloads, e.p.Apps[a].Workload)
 	}
-	agg, err := sim.NewAggregate(workloads)
-	if err != nil {
+	if err := sc.agg.Rebuild(sc.workloads); err != nil {
 		return 0, sim.Result{}, false, err
 	}
-	cfg := sim.Config{
-		Commitment:    e.p.Commitment,
-		SlotsPerDay:   e.p.SlotsPerDay,
-		DeadlineSlots: e.p.DeadlineSlots,
-		Hooks:         e.p.Hooks,
-		Inject:        e.p.Inject,
-		InjectKey:     srv.ID,
-	}
-	out, err := agg.Search(ctx, cfg, srv.Capacity(), e.p.tolerance())
+	out, err := sc.agg.Search(ctx, e.simConfig(srv), srv.Capacity(), e.p.tolerance())
 	if err != nil {
 		return 0, sim.Result{}, false, err
 	}
 	if e.shared != nil && out.Feasible && out.Unclamped {
-		w := warmResult{required: out.Capacity, result: out.Result, totalPeak: agg.TotalPeak()}
-		if n := e.shared.putWarm(wk, w); n > 0 {
+		// out.Result.PeakAggregate is the group's TotalPeak, the gate.
+		if n := e.shared.put(wk, groupEval{required: out.Capacity, feasible: true, result: out.Result}); n > 0 {
 			e.evictC.Add(int64(n))
 		}
 	}
 	return out.Capacity, out.Result, out.Feasible, nil
 }
 
-// evaluate scores a full assignment.
-func (e *evaluator) evaluate(ctx context.Context, a Assignment) (*Plan, error) {
+// scored is one candidate of a search: an assignment with its objective
+// and nothing per server. The searches rank and breed these; only the
+// plan a search returns is expanded (see materialise).
+type scored struct {
+	assignment    Assignment
+	score         float64
+	feasible      bool
+	serversUsed   int
+	requiredTotal float64
+}
+
+// score evaluates the objective of a full assignment, which it keeps
+// (callers hand over a slice nobody mutates afterwards): with every
+// group cached, one grouping pass and one map read per used server.
+func (e *evaluator) score(ctx context.Context, sc *scratch, a Assignment) (*scored, error) {
 	if err := a.Validate(e.p); err != nil {
 		return nil, err
 	}
-	groups := groupByServer(a, len(e.p.Servers))
-	plan := &Plan{
-		Assignment: a.Clone(),
-		Usages:     make([]ServerUsage, len(e.p.Servers)),
-		Feasible:   true,
-	}
+	groupByServer(a, len(e.p.Servers), &sc.groups)
+	c := &scored{assignment: a, feasible: true}
 	for s := range e.p.Servers {
-		usage, err := e.evalServer(ctx, s, groups[s])
+		group := sc.groups.of(s)
+		ev, err := e.evalServer(ctx, sc, s, group)
 		if err != nil {
 			return nil, err
 		}
-		plan.Usages[s] = usage
-		plan.Score += usage.Value
-		if len(groups[s]) > 0 {
-			plan.ServersUsed++
-			plan.RequiredTotal += usage.Required
-			if !usage.Feasible {
-				plan.Feasible = false
+		c.score += ev.value
+		if len(group) > 0 {
+			c.serversUsed++
+			c.requiredTotal += ev.required
+			if !ev.feasible {
+				c.feasible = false
 			}
 		}
 	}
-	return plan, nil
+	return c, nil
 }
 
+// materialise expands a candidate this evaluator scored into the full
+// Plan with per-server usages and app IDs. Every group was simulated
+// when the candidate was scored, so the records are read straight from
+// the per-run cache, outside the hit/miss accounting of the search.
+func (e *evaluator) materialise(sc *scratch, c *scored) *Plan {
+	groupByServer(c.assignment, len(e.p.Servers), &sc.groups)
+	plan := &Plan{
+		Assignment:    c.assignment,
+		Usages:        make([]ServerUsage, len(e.p.Servers)),
+		Score:         c.score,
+		Feasible:      c.feasible,
+		ServersUsed:   c.serversUsed,
+		RequiredTotal: c.requiredTotal,
+	}
+	for s, srv := range e.p.Servers {
+		group := sc.groups.of(s)
+		if len(group) == 0 {
+			plan.Usages[s] = ServerUsage{Server: srv, Feasible: true, Value: 1}
+			continue
+		}
+		k := e.key(s, group)
+		sh := &e.shards[k&(evalShards-1)]
+		sh.mu.Lock()
+		ev, ok := sh.cache[k]
+		sh.mu.Unlock()
+		if !ok {
+			panic(fmt.Sprintf("placement: no cached evaluation for the scored group on server %q", srv.ID))
+		}
+		ids := make([]string, len(group))
+		for i, a := range group {
+			ids[i] = e.p.Apps[a].ID
+		}
+		plan.Usages[s] = ServerUsage{
+			Server:        srv,
+			AppIDs:        ids,
+			Required:      ev.required,
+			Feasible:      ev.feasible,
+			Value:         ev.value,
+			Result:        ev.result,
+			ExtraRequired: ev.extra,
+		}
+	}
+	return plan
+}
+
+// evaluate scores a full assignment and expands it into a Plan.
+func (e *evaluator) evaluate(ctx context.Context, a Assignment) (*Plan, error) {
+	sc := e.acquire()
+	defer e.release(sc)
+	c, err := e.score(ctx, sc, a.Clone())
+	if err != nil {
+		return nil, err
+	}
+	return e.materialise(sc, c), nil
+}
+
+// grouping is the reusable inverse of an assignment: server s hosts
+// apps[start[s]:start[s+1]], in ascending app index. used and weights
+// are the mutation operators' scratch (see ga.go).
+type grouping struct {
+	start, apps []int
+	used        []int
+	weights     []float64
+}
+
+// of returns server s's sorted app-index group; it is valid until the
+// next groupByServer into the same grouping.
+func (g *grouping) of(s int) []int { return g.apps[g.start[s]:g.start[s+1]] }
+
 // groupByServer inverts an assignment into per-server sorted app-index
-// groups.
-func groupByServer(a Assignment, servers int) [][]int {
-	groups := make([][]int, servers)
+// groups, by a counting sort into g's buffers.
+func groupByServer(a Assignment, servers int, g *grouping) {
+	if cap(g.start) < servers+1 {
+		g.start = make([]int, servers+1)
+	}
+	if cap(g.apps) < len(a) {
+		g.apps = make([]int, len(a))
+	}
+	start, apps := g.start[:servers+1], g.apps[:len(a)]
+	g.start, g.apps = start, apps
+	clear(start)
+	for _, s := range a {
+		start[s+1]++
+	}
+	for s := 0; s < servers; s++ {
+		start[s+1] += start[s]
+	}
+	// Filling in app order leaves every group ascending and advances
+	// start[s] to the group's end, which is the next group's start.
 	for app, s := range a {
-		groups[s] = append(groups[s], app)
+		apps[start[s]] = app
+		start[s]++
 	}
-	for _, g := range groups {
-		sort.Ints(g)
-	}
-	return groups
+	copy(start[1:], start[:servers])
+	start[0] = 0
 }
 
 // Evaluate scores an assignment against a problem without searching. A

@@ -3,6 +3,7 @@ package placement
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -433,18 +434,14 @@ func TestEvaluatorCache(t *testing.T) {
 }
 
 func TestGroupByServer(t *testing.T) {
-	groups := groupByServer(Assignment{1, 0, 1, 2}, 4)
-	if len(groups[0]) != 1 || groups[0][0] != 1 {
-		t.Errorf("groups[0] = %v", groups[0])
-	}
-	if len(groups[1]) != 2 || groups[1][0] != 0 || groups[1][1] != 2 {
-		t.Errorf("groups[1] = %v", groups[1])
-	}
-	if len(groups[2]) != 1 || groups[2][0] != 3 {
-		t.Errorf("groups[2] = %v", groups[2])
-	}
-	if len(groups[3]) != 0 {
-		t.Errorf("groups[3] = %v, want empty", groups[3])
+	var g grouping
+	// The second pass reuses the buffers of a larger first one.
+	groupByServer(Assignment{0, 0, 0, 0, 0, 0}, 7, &g)
+	groupByServer(Assignment{1, 0, 1, 2}, 4, &g)
+	for s, want := range [][]int{{1}, {0, 2}, {3}, {}} {
+		if got := g.of(s); !reflect.DeepEqual(append([]int{}, got...), want) {
+			t.Errorf("group of server %d = %v, want %v", s, got, want)
+		}
 	}
 }
 

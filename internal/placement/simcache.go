@@ -1,11 +1,8 @@
 package placement
 
 import (
-	"container/list"
 	"math"
 	"sync"
-
-	"ropus/internal/sim"
 )
 
 // The shared cross-run simulation cache. A consolidation exercise's
@@ -22,10 +19,12 @@ import (
 // the same group lands on a server of the same shape. A failed server
 // changes which groups are legal, not what a group costs on a survivor.
 //
-// Two entry kinds live in one LRU:
+// Two entry kinds live in one LRU, both holding the same compact
+// groupEval record (no server, no app IDs: a hit is told about a group
+// by whoever asks):
 //
-//   - usage entries: the full ServerUsage for (cfg, server-shape,
-//     group). Hits skip the simulation entirely.
+//   - usage entries: the full outcome for (cfg, server-shape, group).
+//     Hits skip the simulation entirely.
 //   - warm entries: the primary-attribute search outcome for (cfg,
 //     group) when the search was Unclamped (see sim.SearchOutcome): the
 //     bisection ran over [CoS1Peak, TotalPeak] and is therefore valid,
@@ -43,33 +42,20 @@ import (
 // a non-positive size.
 const DefaultSimCacheBytes = 256 << 20
 
-// usageKey identifies a full ServerUsage: three independent FNV-1a
-// lanes (configuration, server shape, group content) to keep the
-// effective key width at 192 bits.
-type usageKey struct{ cfg, server, group uint64 }
-
-// warmKey identifies a primary-attribute search outcome, independent of
-// any server.
-type warmKey struct{ cfg, group uint64 }
-
-// warmResult is an Unclamped search outcome plus the TotalPeak gate
-// deciding which capacities may reuse it.
-type warmResult struct {
-	required  float64
-	result    sim.Result
-	totalPeak float64
+// cacheKey identifies an entry by three independent FNV-1a lanes
+// (configuration, server shape, group content), an effective key width
+// of 192 bits. A warm entry belongs to no server: server is zero and
+// warm is set.
+type cacheKey struct {
+	cfg, server, group uint64
+	warm               bool
 }
 
-// cacheEntry is one LRU node; exactly one of the two keys is live,
-// selected by warm.
+// cacheEntry is one cached record and its own LRU node.
 type cacheEntry struct {
-	warm bool
-	uk   usageKey
-	wk   warmKey
-
-	usage ServerUsage
-	res   warmResult
-	bytes int64
+	prev, next *cacheEntry
+	key        cacheKey
+	eval       groupEval
 }
 
 // CacheStats is a point-in-time snapshot of a SimCache's counters.
@@ -98,12 +84,11 @@ func (s CacheStats) HitRate() float64 {
 // consolidation runs via Problem.Cache. The zero value is not usable;
 // construct with NewSimCache.
 type SimCache struct {
-	mu    sync.Mutex
-	max   int64
-	bytes int64
-	ll    *list.List // front = most recently used
-	usage map[usageKey]*list.Element
-	warm  map[warmKey]*list.Element
+	mu      sync.Mutex
+	max     int64
+	bytes   int64
+	lru     cacheEntry // ring sentinel: lru.next is most recently used
+	entries map[cacheKey]*cacheEntry
 
 	hits, misses, warmHits, evictions int64
 }
@@ -115,12 +100,9 @@ func NewSimCache(maxBytes int64) *SimCache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultSimCacheBytes
 	}
-	return &SimCache{
-		max:   maxBytes,
-		ll:    list.New(),
-		usage: make(map[usageKey]*list.Element),
-		warm:  make(map[warmKey]*list.Element),
-	}
+	c := &SimCache{max: maxBytes, entries: make(map[cacheKey]*cacheEntry)}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // Stats snapshots the cache counters.
@@ -132,108 +114,87 @@ func (c *SimCache) Stats() CacheStats {
 		Misses:    c.misses,
 		WarmHits:  c.warmHits,
 		Evictions: c.evictions,
-		Entries:   c.ll.Len(),
+		Entries:   len(c.entries),
 		Bytes:     c.bytes,
 	}
 }
 
-// getUsage looks up a full usage entry. The returned ServerUsage has a
-// zero Server field (results are server-identity-agnostic); the caller
-// fills in the concrete server.
-func (c *SimCache) getUsage(k usageKey) (ServerUsage, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.usage[k]
-	if !ok {
-		c.misses++
-		return ServerUsage{}, false
+// unlink removes e from the LRU ring, if it is on it.
+func (e *cacheEntry) unlink() {
+	if e.prev != nil {
+		e.prev.next, e.next.prev = e.next, e.prev
 	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).usage, true
 }
 
-// putUsage stores a full usage entry and returns how many entries were
-// evicted to make room. The stored value must already have its Server
-// field zeroed.
-func (c *SimCache) putUsage(k usageKey, u ServerUsage) int {
+// touch makes e the most recently used entry, linking it in if new.
+func (c *SimCache) touch(e *cacheEntry) {
+	e.unlink()
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// getUsage looks up a full usage entry.
+func (c *SimCache) getUsage(k cacheKey) (groupEval, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.usage[k]; ok { // concurrent computations of one key race benignly
-		c.ll.MoveToFront(el)
-		return 0
+	e, ok := c.entries[k]
+	if !ok {
+		c.misses++
+		return groupEval{}, false
 	}
-	e := &cacheEntry{uk: k, usage: u, bytes: usageBytes(u)}
-	c.usage[k] = c.ll.PushFront(e)
-	c.bytes += e.bytes
-	return c.evict()
+	c.hits++
+	c.touch(e)
+	return e.eval, true
 }
 
 // getWarm looks up a warm search outcome reusable at capacity: the
-// cached search must gate at or below it.
-func (c *SimCache) getWarm(k warmKey, capacity float64) (warmResult, bool) {
+// cached search must gate (the group's TotalPeak, which every replay
+// reports as Result.PeakAggregate) at or below it.
+func (c *SimCache) getWarm(k cacheKey, capacity float64) (groupEval, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.warm[k]
-	if !ok {
-		return warmResult{}, false
-	}
-	w := el.Value.(*cacheEntry).res
-	if capacity < w.totalPeak {
-		return warmResult{}, false
+	e, ok := c.entries[k]
+	if !ok || capacity < e.eval.result.PeakAggregate {
+		return groupEval{}, false
 	}
 	c.warmHits++
-	c.ll.MoveToFront(el)
-	return w, true
+	c.touch(e)
+	return e.eval, true
 }
 
-// putWarm stores an Unclamped primary-attribute search outcome and
-// returns how many entries were evicted.
-func (c *SimCache) putWarm(k warmKey, w warmResult) int {
+// put stores an entry — a full usage, or under a warm key an Unclamped
+// primary-attribute search outcome — and returns how many entries were
+// evicted to make room.
+func (c *SimCache) put(k cacheKey, ev groupEval) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.warm[k]; ok {
-		c.ll.MoveToFront(el)
+	if e, ok := c.entries[k]; ok { // concurrent computations of one key race benignly
+		c.touch(e)
 		return 0
 	}
-	e := &cacheEntry{warm: true, wk: k, res: w, bytes: warmEntryBytes}
-	c.warm[k] = c.ll.PushFront(e)
-	c.bytes += e.bytes
-	return c.evict()
-}
-
-// evict drops least-recently-used entries until the byte bound holds.
-// Called with mu held.
-func (c *SimCache) evict() int {
+	e := &cacheEntry{key: k, eval: ev}
+	c.entries[k] = e
+	c.touch(e)
+	c.bytes += entryBytes(ev)
 	n := 0
-	for c.bytes > c.max && c.ll.Len() > 0 {
-		el := c.ll.Back()
-		e := el.Value.(*cacheEntry)
-		c.ll.Remove(el)
-		c.bytes -= e.bytes
-		if e.warm {
-			delete(c.warm, e.wk)
-		} else {
-			delete(c.usage, e.uk)
-		}
+	for c.bytes > c.max && len(c.entries) > 0 {
+		last := c.lru.prev
+		last.unlink()
+		delete(c.entries, last.key)
+		c.bytes -= entryBytes(last.eval)
 		n++
 	}
 	c.evictions += int64(n)
 	return n
 }
 
-// warmEntryBytes is the accounted size of a warm entry: the struct, two
-// map words and an LRU node.
-const warmEntryBytes = 160
-
-// usageBytes estimates the retained size of a usage entry.
-func usageBytes(u ServerUsage) int64 {
-	b := int64(240) // struct, LRU node, map overhead
-	for _, id := range u.AppIDs {
-		b += 16 + int64(len(id))
-	}
-	b += int64(len(u.ExtraRequired)) * 64
-	return b
+// entryBytes is the accounted heap cost of one entry: the 128-byte
+// cacheEntry, its share of the index map (a 32-byte key, a pointer and
+// the tables' slack: 63 to 100 bytes as the map grows, measured on
+// go1.24), and the per-attribute map a multi-attribute record points
+// at. TestSimCacheBytesHonest holds it to the measured heap.
+func entryBytes(ev groupEval) int64 {
+	return 208 + int64(len(ev.extra))*64
 }
 
 // ---------------------------------------------------------------------
@@ -310,33 +271,14 @@ func hashServerShape(s Server, attrs []Attribute) uint64 {
 	return h
 }
 
-// hashApp digests one application's translated traces (primary and
-// extra attributes) by content. Failure-mode translations share the app
-// ID but carry different samples, so they hash apart.
-func hashApp(a App, attrs []Attribute) uint64 {
+// hashGroup digests a sorted app-index group through the apps' content
+// digests (see App.Prepare). Failure-mode translations share the app ID
+// but carry different samples, so they hash apart.
+func hashGroup(apps []App, group []int) uint64 {
 	h := uint64(fnvOffset64)
-	h = fnvString(h, a.ID)
-	h = fnvSamples(h, a.Workload.CoS1)
-	h = fnvSamples(h, a.Workload.CoS2)
-	for _, attr := range attrs {
-		w, ok := a.Extra[attr]
-		if !ok {
-			continue
-		}
-		h = fnvString(h, string(attr))
-		h = fnvSamples(h, w.CoS1)
-		h = fnvSamples(h, w.CoS2)
-	}
-	return h
-}
-
-// hashGroup digests a sorted app-index group through the per-app
-// content hashes.
-func hashGroup(appHashes []uint64, apps []int) uint64 {
-	h := uint64(fnvOffset64)
-	h = fnvInt(h, len(apps))
-	for _, a := range apps {
-		h = fnvU64(h, appHashes[a])
+	h = fnvInt(h, len(group))
+	for _, a := range group {
+		h = fnvU64(h, apps[a].digest)
 	}
 	return h
 }

@@ -223,7 +223,7 @@ func TestSimCacheEviction(t *testing.T) {
 	if s.Evictions == 0 {
 		t.Fatalf("a 1-byte cache must evict, stats %+v", s)
 	}
-	if s.Bytes > warmEntryBytes+512 || s.Entries > 1 {
+	if s.Bytes > entryBytes(groupEval{})+512 || s.Entries > 1 {
 		t.Fatalf("cache grew past its bound: %+v", s)
 	}
 }

@@ -132,32 +132,57 @@ type Aggregate struct {
 // NewAggregate precomputes per-slot aggregate allocations. All
 // workloads must be valid and aligned.
 func NewAggregate(workloads []Workload) (*Aggregate, error) {
-	if len(workloads) == 0 {
-		return nil, errors.New("sim: no workloads")
-	}
-	n := len(workloads[0].CoS1)
-	agg := &Aggregate{cos1: make([]float64, n), cos2: make([]float64, n)}
 	for _, w := range workloads {
 		if err := w.Validate(); err != nil {
 			return nil, err
 		}
-		if len(w.CoS1) != n {
-			return nil, fmt.Errorf("sim: workload %q has %d slots, want %d", w.AppID, len(w.CoS1), n)
-		}
-		for i := range w.CoS1 {
-			agg.cos1[i] += w.CoS1[i]
-			agg.cos2[i] += w.CoS2[i]
-		}
 	}
-	for i := range agg.cos1 {
-		if agg.cos1[i] > agg.cos1Peak {
-			agg.cos1Peak = agg.cos1[i]
-		}
-		if total := agg.cos1[i] + agg.cos2[i]; total > agg.totalPeak {
-			agg.totalPeak = total
-		}
+	agg := new(Aggregate)
+	if err := agg.Rebuild(workloads); err != nil {
+		return nil, err
 	}
 	return agg, nil
+}
+
+// Rebuild re-sums the aggregate in place from workloads whose samples
+// the caller has already validated (Workload.Validate), reusing the
+// aggregate's slot buffers: a search loop that owns one Aggregate pays
+// one pass per group instead of two fresh slices and a re-validation.
+// The alignment check stays. Sums are the left fold from zero in
+// workload order NewAggregate always took, so the two agree bit for
+// bit. The previous contents are gone whether or not an error returns.
+func (a *Aggregate) Rebuild(workloads []Workload) error {
+	if len(workloads) == 0 {
+		return errors.New("sim: no workloads")
+	}
+	n := len(workloads[0].CoS1)
+	if cap(a.cos1) < n || cap(a.cos2) < n {
+		a.cos1, a.cos2 = make([]float64, n), make([]float64, n)
+	}
+	cos1, cos2 := a.cos1[:n], a.cos2[:n]
+	a.cos1, a.cos2 = cos1, cos2
+	clear(cos1)
+	clear(cos2)
+	for _, w := range workloads {
+		if len(w.CoS1) != n || len(w.CoS2) != n {
+			return fmt.Errorf("sim: workload %q has %d/%d slots, want %d", w.AppID, len(w.CoS1), len(w.CoS2), n)
+		}
+		w1, w2 := w.CoS1[:n], w.CoS2[:n]
+		for i := range cos1 {
+			cos1[i] += w1[i]
+			cos2[i] += w2[i]
+		}
+	}
+	a.cos1Peak, a.totalPeak = 0, 0
+	for i := range cos1 {
+		if cos1[i] > a.cos1Peak {
+			a.cos1Peak = cos1[i]
+		}
+		if total := cos1[i] + cos2[i]; total > a.totalPeak {
+			a.totalPeak = total
+		}
+	}
+	return nil
 }
 
 // Slots returns the number of replay slots.

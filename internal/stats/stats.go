@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -77,17 +78,71 @@ func PercentileNearestRank(samples []float64, p float64) (float64, error) {
 	if p < 0 || p > 100 {
 		return 0, fmt.Errorf("stats: percentile %v out of range [0,100]", p)
 	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	k := int(math.Ceil(p / 100 * float64(len(sorted))))
+	k := int(math.Ceil(p / 100 * float64(len(samples))))
 	if k < 1 {
 		k = 1
 	}
-	if k > len(sorted) {
-		k = len(sorted)
+	if k > len(samples) {
+		k = len(samples)
 	}
-	return sorted[k-1], nil
+	// One order statistic does not need the whole order: select it in a
+	// copy (the caller's trace keeps its order).
+	scratch := make([]float64, len(samples))
+	copy(scratch, samples)
+	return selectKth(scratch, k-1), nil
+}
+
+// selectKth reorders s so that s[k] holds the value sort.Float64s would
+// put there, and returns it: quickselect with a median-of-three pivot
+// and a three-way partition (runs of equal samples, common in capped
+// traces, cost one pass), expected O(n). A window that stops shrinking
+// fast enough, or is small, is sorted outright, which bounds the worst
+// case at the sort's.
+func selectKth(s []float64, k int) float64 {
+	// less is sort.Float64s's order: NaNs first.
+	less := func(a, b float64) bool { return a < b || (a != a && b == b) }
+	lo, hi := 0, len(s)-1
+	for budget := 2 * bits.Len(uint(len(s))); lo < hi; budget-- {
+		if budget == 0 || hi-lo < 16 {
+			sort.Float64s(s[lo : hi+1])
+			break
+		}
+		a, b, c := s[lo], s[lo+(hi-lo)/2], s[hi]
+		if less(b, a) {
+			a, b = b, a
+		}
+		if less(c, b) {
+			b = c
+			if less(b, a) {
+				b = a
+			}
+		}
+		pivot := b
+		// Invariant: s[lo:lt] < pivot, s[lt:i] == pivot, s[gt+1:hi+1] > pivot.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch x := s[i]; {
+			case less(x, pivot):
+				s[lt], s[i] = x, s[lt]
+				lt++
+				i++
+			case less(pivot, x):
+				s[gt], s[i] = x, s[gt]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return s[k]
+		}
+	}
+	return s[k]
 }
 
 // Percentiles evaluates several percentiles with a single sort.

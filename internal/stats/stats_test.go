@@ -104,6 +104,78 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 }
 
+// nearestRankBySort is the sort-based definition PercentileNearestRank
+// used to compute directly; the selection must agree with it exactly.
+func nearestRankBySort(samples []float64, p float64) float64 {
+	sorted := append([]float64(nil), samples...)
+	sort.Float64s(sorted)
+	k := int(math.Ceil(p / 100 * float64(len(sorted))))
+	if k < 1 {
+		k = 1
+	}
+	if k > len(sorted) {
+		k = len(sorted)
+	}
+	return sorted[k-1]
+}
+
+// TestNearestRankSelectionMatchesSort pins the selection to the sort on
+// the shapes that break partition schemes: heavy duplicates, all-equal,
+// sorted and reversed runs, NaNs, n = 1, and the p = 0 / p = 100 ends.
+func TestNearestRankSelectionMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	shapes := map[string]func(n int) []float64{
+		"random":     func(n int) []float64 { return fill(n, func(int) float64 { return rng.Float64() * 16 }) },
+		"duplicates": func(n int) []float64 { return fill(n, func(int) float64 { return float64(rng.Intn(4)) }) },
+		"all-equal":  func(n int) []float64 { return fill(n, func(int) float64 { return 2.5 }) },
+		"ascending":  func(n int) []float64 { return fill(n, func(i int) float64 { return float64(i) }) },
+		"descending": func(n int) []float64 { return fill(n, func(i int) float64 { return float64(-i) }) },
+		"organ-pipe": func(n int) []float64 {
+			return fill(n, func(i int) float64 { return math.Min(float64(i), float64(n-i)) })
+		},
+		"capped": func(n int) []float64 {
+			return fill(n, func(int) float64 { return math.Min(rng.ExpFloat64(), 1.5) })
+		},
+		"with-nans": func(n int) []float64 {
+			return fill(n, func(i int) float64 {
+				if i%5 == 0 {
+					return math.NaN()
+				}
+				return rng.NormFloat64()
+			})
+		},
+	}
+	for name, gen := range shapes {
+		for _, n := range []int{1, 2, 3, 15, 16, 17, 100, 1000, 8064} {
+			samples := gen(n)
+			before := append([]float64(nil), samples...)
+			for _, p := range []float64{0, 0.01, 3, 50, 97, 99.99, 100, rng.Float64() * 100} {
+				got, err := PercentileNearestRank(samples, p)
+				if err != nil {
+					t.Fatalf("%s n=%d p=%v: %v", name, n, p, err)
+				}
+				if want := nearestRankBySort(samples, p); math.Float64bits(got) != math.Float64bits(want) &&
+					!(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Errorf("%s n=%d p=%v: selection %v, sort %v", name, n, p, got, want)
+				}
+			}
+			for i := range samples {
+				if math.Float64bits(samples[i]) != math.Float64bits(before[i]) {
+					t.Fatalf("%s n=%d: caller's samples reordered at %d", name, n, i)
+				}
+			}
+		}
+	}
+}
+
+func fill(n int, f func(i int) float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = f(i)
+	}
+	return out
+}
+
 func TestQuickNearestRankBudget(t *testing.T) {
 	// The defining property: at most (100-p)% of samples are strictly
 	// greater than the result.
