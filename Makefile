@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-smoke bench-batched bench-obs-overhead bench-fleet experiments fuzz golden serve-e2e fleet-e2e clean
+.PHONY: all build vet test race cover bench bench-smoke experiments fuzz golden serve-e2e fleet-e2e clean
 
 all: build vet test race
 
@@ -27,37 +27,11 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Quick benchmark pass: every benchmark at a 100ms budget. CI runs this
-# as a smoke job and uploads the output next to BENCH_perf_parallel.json.
+# Quick benchmark pass: every benchmark at a 100ms budget; CI uploads the
+# output. Speed claims come from `go run ./bench` (BENCHMARK.json,
+# bench/README.md), not from this.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=100ms ./... | tee bench_smoke.txt
-
-# The batched-replay / island-GA perf surface: scalar vs batched replay,
-# the K-ary search's pass economics, and the Table1 consolidation at 1,
-# 2 and 4 islands. Hand-captured runs of this target feed
-# BENCH_perf_batched.json; CI runs it as part of the bench smoke job.
-bench-batched:
-	$(GO) test -run '^$$' -bench 'BenchmarkReplayScalar|BenchmarkReplayBatch|BenchmarkSearchBisect|BenchmarkSearchKary' -benchmem -benchtime 100x ./internal/sim/ | tee bench_batched.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkTable1Consolidation' -benchtime 1x . | tee -a bench_batched.txt
-
-# Prove the disabled-observability hot paths are still an inlined nil
-# check: run the no-op benchmarks, record them in BENCH_obs_overhead.json
-# and fail if any exceeds the 5 ns/op budget.
-bench-obs-overhead:
-	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverhead/nop' -benchtime 100ms ./internal/telemetry/ | tee bench_obs.txt
-	@awk 'BEGIN { printf "{\n  \"budget_ns_per_op\": 5,\n  \"benchmarks\": [\n"; n = 0; bad = 0 } \
-	  / ns\/op/ && /nop-/ { if (n++) printf ",\n"; printf "    {\"name\": \"%s\", \"ns_per_op\": %s}", $$1, $$3; if ($$3 + 0 > 5) bad++ } \
-	  END { printf "\n  ],\n  \"pass\": %s\n}\n", (bad == 0 && n > 0) ? "true" : "false"; exit (bad > 0 || n == 0) }' \
-	  bench_obs.txt > BENCH_obs_overhead.json \
-	  || { cat BENCH_obs_overhead.json; echo "FAIL: a disabled observability path exceeds the 5 ns/op budget"; exit 1; }
-	@rm -f bench_obs.txt
-	@cat BENCH_obs_overhead.json
-
-# Fleet-scale placement benchmark: the full 1000-app hierarchical
-# pipeline, recorded in BENCH_fleet_scale.json with a wall-clock
-# regression gate. CI runs this in the bench smoke job.
-bench-fleet:
-	ROPUS_BENCH_FLEET=1 $(GO) test -run TestFleetScaleBench -count=1 -v .
 
 # Regenerate every table and figure of the paper's evaluation into results/.
 experiments:
@@ -82,11 +56,11 @@ serve-e2e: build
 	ROPUS=./ropus-cli bash scripts/serve_e2e.sh
 
 # Fleet contract: three instances, one state dir, loadgen-driven, one
-# instance kill -9ed mid-sweep; emits BENCH_serve_fleet.json.
+# instance kill -9ed mid-sweep; emits BENCH_serve_fleet.json (untracked).
 fleet-e2e: build
 	$(GO) build -o ropus-cli ./cmd/ropus
 	$(GO) build -o ropus-loadgen ./cmd/loadgen
 	ROPUS=./ropus-cli LOADGEN=./ropus-loadgen bash scripts/fleet_e2e.sh
 
 clean:
-	rm -rf results test_output.txt bench_output.txt bench_smoke.txt bench_batched.txt bench_obs.txt cover.out ropus-cli ropus-loadgen
+	rm -rf results test_output.txt bench_output.txt bench_smoke.txt cover.out ropus-cli ropus-loadgen BENCH_serve_fleet.json

@@ -12,7 +12,6 @@ package ropus
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -23,7 +22,6 @@ import (
 	"ropus/internal/qos"
 	"ropus/internal/sim"
 	"ropus/internal/trace"
-	"ropus/internal/wlmgr"
 	"ropus/internal/workload"
 )
 
@@ -109,51 +107,6 @@ func thetaName(theta float64) string {
 	return "theta=0.60"
 }
 
-func BenchmarkTable1Consolidation(b *testing.B) {
-	set := benchFleet(b)
-	cfg := experiments.Table1Config{GASeed: 42, Quick: true}
-	b.ResetTimer()
-	servers := 0
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(context.Background(), set, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		servers = 0
-		for _, r := range rows {
-			servers += r.Servers
-		}
-	}
-	b.ReportMetric(float64(servers), "servers-total")
-}
-
-// BenchmarkTable1ConsolidationIslands times the same six-case
-// consolidation with the genetic search split into deterministic
-// islands: the epochs of every island run in parallel, so wall time
-// drops with the core count while the result stays byte-deterministic
-// per (seed, island count).
-func BenchmarkTable1ConsolidationIslands(b *testing.B) {
-	set := benchFleet(b)
-	for _, islands := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("islands=%d", islands), func(b *testing.B) {
-			cfg := experiments.Table1Config{GASeed: 42, Quick: true, Islands: islands}
-			servers := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rows, err := experiments.Table1(context.Background(), set, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				servers = 0
-				for _, r := range rows {
-					servers += r.Servers
-				}
-			}
-			b.ReportMetric(float64(servers), "servers-total")
-		})
-	}
-}
-
 func BenchmarkFailoverAnalysis(b *testing.B) {
 	set := benchFleet(b)
 	cfg := experiments.Table1Config{GASeed: 42, Quick: true}
@@ -200,40 +153,6 @@ func table1Problem(b *testing.B) *placement.Problem {
 		DeadlineSlots: 12,
 		Tolerance:     0.25,
 	}
-}
-
-// BenchmarkConsolidateCtxCheck measures the cost of the per-generation
-// cancellation checks in the GA hot loop: the same search run against
-// context.Background() (Err is a nil-method call) and against a live
-// cancellable context (Err loads shared state). The two must stay
-// within noise of each other and of the pre-cancellation baseline in
-// BENCH_telemetry_baseline.json.
-func BenchmarkConsolidateCtxCheck(b *testing.B) {
-	problem := table1Problem(b)
-	run := func(b *testing.B, ctx context.Context) {
-		cfg := placement.DefaultGAConfig(42)
-		cfg.MaxGenerations = 60
-		cfg.Stagnation = 15
-		servers := 0
-		for i := 0; i < b.N; i++ {
-			initial, err := placement.OneAppPerServer(problem)
-			if err != nil {
-				b.Fatal(err)
-			}
-			plan, err := placement.Consolidate(ctx, problem, initial, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			servers = plan.ServersUsed
-		}
-		b.ReportMetric(float64(servers), "servers")
-	}
-	b.Run("background", func(b *testing.B) { run(b, context.Background()) })
-	b.Run("cancellable", func(b *testing.B) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		run(b, ctx)
-	})
 }
 
 // BenchmarkAblationPlacementSearch compares the genetic search (cold and
@@ -434,68 +353,6 @@ func BenchmarkFleetGeneration(b *testing.B) {
 	cfg := workload.CaseStudyConfig(2006)
 	for i := 0; i < b.N; i++ {
 		if _, err := workload.Fleet(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPortfolioTranslate(b *testing.B) {
-	set := benchFleet(b)
-	q := experiments.CaseStudyQoS(97, 30*time.Minute)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr := set[i%len(set)]
-		if _, err := portfolio.Translate(tr, q, 0.60); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSimulatorReplay(b *testing.B) {
-	set := benchFleet(b)
-	q := experiments.CaseStudyQoS(97, 0)
-	workloads := make([]sim.Workload, 0, 4)
-	for _, tr := range set[:4] {
-		part, err := portfolio.Translate(tr, q, 0.60)
-		if err != nil {
-			b.Fatal(err)
-		}
-		workloads = append(workloads, sim.Workload{
-			AppID: tr.AppID, CoS1: part.CoS1.Samples, CoS2: part.CoS2.Samples,
-		})
-	}
-	agg, err := sim.NewAggregate(workloads)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.Config{
-		Capacity:      12,
-		Commitment:    qos.PoolCommitment{Theta: 0.60, Deadline: time.Hour},
-		SlotsPerDay:   288,
-		DeadlineSlots: 12,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := agg.Replay(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWorkloadManagerReplay(b *testing.B) {
-	set := benchFleet(b)
-	q := experiments.CaseStudyQoS(97, 30*time.Minute)
-	containers := make([]wlmgr.Container, 0, 3)
-	for _, tr := range set[:3] {
-		part, err := portfolio.Translate(tr, q, 0.60)
-		if err != nil {
-			b.Fatal(err)
-		}
-		containers = append(containers, wlmgr.Container{Demand: tr, Partition: part})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wlmgr.Run(context.Background(), 16, containers, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

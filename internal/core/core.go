@@ -176,6 +176,24 @@ type Translation struct {
 	Traces  trace.Set
 	Normal  []*portfolio.Partition
 	Failure []*portfolio.Partition
+
+	// normalApps and failureApps are Normal and Failure as placement
+	// applications, validated and digested once by Translate so that
+	// consolidation and every failure sweep of the plan share them. A
+	// hand-built Translation leaves them nil and is prepared on each
+	// use instead (see apps). They describe the partitions as Translate
+	// left them: build a new Translation rather than editing one.
+	normalApps, failureApps []placement.App
+}
+
+// apps returns the prepared placement applications for parts, which is
+// t.Normal or t.Failure: Translate's when it left them, otherwise
+// prepared here.
+func (t *Translation) apps(parts []*portfolio.Partition, prepared []placement.App) ([]placement.App, error) {
+	if len(prepared) == len(parts) {
+		return prepared, nil
+	}
+	return partitionApps(parts)
 }
 
 // CPeakTotal returns the sum of per-application maximum allocations for
@@ -223,6 +241,13 @@ func (f *Framework) Translate(ctx context.Context, traces trace.Set, reqs Requir
 		out.Normal[i] = normal
 		out.Failure[i] = fail
 	}
+	var err error
+	if out.normalApps, err = partitionApps(out.Normal); err != nil {
+		return nil, err
+	}
+	if out.failureApps, err = partitionApps(out.Failure); err != nil {
+		return nil, err
+	}
 	obslog.From(ctx).InfoContext(ctx, "core.translate",
 		slog.Int("apps", len(traces)),
 		slog.Float64("theta", theta))
@@ -256,7 +281,7 @@ func (f *Framework) Consolidate(ctx context.Context, t *Translation) (*Consolida
 	if t == nil || len(t.Normal) == 0 {
 		return nil, errors.New("core: nothing to consolidate")
 	}
-	problem, err := f.problemFor(t, t.Normal)
+	problem, err := f.problemFor(t)
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +328,7 @@ func (f *Framework) PartitionPreview(ctx context.Context, t *Translation) ([][]s
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: partition preview: %w", err)
 	}
-	problem, err := f.problemFor(t, t.Normal)
+	problem, err := f.problemFor(t)
 	if err != nil {
 		return nil, err
 	}
@@ -366,10 +391,9 @@ func (f *Framework) PlanForScenarios(ctx context.Context, t *Translation, c *Con
 }
 
 // failureInput assembles a failure sweep's input: the consolidated
-// problem plus the failure-mode applications, prepared here once for
-// every scenario of the sweep.
+// problem plus the translation's prepared failure-mode applications.
 func (f *Framework) failureInput(t *Translation, c *Consolidation) (failure.Input, error) {
-	failApps, err := partitionApps(t.Failure)
+	failApps, err := t.apps(t.Failure, t.failureApps)
 	if err != nil {
 		return failure.Input{}, err
 	}
@@ -433,17 +457,14 @@ func (f *Framework) RunScenarios(ctx context.Context, traces trace.Set, reqs Req
 	return report, nil
 }
 
-// problemFor assembles a placement problem from partitions, with one
+// problemFor assembles the normal-mode placement problem, with one
 // candidate server per application.
-func (f *Framework) problemFor(t *Translation, parts []*portfolio.Partition) (*placement.Problem, error) {
-	if len(parts) == 0 {
-		return nil, errors.New("core: no partitions")
-	}
-	apps, err := partitionApps(parts)
+func (f *Framework) problemFor(t *Translation) (*placement.Problem, error) {
+	apps, err := t.apps(t.Normal, t.normalApps)
 	if err != nil {
 		return nil, err
 	}
-	servers := make([]placement.Server, len(parts))
+	servers := make([]placement.Server, len(apps))
 	for i := range servers {
 		servers[i] = placement.Server{
 			ID:          fmt.Sprintf("srv-%02d", i+1),
@@ -467,8 +488,8 @@ func (f *Framework) problemFor(t *Translation, parts []*portfolio.Partition) (*p
 }
 
 // partitionApps adapts portfolio partitions to placement applications,
-// validating and digesting each translated trace here, once: the
-// prepared App values are what every Problem built from them carries.
+// validating and digesting each translated trace: the prepared App
+// values are what every Problem built from them carries.
 func partitionApps(parts []*portfolio.Partition) ([]placement.App, error) {
 	apps := make([]placement.App, len(parts))
 	for i, p := range parts {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -347,5 +348,49 @@ func TestSharedExternalCache(t *testing.T) {
 	stats := shared.Stats()
 	if stats.Hits == 0 {
 		t.Errorf("second run over a shared cache recorded no hits: %+v", stats)
+	}
+}
+
+// TestTranslationPreparesAppsOnce: Translate leaves the prepared normal-
+// and failure-mode apps on the Translation, every consolidation and
+// failure sweep of the plan shares those values instead of re-walking
+// the traces, and a hand-built Translation without them plans the same.
+func TestTranslationPreparesAppsOnce(t *testing.T) {
+	ctx := context.Background()
+	f, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := f.Translate(ctx, smallFleet(t), Requirements{Default: caseStudyRequirement()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons, err := f.Consolidate(ctx, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &cons.Problem.Apps[0] != &tr.normalApps[0] {
+		t.Error("Consolidate prepared its own normal-mode apps")
+	}
+	for range 2 {
+		in, err := f.failureInput(tr, cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &in.FailureApps[0] != &tr.failureApps[0] {
+			t.Error("failureInput prepared its own failure-mode apps")
+		}
+	}
+
+	byHand := &Translation{Traces: tr.Traces, Normal: tr.Normal, Failure: tr.Failure}
+	consByHand, err := f.Consolidate(ctx, byHand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(consByHand.Plan.Assignment, cons.Plan.Assignment) {
+		t.Error("a hand-built Translation consolidates differently")
+	}
+	if _, err := f.PlanForFailures(ctx, byHand, consByHand); err != nil {
+		t.Errorf("a hand-built Translation cannot be swept: %v", err)
 	}
 }

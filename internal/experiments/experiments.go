@@ -248,12 +248,12 @@ type Table1Config struct {
 
 // Table1 runs the six consolidation cases against the fleet.
 func Table1(ctx context.Context, set trace.Set, cfg Table1Config) ([]Table1Row, error) {
-	h := telemetry.OrNop(cfg.Hooks)
-	replayC := h.Counter("experiments_cases_replayed_total")
-	appendErrC := h.Counter("checkpoint_append_errors_total")
-	retry := cfg.Retry
-	if retry.Hooks == nil {
-		retry.Hooks = cfg.Hooks
+	cell := checkpoint.Cell{
+		Journal: cfg.Journal,
+		Unit:    unitTable1,
+		Retry:   cfg.Retry,
+		Hooks:   cfg.Hooks,
+		Replays: "experiments_cases_replayed_total",
 	}
 
 	rows := make([]Table1Row, len(Table1Cases))
@@ -290,30 +290,15 @@ func Table1(ctx context.Context, set trace.Set, cfg Table1Config) ([]Table1Row, 
 		if failed.Load() {
 			return // a case already failed; don't burn cycles on the rest
 		}
-		key := checkpoint.NewHasher().Int(int64(Table1Cases[i].ID)).Sum()
-		var cached Table1Row
-		if ok, cerr := cfg.Journal.Lookup(unitTable1, key, &cached); cerr == nil && ok {
-			rows[i] = cached
-			replayC.Inc()
-			return
-		}
-		row, _, err := resilience.Do(ctx, retry, fmt.Sprintf("case-%d", Table1Cases[i].ID),
+		rows[i], _, _, errs[i] = checkpoint.Memo(ctx, cell,
+			checkpoint.NewHasher().Int(int64(Table1Cases[i].ID)).Sum(),
+			fmt.Sprintf("case-%d", Table1Cases[i].ID), nil,
 			func(attemptCtx context.Context) (Table1Row, error) {
 				return runCase(attemptCtx, i)
 			})
-		if err == nil {
-			rows[i] = row
-			// Never checkpoint a case computed under cancellation: its
-			// search may have been cut short.
-			if ctx.Err() == nil {
-				if aerr := cfg.Journal.Append(unitTable1, key, row); aerr != nil {
-					appendErrC.Inc()
-				}
-			}
-			return
+		if errs[i] != nil {
+			failed.Store(true)
 		}
-		errs[i] = err
-		failed.Store(true)
 	})
 	// The first error by case index is the one a sequential run would
 	// have returned.

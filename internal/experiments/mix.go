@@ -133,12 +133,12 @@ func Mix(ctx context.Context, cfg MixConfig) ([]MixRow, error) {
 			return placement.Consolidate(ctx, p, initial, ga)
 		}},
 	}
-	h := telemetry.OrNop(cfg.Hooks)
-	replayC := h.Counter("experiments_cases_replayed_total")
-	appendErrC := h.Counter("checkpoint_append_errors_total")
-	retry := cfg.Retry
-	if retry.Hooks == nil {
-		retry.Hooks = cfg.Hooks
+	cell := checkpoint.Cell{
+		Journal: cfg.Journal,
+		Unit:    unitMix,
+		Retry:   cfg.Retry,
+		Hooks:   cfg.Hooks,
+		Replays: "experiments_cases_replayed_total",
 	}
 
 	// An algorithm that errors (or is never dispatched after a cancel)
@@ -148,14 +148,8 @@ func Mix(ctx context.Context, cfg MixConfig) ([]MixRow, error) {
 		rows[i].Algorithm = algos[i].name
 	}
 	parallel.ForEach(ctx, cfg.Workers, len(algos), func(i int) {
-		key := checkpoint.NewHasher().String(algos[i].name).Sum()
-		var cached MixRow
-		if ok, cerr := cfg.Journal.Lookup(unitMix, key, &cached); cerr == nil && ok {
-			rows[i] = cached
-			replayC.Inc()
-			return
-		}
-		row, _, err := resilience.Do(ctx, retry, algos[i].name,
+		rows[i], _, _, _ = checkpoint.Memo(ctx, cell,
+			checkpoint.NewHasher().String(algos[i].name).Sum(), algos[i].name, nil,
 			func(context.Context) (MixRow, error) {
 				// Each algorithm gets its own shallow Problem copy: Validate
 				// memoizes the attribute union on the struct, which would
@@ -173,17 +167,6 @@ func Mix(ctx context.Context, cfg MixConfig) ([]MixRow, error) {
 					Feasible:  plan.Feasible,
 				}, nil
 			})
-		if err != nil {
-			return
-		}
-		rows[i] = row
-		// Never checkpoint a row computed under cancellation: its search
-		// may have been cut short.
-		if ctx.Err() == nil {
-			if aerr := cfg.Journal.Append(unitMix, key, row); aerr != nil {
-				appendErrC.Inc()
-			}
-		}
 	})
 	return rows, nil
 }

@@ -15,23 +15,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
-	"time"
 
 	"ropus/internal/checkpoint"
 	"ropus/internal/faultinject"
-	"ropus/internal/obslog"
-	"ropus/internal/parallel"
 	"ropus/internal/placement"
 	"ropus/internal/resilience"
 	"ropus/internal/robust"
 	"ropus/internal/telemetry"
-)
-
-// Journal unit names for checkpointed sweep results.
-const (
-	unitScenario = "failure.scenario"
-	unitMulti    = "failure.multi"
 )
 
 // Input is everything the planner needs beyond the base plan.
@@ -49,9 +39,9 @@ type Input struct {
 	// reduced consolidation problems each scenario solves.
 	Hooks telemetry.Hooks
 	// Inject is the test-only fault injector consulted at the
-	// "failure.scenario" point (keyed by failed server ID or multi-failure
-	// Key) and propagated to the reduced consolidation problems; nil (the
-	// production default) injects nothing.
+	// "failure.scenario" point (keyed by failed server ID, multi-failure
+	// Key or scenario name) and propagated to the reduced consolidation
+	// problems; nil (the production default) injects nothing.
 	Inject faultinject.Injector
 	// Workers bounds the number of scenarios analyzed concurrently: 0
 	// selects GOMAXPROCS and 1 forces the sequential sweep. Scenario
@@ -93,7 +83,9 @@ func (in Input) Validate() error {
 			return fmt.Errorf("failure: failure-mode app %d is %q, want %q",
 				i, a.ID, in.Problem.Apps[i].ID)
 		}
-		if err := a.Workload.Validate(); err != nil {
+		// Prepare (on this copy) returns at once for an app that already
+		// carries its digest, so prepared traces are not walked again.
+		if err := a.Prepare(); err != nil {
 			return err
 		}
 	}
@@ -191,6 +183,8 @@ func (r *Report) Retries() (extra, recovered, gaveUp int) {
 // basePlan (removing an unused server is a non-event). The base plan
 // must have been produced for in.Problem.
 //
+// It is the sweep engine (see sweep) run over one server-loss spec per
+// used server, in pool order, with each result viewed as a Scenario.
 // The sweep degrades gracefully: a scenario that cannot be evaluated is
 // recorded with its Err and the sweep continues; only when every
 // scenario errors does Analyze return a top-level error. Cancelling ctx
@@ -198,250 +192,59 @@ func (r *Report) Retries() (extra, recovered, gaveUp int) {
 // completed prefix with Report.Truncated set and a nil error.
 func Analyze(ctx context.Context, in Input, basePlan *placement.Plan) (report *Report, err error) {
 	defer robust.Recover("failure.Analyze", &err)
-	if err := in.Validate(); err != nil {
+	if err := validate(in, basePlan); err != nil {
 		return nil, err
 	}
-	if basePlan == nil {
-		return nil, errors.New("failure: nil base plan")
-	}
-	if err := basePlan.Assignment.Validate(in.Problem); err != nil {
-		return nil, err
-	}
-
-	h := telemetry.OrNop(in.Hooks)
-	ctx, span := telemetry.StartSpanCtx(ctx, in.Hooks, "failure.analyze",
+	multi, err := sweep(ctx, in, basePlan, "failure.analyze",
+		combinationSpecs(in.Problem, usedServers(in.Problem, basePlan), 1),
 		telemetry.Int("servers", len(in.Problem.Servers)))
-	defer span.End()
-	scenarioC := h.Counter("failure_scenarios_total")
-	infeasibleC := h.Counter("failure_infeasible_scenarios_total")
-	errorC := h.Counter("failure_scenario_errors_total")
-	replayC := h.Counter("failure_scenarios_replayed_total")
-	appendErrC := h.Counter("checkpoint_append_errors_total")
-	scenarioSecs := h.Histogram("failure_scenario_seconds", nil)
-
-	// The retry policy reports through the sweep's hooks unless the
-	// caller wired its own.
-	retry := in.Retry
-	if retry.Hooks == nil {
-		retry.Hooks = in.Hooks
+	if err != nil {
+		return nil, err
 	}
-
-	// Enumerate the scenarios up front (failing an unused server is a
-	// non-event), then fan them out on the worker pool. Results land in
-	// index order; ForEach's contiguous-prefix contract preserves the
-	// sequential sweep's completed-prefix truncation semantics.
-	type job struct {
-		srvIdx   int
-		affected []int
+	report = &Report{SpareNeeded: multi.SparesNeeded, Truncated: multi.Truncated}
+	for _, s := range multi.Scenarios {
+		report.Scenarios = append(report.Scenarios, Scenario{
+			FailedServer: s.FailedServers[0],
+			AffectedApps: s.AffectedApps,
+			Feasible:     s.Feasible,
+			Plan:         s.Plan,
+			Servers:      s.Servers,
+			Attempts:     s.Attempts,
+			Recovered:    s.Recovered,
+			GaveUp:       s.GaveUp,
+			Err:          s.Err,
+			ErrText:      s.ErrText,
+		})
 	}
-	var jobs []job
-	for srvIdx := range in.Problem.Servers {
-		if affected := appsOn(basePlan.Assignment, srvIdx); len(affected) > 0 {
-			jobs = append(jobs, job{srvIdx: srvIdx, affected: affected})
-		}
-	}
-
-	scenarios := make([]Scenario, len(jobs))
-	scenarioErrs := make([]error, len(jobs))
-	done := parallel.ForEach(ctx, in.Workers, len(jobs), func(i int) {
-		j := jobs[i]
-		serverID := in.Problem.Servers[j.srvIdx].ID
-		key := checkpoint.NewHasher().String(serverID).Sum()
-		var cached Scenario
-		if ok, cerr := in.Journal.Lookup(unitScenario, key, &cached); cerr == nil && ok {
-			// Replayed from a prior run's checkpoint: bit-exact, so the
-			// resumed report is byte-identical to an uninterrupted one.
-			scenarios[i] = cached
-			scenarioC.Inc()
-			replayC.Inc()
-			return
-		}
-		start := time.Now()
-		scenario, stats, err := resilience.Do(ctx, retry, serverID,
-			func(attemptCtx context.Context) (Scenario, error) {
-				return analyzeScenario(attemptCtx, ctx, in, basePlan, j.srvIdx, j.affected, serverID)
-			})
-		scenario.Attempts = stats.Attempts
-		scenario.Recovered = stats.Recovered
-		scenario.GaveUp = stats.GaveUp
-		scenarioC.Inc()
-		scenarioSecs.Observe(time.Since(start).Seconds())
-		// Only clean, complete verdicts are checkpointed: errored
-		// scenarios are inconclusive and should be re-attempted on
-		// resume, and a scenario whose search was cut short by the
-		// sweep's cancellation (best-so-far Truncated plan) would replay
-		// a partial result an uninterrupted run never produces. A failed
-		// append never fails the sweep — it only costs recompute later.
-		if err == nil && ctx.Err() == nil && (scenario.Plan == nil || !scenario.Plan.Truncated) {
-			if aerr := in.Journal.Append(unitScenario, key, scenario); aerr != nil {
-				appendErrC.Inc()
-			}
-		}
-		scenarios[i], scenarioErrs[i] = scenario, err
-		// Debug, not Info: the parallel sweep completes scenarios in
-		// nondeterministic order, which a golden log stream cannot pin.
-		obslog.From(ctx).DebugContext(ctx, "failure.scenario",
-			slog.String("failed_server", scenario.FailedServer),
-			slog.Bool("feasible", scenario.Feasible),
-			slog.Int("attempts", scenario.Attempts))
-	})
-
-	report = &Report{Truncated: done < len(jobs)}
-	errored := 0
-	for i := 0; i < done; i++ {
-		scenario := scenarios[i]
-		if err := scenarioErrs[i]; err != nil {
-			// Degrade: record the scenario as errored and keep sweeping.
-			// The remaining scenarios are independent analyses; one bad
-			// solver run must not cost the whole report.
-			scenario.Err = fmt.Errorf("failure: scenario %q: %w", scenario.FailedServer, err)
-			scenario.ErrText = scenario.Err.Error()
-			errorC.Inc()
-			errored++
-		} else if !scenario.Feasible {
-			infeasibleC.Inc()
-			report.SpareNeeded = true
-		}
-		report.Scenarios = append(report.Scenarios, scenario)
-	}
-	span.SetAttr(
-		telemetry.Int("scenarios", len(report.Scenarios)),
-		telemetry.Int("errors", errored),
-		telemetry.Bool("spare_needed", report.SpareNeeded),
-		telemetry.Bool("truncated", report.Truncated))
-	if errored > 0 && errored == len(report.Scenarios) {
-		return nil, fmt.Errorf("failure: every scenario failed to evaluate: %w", errors.Join(report.Errors()...))
-	}
-	obslog.From(ctx).InfoContext(ctx, "failure.analyze",
-		slog.Int("scenarios", len(report.Scenarios)),
-		slog.Int("errors", errored),
-		slog.Bool("spare_needed", report.SpareNeeded),
-		slog.Bool("truncated", report.Truncated))
 	return report, nil
 }
 
-// analyzeScenario wraps analyzeOne with the "failure.scenario" fault
-// injection point, preserving the scenario's identity (failed server,
-// affected apps) even when the analysis errors. ctx is the (possibly
-// deadline-bounded) attempt context; parent is the sweep context, used
-// to tell an expired attempt deadline — retryable — from cancellation.
-func analyzeScenario(ctx, parent context.Context, in Input, basePlan *placement.Plan, srvIdx int, affected []int, key string) (Scenario, error) {
-	scenario := Scenario{
-		FailedServer: in.Problem.Servers[srvIdx].ID,
-		AffectedApps: make([]string, 0, len(affected)),
+// validate checks what every sweep needs before it can enumerate
+// scenarios: a sound input and a base plan that belongs to it.
+func validate(in Input, basePlan *placement.Plan) error {
+	if err := in.Validate(); err != nil {
+		return err
 	}
-	for _, a := range affected {
-		scenario.AffectedApps = append(scenario.AffectedApps, in.Problem.Apps[a].ID)
+	if basePlan == nil {
+		return errors.New("failure: nil base plan")
 	}
-	if in.Inject != nil {
-		o := in.Inject.Hit("failure.scenario", key)
-		if o.Delay > 0 {
-			t := time.NewTimer(o.Delay)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return scenario, ctx.Err()
-			}
-		}
-		if o.Err != nil {
-			return scenario, o.Err
-		}
-	}
-	full, err := analyzeOne(ctx, in, basePlan, srvIdx, affected)
-	if err != nil {
-		return scenario, err
-	}
-	// Consolidate reports context expiry as a Truncated plan with a nil
-	// error. Under a per-attempt deadline a silently partial plan must
-	// become a transient error so the policy retries it; only parent
-	// cancellation may truncate a sweep.
-	if full.Plan != nil && full.Plan.Truncated && ctx.Err() != nil && parent.Err() == nil {
-		return scenario, resilience.MarkTransient(
-			fmt.Errorf("failure: scenario %q: attempt deadline cut the search short", scenario.FailedServer))
-	}
-	return full, nil
+	return basePlan.Assignment.Validate(in.Problem)
 }
 
-// analyzeOne re-consolidates after removing server srvIdx.
-func analyzeOne(ctx context.Context, in Input, basePlan *placement.Plan, srvIdx int, affected []int) (Scenario, error) {
-	p := in.Problem
-	scenario := Scenario{
-		FailedServer: p.Servers[srvIdx].ID,
-		AffectedApps: make([]string, 0, len(affected)),
+// usedServers lists, in pool order, the servers basePlan hosts at least
+// one application on.
+func usedServers(p *placement.Problem, basePlan *placement.Plan) []int {
+	hosts := make([]bool, len(p.Servers))
+	for _, srv := range basePlan.Assignment {
+		hosts[srv] = true
 	}
-	for _, a := range affected {
-		scenario.AffectedApps = append(scenario.AffectedApps, p.Apps[a].ID)
-	}
-
-	if len(p.Servers) == 1 {
-		return scenario, nil // nothing left to host the apps: infeasible
-	}
-
-	// Build the reduced problem: the failed server disappears; affected
-	// applications switch to their failure-mode translation.
-	isAffected := make(map[int]bool, len(affected))
-	for _, a := range affected {
-		isAffected[a] = true
-	}
-	apps := make([]placement.App, len(p.Apps))
-	for i := range p.Apps {
-		if isAffected[i] {
-			apps[i] = in.FailureApps[i]
-		} else {
-			apps[i] = p.Apps[i]
+	var used []int
+	for i, h := range hosts {
+		if h {
+			used = append(used, i)
 		}
 	}
-	servers := make([]placement.Server, 0, len(p.Servers)-1)
-	oldToNew := make([]int, len(p.Servers))
-	for i, s := range p.Servers {
-		if i == srvIdx {
-			oldToNew[i] = -1
-			continue
-		}
-		oldToNew[i] = len(servers)
-		servers = append(servers, s)
-	}
-	reduced := &placement.Problem{
-		Apps:          apps,
-		Servers:       servers,
-		Commitment:    p.Commitment,
-		SlotsPerDay:   p.SlotsPerDay,
-		DeadlineSlots: p.DeadlineSlots,
-		Tolerance:     p.Tolerance,
-		Hooks:         in.Hooks,
-		Inject:        in.Inject,
-		// The shared simulation cache crosses scenario boundaries: a
-		// failed server changes which groups are legal, not what a group
-		// costs on a survivor, so base-plan results are valid here.
-		Cache: p.Cache,
-	}
-
-	// Initial assignment: unaffected applications stay put; affected
-	// ones are spread round-robin over the remaining servers, letting
-	// the genetic search find real homes.
-	initial := make(placement.Assignment, len(apps))
-	next := 0
-	for i, old := range basePlan.Assignment {
-		if mapped := oldToNew[old]; mapped >= 0 {
-			initial[i] = mapped
-			continue
-		}
-		initial[i] = next % len(servers)
-		next++
-	}
-
-	plan, err := placement.Consolidate(ctx, reduced, initial, in.GA)
-	if errors.Is(err, placement.ErrNoFeasible) {
-		return scenario, nil // infeasible, not an error
-	}
-	if err != nil {
-		return Scenario{}, err
-	}
-	scenario.Feasible = true
-	scenario.Plan = plan
-	scenario.Servers = servers
-	return scenario, nil
+	return used
 }
 
 // Migrations returns the container moves needed to realize this
@@ -463,15 +266,4 @@ func (s *Scenario) Migrations(base *placement.Problem, basePlan *placement.Plan)
 	return placement.MigrationsByServerID(apps,
 		base.Servers, basePlan.Assignment,
 		s.Servers, s.Plan.Assignment)
-}
-
-// appsOn lists the applications assigned to server s.
-func appsOn(a placement.Assignment, s int) []int {
-	var out []int
-	for app, srv := range a {
-		if srv == s {
-			out = append(out, app)
-		}
-	}
-	return out
 }

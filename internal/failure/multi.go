@@ -2,16 +2,11 @@ package failure
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
-	"ropus/internal/checkpoint"
-	"ropus/internal/parallel"
 	"ropus/internal/placement"
-	"ropus/internal/resilience"
 	"ropus/internal/robust"
 	"ropus/internal/telemetry"
 )
@@ -165,180 +160,52 @@ func (r *MultiReport) Worst() *MultiScenario {
 }
 
 // AnalyzeMulti evaluates every combination of k concurrent failures of
-// servers used by basePlan. k=1 degenerates to Analyze's scenarios.
-// Degradation mirrors Analyze: errored combinations are recorded and
-// skipped, cancellation truncates the sweep at a combination boundary,
-// and a top-level error occurs only when every combination errors.
+// servers used by basePlan: the sweep engine (see sweep) run over one
+// server-loss spec per combination, in lexicographic order. k=1
+// degenerates to Analyze's scenarios. Degradation mirrors Analyze:
+// errored combinations are recorded and skipped, cancellation truncates
+// the sweep at a combination boundary, and a top-level error occurs
+// only when every combination errors.
 func AnalyzeMulti(ctx context.Context, in Input, basePlan *placement.Plan, k int) (report *MultiReport, err error) {
 	defer robust.Recover("failure.AnalyzeMulti", &err)
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	if basePlan == nil {
-		return nil, errors.New("failure: nil base plan")
-	}
-	if err := basePlan.Assignment.Validate(in.Problem); err != nil {
+	if err := validate(in, basePlan); err != nil {
 		return nil, err
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("failure: k %d < 1", k)
 	}
-
-	var used []int
-	for srvIdx := range in.Problem.Servers {
-		if len(appsOn(basePlan.Assignment, srvIdx)) > 0 {
-			used = append(used, srvIdx)
-		}
-	}
+	used := usedServers(in.Problem, basePlan)
 	if k > len(used) {
 		return nil, fmt.Errorf("failure: k=%d exceeds the %d servers in use", k, len(used))
 	}
-
-	h := telemetry.OrNop(in.Hooks)
-	ctx, span := telemetry.StartSpanCtx(ctx, in.Hooks, "failure.analyze_multi",
+	report, err = sweep(ctx, in, basePlan, "failure.analyze_multi",
+		combinationSpecs(in.Problem, used, k),
 		telemetry.Int("k", k),
 		telemetry.Int("servers_in_use", len(used)))
-	defer span.End()
-	scenarioC := h.Counter("failure_scenarios_total")
-	infeasibleC := h.Counter("failure_infeasible_scenarios_total")
-	errorC := h.Counter("failure_scenario_errors_total")
-	replayC := h.Counter("failure_scenarios_replayed_total")
-	appendErrC := h.Counter("checkpoint_append_errors_total")
-	scenarioSecs := h.Histogram("failure_scenario_seconds", nil)
-
-	retry := in.Retry
-	if retry.Hooks == nil {
-		retry.Hooks = in.Hooks
+	if err != nil {
+		return nil, err
 	}
-
-	// Fan the combinations out on the worker pool; like Analyze, results
-	// land in combination order and the dispatched prefix is contiguous,
-	// so truncation semantics match the sequential sweep.
-	combos := combinations(used, k)
-	scenarios := make([]MultiScenario, len(combos))
-	scenarioErrs := make([]error, len(combos))
-	done := parallel.ForEach(ctx, in.Workers, len(combos), func(i int) {
-		comboKey := comboID(in.Problem, combos[i])
-		key := checkpoint.NewHasher().Int(int64(k)).String(comboKey).Sum()
-		var cached MultiScenario
-		if ok, cerr := in.Journal.Lookup(unitMulti, key, &cached); cerr == nil && ok {
-			scenarios[i] = cached
-			scenarioC.Inc()
-			replayC.Inc()
-			return
-		}
-		start := time.Now()
-		scenario, stats, err := resilience.Do(ctx, retry, comboKey,
-			func(attemptCtx context.Context) (MultiScenario, error) {
-				return analyzeCombo(attemptCtx, ctx, in, basePlan, combos[i])
-			})
-		scenario.Attempts = stats.Attempts
-		scenario.Recovered = stats.Recovered
-		scenario.GaveUp = stats.GaveUp
-		scenarioC.Inc()
-		scenarioSecs.Observe(time.Since(start).Seconds())
-		// See Analyze: only clean, complete verdicts are checkpointed.
-		if err == nil && ctx.Err() == nil && (scenario.Plan == nil || !scenario.Plan.Truncated) {
-			if aerr := in.Journal.Append(unitMulti, key, scenario); aerr != nil {
-				appendErrC.Inc()
-			}
-		}
-		scenarios[i], scenarioErrs[i] = scenario, err
-	})
-
-	report = &MultiReport{K: k, Truncated: done < len(combos)}
-	errored := 0
-	for i := 0; i < done; i++ {
-		scenario := scenarios[i]
-		if err := scenarioErrs[i]; err != nil {
-			scenario.Err = fmt.Errorf("failure: scenario %q: %w", scenario.Key(), err)
-			scenario.ErrText = scenario.Err.Error()
-			errorC.Inc()
-			errored++
-		} else if !scenario.Feasible {
-			infeasibleC.Inc()
-			report.SparesNeeded = true
-		}
-		report.Scenarios = append(report.Scenarios, scenario)
-	}
-	span.SetAttr(
-		telemetry.Int("scenarios", len(report.Scenarios)),
-		telemetry.Int("errors", errored),
-		telemetry.Bool("spares_needed", report.SparesNeeded),
-		telemetry.Bool("truncated", report.Truncated))
-	if errored > 0 && errored == len(report.Scenarios) {
-		return nil, fmt.Errorf("failure: every scenario failed to evaluate: %w", errors.Join(report.Errors()...))
+	report.K = k
+	for i := range report.Scenarios {
+		report.Scenarios[i].Name = "" // a combination's identity is Key()
 	}
 	return report, nil
 }
 
-// comboID is the stable identifier of a failed-server combination,
-// matching MultiScenario.Key for the same combination.
-func comboID(p *placement.Problem, combo []int) string {
-	ids := make([]string, 0, len(combo))
-	for _, s := range combo {
-		ids = append(ids, p.Servers[s].ID)
-	}
-	return strings.Join(ids, "+")
-}
-
-// analyzeCombo re-consolidates after removing the given servers. Even
-// when it errors, the returned scenario carries the combination's
-// identity so the report can record which analysis failed. ctx is the
-// attempt context, parent the sweep context (see analyzeScenario).
-func analyzeCombo(ctx, parent context.Context, in Input, basePlan *placement.Plan, combo []int) (MultiScenario, error) {
-	p := in.Problem
-	failed := make(map[int]bool, len(combo))
-	scenario := MultiScenario{}
-	for _, s := range combo {
-		failed[s] = true
-		scenario.FailedServers = append(scenario.FailedServers, p.Servers[s].ID)
-	}
-	if in.Inject != nil {
-		o := in.Inject.Hit("failure.scenario", scenario.Key())
-		if o.Delay > 0 {
-			t := time.NewTimer(o.Delay)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return scenario, ctx.Err()
-			}
+// combinationSpecs builds one server-loss spec per k-combination of the
+// used servers, in lexicographic order, each named by the combination's
+// Key — for k=1, the failed server's ID.
+func combinationSpecs(p *placement.Problem, used []int, k int) []ScenarioSpec {
+	combos := combinations(used, k)
+	specs := make([]ScenarioSpec, len(combos))
+	for i, combo := range combos {
+		ids := make([]string, len(combo))
+		for j, s := range combo {
+			ids[j] = p.Servers[s].ID
 		}
-		if o.Err != nil {
-			return scenario, o.Err
-		}
+		specs[i] = ScenarioSpec{Name: strings.Join(ids, "+"), Servers: ids}
 	}
-
-	var affected []int
-	for app, srv := range basePlan.Assignment {
-		if failed[srv] {
-			affected = append(affected, app)
-		}
-	}
-	sort.Ints(affected)
-	for _, a := range affected {
-		scenario.AffectedApps = append(scenario.AffectedApps, p.Apps[a].ID)
-	}
-
-	if len(p.Servers) <= len(combo) {
-		return scenario, nil // nothing survives
-	}
-
-	feasible, plan, servers, err := consolidateSurvivors(ctx, in, basePlan, failed, affected, 0)
-	if err != nil {
-		return scenario, err
-	}
-	if plan != nil && plan.Truncated && ctx.Err() != nil && parent.Err() == nil {
-		return scenario, resilience.MarkTransient(
-			fmt.Errorf("failure: scenario %q: attempt deadline cut the search short", scenario.Key()))
-	}
-	if feasible {
-		scenario.Feasible = true
-		scenario.Plan = plan
-		scenario.Servers = servers
-	}
-	return scenario, nil
+	return specs
 }
 
 // combinations enumerates all k-element subsets of items in

@@ -7,19 +7,21 @@ package failure
 // ceiling. AnalyzeScenarios evaluates an explicit list of named
 // scenarios, each a concrete failed-server set with optional cascade
 // closure and a per-scenario θ commitment override (maintenance
-// windows, degraded-pool operation), on the same worker pool,
-// retry/checkpoint and simulation-cache machinery as the other sweeps,
-// and scores every outcome with per-application revenue economics so
-// the report ranks scenarios by expected revenue at risk.
+// windows, degraded-pool operation), and scores every outcome with
+// per-application revenue economics so the report ranks scenarios by
+// expected revenue at risk. This file also holds the sweep engine all
+// three entry points run on.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"time"
 
 	"ropus/internal/checkpoint"
+	"ropus/internal/obslog"
 	"ropus/internal/parallel"
 	"ropus/internal/placement"
 	"ropus/internal/resilience"
@@ -27,9 +29,11 @@ import (
 	"ropus/internal/telemetry"
 )
 
-// Journal unit name for checkpointed scenario-class results. It is
-// distinct from unitMulti so a scenario journal cannot replay a
-// k-combination record or vice versa.
+// unitSpec is the one journal unit every failure sweep files its
+// records (MultiScenario values) under. Journals written before the
+// sweeps were unified also hold "failure.scenario" and "failure.multi"
+// records of other types; nothing looks those up any more, so a resumed
+// old journal recomputes those scenarios. Do not reuse those names.
 const unitSpec = "failure.scenario_spec"
 
 // DefaultCascadeRounds bounds a cascade closure that does not set its
@@ -222,9 +226,9 @@ func ScoreScenario(affectedApps []string, feasible bool, econ *Economics) (total
 // requested, switches the affected applications to failure-mode QoS and
 // re-consolidates the survivors — under the scenario's θ override when
 // set. Economics (nil prices everything at zero) score each outcome
-// into RevenueAtRisk/ExpectedRevenueAtRisk; scoring happens at report
-// assembly, outside the checkpointed verdict, so re-pricing a journal
-// does not invalidate it.
+// into RevenueAtRisk/ExpectedRevenueAtRisk; scoring happens here, after
+// the sweep and outside the checkpointed verdict, so re-pricing a
+// journal does not invalidate it.
 //
 // Degradation mirrors AnalyzeMulti: errored scenarios are recorded
 // (Err and ErrText set) and skipped, cancellation truncates at a
@@ -232,13 +236,7 @@ func ScoreScenario(affectedApps []string, feasible bool, econ *Economics) (total
 // byte-identical at every worker count and across checkpoint resumes.
 func AnalyzeScenarios(ctx context.Context, in Input, basePlan *placement.Plan, specs []ScenarioSpec, econ *Economics) (report *MultiReport, err error) {
 	defer robust.Recover("failure.AnalyzeScenarios", &err)
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	if basePlan == nil {
-		return nil, errors.New("failure: nil base plan")
-	}
-	if err := basePlan.Assignment.Validate(in.Problem); err != nil {
+	if err := validate(in, basePlan); err != nil {
 		return nil, err
 	}
 	if len(specs) == 0 {
@@ -247,15 +245,10 @@ func AnalyzeScenarios(ctx context.Context, in Input, basePlan *placement.Plan, s
 	if err := econ.Validate(); err != nil {
 		return nil, err
 	}
-	serverIdx := make(map[string]int, len(in.Problem.Servers))
-	for i, s := range in.Problem.Servers {
-		serverIdx[s.ID] = i
-	}
-	normalized := make([]ScenarioSpec, len(specs))
+	serverIdx := serverIndex(in.Problem)
 	seenName := make(map[string]bool, len(specs))
-	for i, s := range specs {
-		normalized[i] = s.normalized()
-		if err := normalized[i].Validate(serverIdx); err != nil {
+	for _, s := range specs {
+		if err := s.normalized().Validate(serverIdx); err != nil {
 			return nil, err
 		}
 		if seenName[s.Name] {
@@ -263,98 +256,140 @@ func AnalyzeScenarios(ctx context.Context, in Input, basePlan *placement.Plan, s
 		}
 		seenName[s.Name] = true
 	}
-
-	h := telemetry.OrNop(in.Hooks)
-	ctx, span := telemetry.StartSpanCtx(ctx, in.Hooks, "failure.analyze_scenarios",
+	report, err = sweep(ctx, in, basePlan, "failure.analyze_scenarios", specs,
 		telemetry.Int("scenarios", len(specs)),
 		telemetry.Int("servers", len(in.Problem.Servers)))
-	defer span.End()
-	scenarioC := h.Counter("failure_scenarios_total")
-	infeasibleC := h.Counter("failure_infeasible_scenarios_total")
-	errorC := h.Counter("failure_scenario_errors_total")
-	replayC := h.Counter("failure_scenarios_replayed_total")
-	appendErrC := h.Counter("checkpoint_append_errors_total")
-	cascadeC := h.Counter("failure_cascade_failures_total")
-	scenarioSecs := h.Histogram("failure_scenario_seconds", nil)
-
-	retry := in.Retry
-	if retry.Hooks == nil {
-		retry.Hooks = in.Hooks
+	if err != nil {
+		return nil, err
 	}
-
-	scenarios := make([]MultiScenario, len(normalized))
-	scenarioErrs := make([]error, len(normalized))
-	done := parallel.ForEach(ctx, in.Workers, len(normalized), func(i int) {
-		spec := normalized[i]
-		hash := checkpoint.NewHasher()
-		spec.fold(hash)
-		key := hash.Sum()
-		var cached MultiScenario
-		if ok, cerr := in.Journal.Lookup(unitSpec, key, &cached); cerr == nil && ok {
-			scenarios[i] = cached
-			scenarioC.Inc()
-			replayC.Inc()
-			return
-		}
-		start := time.Now()
-		scenario, stats, err := resilience.Do(ctx, retry, spec.Name,
-			func(attemptCtx context.Context) (MultiScenario, error) {
-				return analyzeSpec(attemptCtx, ctx, in, basePlan, spec, serverIdx)
-			})
-		scenario.Attempts = stats.Attempts
-		scenario.Recovered = stats.Recovered
-		scenario.GaveUp = stats.GaveUp
-		scenarioC.Inc()
-		cascadeC.Add(int64(len(scenario.CascadeAdded)))
-		scenarioSecs.Observe(time.Since(start).Seconds())
-		// See Analyze: only clean, complete verdicts are checkpointed.
-		// Economics are deliberately not part of the record — they are
-		// applied at assembly, so re-pricing never invalidates a journal.
-		if err == nil && ctx.Err() == nil && (scenario.Plan == nil || !scenario.Plan.Truncated) {
-			if aerr := in.Journal.Append(unitSpec, key, scenario); aerr != nil {
-				appendErrC.Inc()
-			}
-		}
-		scenarios[i], scenarioErrs[i] = scenario, err
-	})
-
-	report = &MultiReport{K: 0, Truncated: done < len(normalized)}
-	errored := 0
-	for i := 0; i < done; i++ {
-		scenario := scenarios[i]
-		if err := scenarioErrs[i]; err != nil {
-			scenario.Err = fmt.Errorf("failure: scenario %q: %w", scenario.Name, err)
-			scenario.ErrText = scenario.Err.Error()
-			errorC.Inc()
-			errored++
-		} else if !scenario.Feasible {
-			infeasibleC.Inc()
-			report.SparesNeeded = true
-		}
-		// Price the verdict. Inconclusive scenarios score as infeasible —
-		// the conservative upper bound — but stay excluded from
-		// SparesNeeded, matching the other sweeps.
-		feasible := scenario.Feasible && scenario.Err == nil
-		scenario.Probability = normalized[i].Probability
-		scenario.RevenueAtRisk, scenario.AppRisk = ScoreScenario(scenario.AffectedApps, feasible, econ)
-		scenario.ExpectedRevenueAtRisk = scenario.Probability * scenario.RevenueAtRisk
-		report.TotalExpectedRevenueAtRisk += scenario.ExpectedRevenueAtRisk
-		report.Scenarios = append(report.Scenarios, scenario)
-	}
-	span.SetAttr(
-		telemetry.Int("scenarios", len(report.Scenarios)),
-		telemetry.Int("errors", errored),
-		telemetry.Bool("spares_needed", report.SparesNeeded),
-		telemetry.Bool("truncated", report.Truncated))
-	if errored > 0 && errored == len(report.Scenarios) {
-		return nil, fmt.Errorf("failure: every scenario failed to evaluate: %w", errors.Join(report.Errors()...))
+	// Price the verdicts. Inconclusive scenarios score as infeasible —
+	// the conservative upper bound — but stay excluded from SparesNeeded.
+	for i := range report.Scenarios {
+		sc := &report.Scenarios[i]
+		sc.Probability = specs[i].normalized().Probability
+		sc.RevenueAtRisk, sc.AppRisk = ScoreScenario(sc.AffectedApps, sc.Feasible && sc.Err == nil, econ)
+		sc.ExpectedRevenueAtRisk = sc.Probability * sc.RevenueAtRisk
+		report.TotalExpectedRevenueAtRisk += sc.ExpectedRevenueAtRisk
 	}
 	return report, nil
 }
 
-// analyzeSpec evaluates one scenario spec: fault injection, cascade
-// closure, then the reduced re-consolidation. ctx is the attempt
-// context, parent the sweep context (see analyzeScenario).
+// serverIndex maps the problem's server IDs to their pool positions.
+func serverIndex(p *placement.Problem) map[string]int {
+	idx := make(map[string]int, len(p.Servers))
+	for i, s := range p.Servers {
+		idx[s.ID] = i
+	}
+	return idx
+}
+
+// sweep is the one failure sweep behind Analyze, AnalyzeMulti and
+// AnalyzeScenarios, which differ only in the specs they generate and in
+// how they view the result. in and basePlan are already validated; name
+// is the entry point's span and log record name. Specs run in input
+// order on the worker pool, each through the journaled retry cell (one
+// record per clean, complete verdict, filed under unitSpec and the
+// spec's fold — a server-loss spec and a user spec with the same name
+// and servers are the same computation). The report holds the
+// contiguous completed prefix: an errored scenario is recorded
+// inconclusive and the sweep continues, cancellation truncates at a
+// scenario boundary, and only an all-errored sweep fails.
+func sweep(ctx context.Context, in Input, basePlan *placement.Plan, name string, specs []ScenarioSpec, attrs ...telemetry.Attr) (*MultiReport, error) {
+	h := telemetry.OrNop(in.Hooks)
+	ctx, span := telemetry.StartSpanCtx(ctx, in.Hooks, name, attrs...)
+	defer span.End()
+	scenarioC := h.Counter("failure_scenarios_total")
+	infeasibleC := h.Counter("failure_infeasible_scenarios_total")
+	errorC := h.Counter("failure_scenario_errors_total")
+	cascadeC := h.Counter("failure_cascade_failures_total")
+	scenarioSecs := h.Histogram("failure_scenario_seconds", nil)
+	cell := checkpoint.Cell{
+		Journal: in.Journal,
+		Unit:    unitSpec,
+		Retry:   in.Retry,
+		Hooks:   in.Hooks,
+		Replays: "failure_scenarios_replayed_total",
+	}
+	// Errored verdicts are never journaled (the cell's rule); neither is
+	// a best-so-far plan cut short by the sweep's cancellation, which an
+	// uninterrupted run never produces.
+	complete := func(sc MultiScenario) bool { return sc.Plan == nil || !sc.Plan.Truncated }
+	serverIdx := serverIndex(in.Problem)
+
+	// Results land in spec order; ForEach's contiguous-prefix contract
+	// gives the parallel sweep the sequential one's truncation semantics.
+	scenarios := make([]MultiScenario, len(specs))
+	scenarioErrs := make([]error, len(specs))
+	done := parallel.ForEach(ctx, in.Workers, len(specs), func(i int) {
+		spec := specs[i].normalized()
+		hash := checkpoint.NewHasher()
+		spec.fold(hash)
+		start := time.Now()
+		attempts := 0
+		sc, stats, replayed, err := checkpoint.Memo(ctx, cell, hash.Sum(), spec.Name, complete,
+			func(attemptCtx context.Context) (MultiScenario, error) {
+				attempts++
+				sc, err := analyzeSpec(attemptCtx, ctx, in, basePlan, spec, serverIdx)
+				// Stamped per attempt so the journaled record carries them.
+				sc.Attempts, sc.Recovered = attempts, err == nil && attempts > 1
+				return sc, err
+			})
+		scenarioC.Inc()
+		if !replayed {
+			sc.GaveUp = stats.GaveUp
+			cascadeC.Add(int64(len(sc.CascadeAdded)))
+			scenarioSecs.Observe(time.Since(start).Seconds())
+			// Debug, not Info: the parallel sweep completes scenarios in
+			// nondeterministic order, which a golden log stream cannot pin.
+			obslog.From(ctx).DebugContext(ctx, "failure.scenario",
+				slog.String("scenario", spec.Name),
+				slog.String("failed_server", sc.Key()),
+				slog.Bool("feasible", sc.Feasible),
+				slog.Int("attempts", sc.Attempts))
+		}
+		scenarios[i], scenarioErrs[i] = sc, err
+	})
+
+	report := &MultiReport{Truncated: done < len(specs)}
+	errored := 0
+	for i := 0; i < done; i++ {
+		sc := scenarios[i]
+		if err := scenarioErrs[i]; err != nil {
+			// Degrade: the remaining scenarios are independent analyses;
+			// one bad solver run must not cost the whole report.
+			sc.Err = fmt.Errorf("failure: scenario %q: %w", sc.Name, err)
+			sc.ErrText = sc.Err.Error()
+			errorC.Inc()
+			errored++
+		} else if !sc.Feasible {
+			infeasibleC.Inc()
+			report.SparesNeeded = true
+		}
+		report.Scenarios = append(report.Scenarios, sc)
+	}
+	span.SetAttr(
+		telemetry.Int("scenarios", len(report.Scenarios)),
+		telemetry.Int("errors", errored),
+		telemetry.Bool("spare_needed", report.SparesNeeded),
+		telemetry.Bool("truncated", report.Truncated))
+	if errored > 0 && errored == len(report.Scenarios) {
+		return nil, fmt.Errorf("failure: every scenario failed to evaluate: %w", errors.Join(report.Errors()...))
+	}
+	obslog.From(ctx).InfoContext(ctx, name,
+		slog.Int("scenarios", len(report.Scenarios)),
+		slog.Int("errors", errored),
+		slog.Bool("spare_needed", report.SparesNeeded),
+		slog.Bool("truncated", report.Truncated))
+	return report, nil
+}
+
+// analyzeSpec evaluates one scenario: cascade closure, the
+// "failure.scenario" fault injection point (keyed by the spec's name),
+// then the reduced re-consolidation. The returned scenario carries its
+// identity (failed servers, affected apps) even when the analysis
+// errors. ctx is the (possibly deadline-bounded) attempt context;
+// parent is the sweep context, used to tell an expired attempt deadline
+// — retryable — from cancellation.
 func analyzeSpec(ctx, parent context.Context, in Input, basePlan *placement.Plan, spec ScenarioSpec, serverIdx map[string]int) (MultiScenario, error) {
 	p := in.Problem
 	failed := make(map[int]bool, len(spec.Servers))
@@ -362,15 +397,26 @@ func analyzeSpec(ctx, parent context.Context, in Input, basePlan *placement.Plan
 		failed[serverIdx[id]] = true
 	}
 	scenario := MultiScenario{Name: spec.Name, Theta: spec.Theta}
-	setFailedIDs := func() {
-		scenario.FailedServers = scenario.FailedServers[:0]
-		for i := range p.Servers {
-			if failed[i] {
-				scenario.FailedServers = append(scenario.FailedServers, p.Servers[i].ID)
-			}
+	if spec.Cascade {
+		added, rounds := cascadeClosure(in, basePlan, failed, spec.MaxRounds, spec.OverloadFactor)
+		scenario.CascadeRounds = rounds
+		for _, s := range added {
+			scenario.CascadeAdded = append(scenario.CascadeAdded, p.Servers[s].ID)
+			failed[s] = true
 		}
 	}
-	setFailedIDs()
+	for i := range p.Servers {
+		if failed[i] {
+			scenario.FailedServers = append(scenario.FailedServers, p.Servers[i].ID)
+		}
+	}
+	var affected []int // ascending: Assignment is indexed by app
+	for app, srv := range basePlan.Assignment {
+		if failed[srv] {
+			affected = append(affected, app)
+			scenario.AffectedApps = append(scenario.AffectedApps, p.Apps[app].ID)
+		}
+	}
 
 	if in.Inject != nil {
 		o := in.Inject.Hit("failure.scenario", spec.Name)
@@ -388,39 +434,22 @@ func analyzeSpec(ctx, parent context.Context, in Input, basePlan *placement.Plan
 		}
 	}
 
-	if spec.Cascade {
-		added, rounds := cascadeClosure(in, basePlan, failed, spec.MaxRounds, spec.OverloadFactor)
-		scenario.CascadeRounds = rounds
-		for _, s := range added {
-			scenario.CascadeAdded = append(scenario.CascadeAdded, p.Servers[s].ID)
-			failed[s] = true
-		}
-		setFailedIDs()
-	}
-
-	var affected []int
-	for app, srv := range basePlan.Assignment {
-		if failed[srv] {
-			affected = append(affected, app)
-		}
-	}
-	sort.Ints(affected)
-	for _, a := range affected {
-		scenario.AffectedApps = append(scenario.AffectedApps, p.Apps[a].ID)
-	}
-
 	if len(p.Servers) <= len(failed) {
-		return scenario, nil // nothing survives
+		return scenario, nil // nothing survives: infeasible, not an error
 	}
-	feasible, plan, servers, err := consolidateSurvivors(ctx, in, basePlan, failed, affected, spec.Theta)
+	plan, servers, err := consolidateSurvivors(ctx, in, basePlan, failed, affected, spec.Theta)
 	if err != nil {
 		return scenario, err
 	}
+	// Consolidate reports context expiry as a Truncated plan with a nil
+	// error. Under a per-attempt deadline a silently partial plan must
+	// become a transient error so the policy retries it; only parent
+	// cancellation may truncate a sweep.
 	if plan != nil && plan.Truncated && ctx.Err() != nil && parent.Err() == nil {
 		return scenario, resilience.MarkTransient(
 			fmt.Errorf("failure: scenario %q: attempt deadline cut the search short", spec.Name))
 	}
-	if feasible {
+	if plan != nil {
 		scenario.Feasible = true
 		scenario.Plan = plan
 		scenario.Servers = servers
@@ -502,9 +531,11 @@ func cascadeClosure(in Input, basePlan *placement.Plan, failed map[int]bool, max
 // consolidateSurvivors builds the reduced problem — failed servers
 // removed, affected applications on their failure-mode translation,
 // optional θ override — and runs the consolidation search from the
-// deterministic evacuation seed. It is the common tail of analyzeCombo
-// and analyzeSpec.
-func consolidateSurvivors(ctx context.Context, in Input, basePlan *placement.Plan, failed map[int]bool, affected []int, thetaOverride float64) (feasible bool, plan *placement.Plan, servers []placement.Server, err error) {
+// deterministic evacuation seed: unaffected applications stay put,
+// affected ones are spread round-robin over the survivors, letting the
+// genetic search find real homes. A nil plan with a nil error means the
+// survivors cannot absorb the failure.
+func consolidateSurvivors(ctx context.Context, in Input, basePlan *placement.Plan, failed map[int]bool, affected []int, thetaOverride float64) (plan *placement.Plan, servers []placement.Server, err error) {
 	p := in.Problem
 	isAffected := make(map[int]bool, len(affected))
 	for _, a := range affected {
@@ -558,10 +589,10 @@ func consolidateSurvivors(ctx context.Context, in Input, basePlan *placement.Pla
 	}
 	plan, err = placement.Consolidate(ctx, reduced, initial, in.GA)
 	if errors.Is(err, placement.ErrNoFeasible) {
-		return false, nil, servers, nil
+		return nil, nil, nil // infeasible, not an error
 	}
 	if err != nil {
-		return false, nil, nil, err
+		return nil, nil, err
 	}
-	return true, plan, servers, nil
+	return plan, servers, nil
 }

@@ -12,7 +12,7 @@
 //
 // Injection points currently consumed by the repository:
 //
-//	failure.scenario        key = failed server ID (or multi-failure Key)
+//	failure.scenario        key = failed server ID, multi-failure Key or scenario name
 //	planner.step            key = weeks ahead ("0" for the baseline)
 //	sim.required_capacity   key = Problem server ID (via Config.InjectKey)
 //	sim.replay              key = Config.InjectKey

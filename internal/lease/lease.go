@@ -3,35 +3,40 @@
 // `ropus serve`: N instances share one state directory, and a lease
 // decides which instance owns a queued job at any moment.
 //
-// A lease is a small fsync'd JSON file naming the holding instance, a
-// monotonically increasing ownership epoch, the holder's heartbeat
-// timestamp and its TTL, plus an FNV checksum of all of the above. The
+// A lease is a chain of small fsync'd JSON files, one per ownership
+// epoch, named <name>.e<N>.lease: each names the instance that held
+// epoch N, its heartbeat timestamp and its TTL, plus an FNV checksum of
+// all of the above. The holder is the highest epoch present. The
 // protocol needs nothing beyond POSIX file semantics — no flock, no
 // network — so it works on any filesystem the instances share:
 //
-//   - Claim: write a unique temp file, fsync it, and os.Link it to the
-//     lease path. Link fails if the path exists, so exactly one claimant
-//     wins a contested claim.
-//   - Renew: the holder rewrites the file through its still-open file
-//     descriptor and then verifies the path still resolves to that same
-//     inode. A holder whose lease was stolen observes a different inode
-//     (or none) and learns it lost ownership.
-//   - Steal: a lease whose heartbeat is older than its TTL is expired.
-//     A stealer renames the lease path to a unique stale marker — only
-//     one concurrent stealer's rename succeeds, the rest see ENOENT —
-//     and then claims freshly with the old epoch + 1.
-//   - Release: the holder rewrites the file as a released tombstone.
-//     The next claimant takes over immediately (no TTL wait) and still
-//     inherits the epoch sequence.
+//   - Claim: having read epoch N as absent (N = 0), released or expired,
+//     write a unique temp file, fsync it, and os.Link it to the epoch
+//     N+1 path. Link fails if that path exists, so the link is the whole
+//     arbitration: at most one claimant ever holds an epoch, however
+//     stale the read a loser acted on, and epochs cannot regress.
+//     Claiming past an expired epoch is a steal.
+//   - Renew: the holder rewrites its file through its still-open file
+//     descriptor, then verifies that its path still resolves to that
+//     inode and that no epoch N+1 file exists. A holder whose lease was
+//     stolen sees the successor and learns it lost ownership.
+//   - Release: the holder rewrites its file as a released tombstone.
+//     The next claimant takes over immediately (no TTL wait) and
+//     continues the epoch sequence.
+//   - Discard: the holder removes every epoch file, lowest first. It is
+//     for resources finished for good: a claimant racing a Discard may
+//     start a fresh sequence at epoch 1.
 //
-// Torn reads are handled conservatively: a lease file that fails to
-// parse or checksum was written milliseconds ago, so observers treat it
-// as live. The epoch is fencing metadata, not a hard mutual-exclusion
-// guarantee — a paused holder can keep executing briefly after losing
-// its lease, until its next renewal notices. Consumers must therefore
-// keep per-epoch side effects isolated (the serve layer writes
-// checkpoint journals to per-epoch files and discards results once a
-// renewal fails) so a zombie's writes never corrupt the thief's.
+// Superseded epoch files stay until Discard: the highest epoch is found
+// by probing upward from 1, which needs the chain unbroken. A record
+// that fails to parse or checksum was written milliseconds ago, so
+// observers treat it as live. The epoch is fencing metadata, not a hard
+// mutual-exclusion guarantee — a paused holder can keep executing
+// briefly after losing its lease, until its next renewal notices.
+// Consumers must therefore keep per-epoch side effects isolated (the
+// serve layer writes checkpoint journals to per-epoch files and
+// discards results once a renewal fails) so a zombie's writes never
+// corrupt the thief's.
 //
 // Injection points consulted when a faultinject.Injector is configured
 // (keys are the lease name):
@@ -40,7 +45,7 @@
 //	lease.expire   any fired outcome makes a live lease look expired,
 //	               forcing a deterministic contested steal
 //	lease.steal    Delay is imposed between the expiry decision and the
-//	               steal itself, widening the contested window
+//	               claim of the next epoch, widening the contested window
 //	lease.renew    Err fails the renewal, so the holder observes a lost
 //	               lease and cancels its work
 package lease
@@ -189,7 +194,7 @@ type Keeper struct {
 	now func() time.Time
 }
 
-// uniq distinguishes temp and stale-marker names within a process.
+// uniq distinguishes temp names within a process.
 var uniq atomic.Uint64
 
 func (k *Keeper) clock() time.Time {
@@ -208,8 +213,21 @@ func (k *Keeper) ttl() time.Duration {
 
 func (k *Keeper) hooks() telemetry.Hooks { return telemetry.OrNop(k.Hooks) }
 
-func (k *Keeper) path(name string) string {
-	return filepath.Join(k.Dir, name+".lease")
+// path is the file holding the lease's record for one epoch.
+func (k *Keeper) path(name string, epoch uint64) string {
+	return filepath.Join(k.Dir, fmt.Sprintf("%s.e%d.lease", name, epoch))
+}
+
+// latest returns the highest epoch the lease has a file for (0 when
+// none), probing upward from 1 — two stats for a lease on its first
+// owner — rather than listing a directory that holds every live lease.
+func (k *Keeper) latest(name string) (epoch uint64) {
+	for {
+		if _, err := os.Stat(k.path(name, epoch+1)); err != nil {
+			return epoch
+		}
+		epoch++
+	}
 }
 
 func (k *Keeper) hit(point, key string) faultinject.Outcome {
@@ -223,18 +241,22 @@ func (k *Keeper) hit(point, key string) faultinject.Outcome {
 	return o
 }
 
-// Read reports what this keeper observes at the lease: the decoded
-// record (zero when absent or unreadable) and its status. The expiry
-// judgment uses the TTL recorded in the lease itself, falling back to
-// the keeper's TTL when the record carries none.
+// Read reports what this keeper observes at the lease: the record of
+// its highest epoch (zero when absent; only the epoch, known from the
+// file name, when unreadable) and its status. Expiry is judged by the
+// TTL in the record, falling back to the keeper's when it carries none.
 func (k *Keeper) Read(name string) (Info, Status) {
-	data, err := os.ReadFile(k.path(name))
-	if err != nil {
+	epoch := k.latest(name)
+	if epoch == 0 {
 		return Info{}, StatusAbsent
 	}
+	data, err := os.ReadFile(k.path(name, epoch))
+	if err != nil {
+		return Info{}, StatusAbsent // discarded between probe and read
+	}
 	var info Info
-	if uerr := json.Unmarshal(data, &info); uerr != nil || info.Sum != info.sum() {
-		return Info{}, StatusUnreadable
+	if uerr := json.Unmarshal(data, &info); uerr != nil || info.Sum != info.sum() || info.Epoch != epoch {
+		return Info{Epoch: epoch}, StatusUnreadable
 	}
 	if info.Released {
 		return info, StatusReleased
@@ -251,10 +273,9 @@ func (k *Keeper) Read(name string) (Info, Status) {
 
 // Acquire claims the named lease for this keeper's instance. A live
 // holder fails the claim with a HeldError (errors.Is ErrHeld); an
-// absent, released or expired lease is claimed — the latter two
-// continue the previous epoch sequence, and an expired claim is a
-// steal, reported by Lease.Stolen. Exactly one of N concurrent
-// claimants wins; the rest get ErrHeld and should retry later.
+// absent, released or expired lease is claimed at the next epoch, and
+// an expired claim is a steal, reported by Lease.Stolen. Exactly one of
+// N concurrent claimants wins; the rest get ErrHeld and retry later.
 func (k *Keeper) Acquire(name string) (*Lease, error) {
 	if o := k.hit("lease.acquire", name); o.Err != nil {
 		return nil, fmt.Errorf("lease: acquire %s: %w", name, o.Err)
@@ -269,23 +290,10 @@ func (k *Keeper) Acquire(name string) (*Lease, error) {
 		}
 		status = StatusExpired
 	}
-	epoch := info.Epoch + 1
-	if status == StatusExpired || status == StatusReleased {
-		if status == StatusExpired {
-			k.hit("lease.steal", name)
-		}
-		// Unseat the previous record: exactly one concurrent stealer's
-		// rename succeeds, everyone else finds the path already gone.
-		stale := fmt.Sprintf("%s.stale.%s.%d", k.path(name), sanitize(k.Instance), uniq.Add(1))
-		if err := os.Rename(k.path(name), stale); err != nil {
-			if os.IsNotExist(err) {
-				return nil, &HeldError{Name: name}
-			}
-			return nil, fmt.Errorf("lease: steal %s: %w", name, err)
-		}
-		os.Remove(stale)
+	if status == StatusExpired {
+		k.hit("lease.steal", name)
 	}
-	l, err := k.claim(name, epoch)
+	l, err := k.claim(name, info.Epoch+1)
 	if err != nil {
 		return nil, err
 	}
@@ -297,12 +305,13 @@ func (k *Keeper) Acquire(name string) (*Lease, error) {
 	return l, nil
 }
 
-// claim links a freshly written record into the lease path. os.Link
-// fails if the path exists, so a concurrent claimant cannot be
-// half-overwritten: one link wins, the rest get ErrHeld.
+// claim links a freshly written record into the epoch's path. os.Link
+// fails if the path exists, so whatever the claimant read and however
+// long ago, at most one claimant gets the epoch; the rest get ErrHeld.
 func (k *Keeper) claim(name string, epoch uint64) (*Lease, error) {
 	l := &Lease{k: k, name: name, epoch: epoch}
-	tmp := fmt.Sprintf("%s.claim.%s.%d", k.path(name), sanitize(k.Instance), uniq.Add(1))
+	path := k.path(name, epoch)
+	tmp := fmt.Sprintf("%s.claim.%x.%d", path, k.Instance, uniq.Add(1)) // %x: any instance name is path-safe
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("lease: claim %s: %w", name, err)
@@ -313,7 +322,7 @@ func (k *Keeper) claim(name string, epoch uint64) (*Lease, error) {
 		os.Remove(tmp)
 		return nil, err
 	}
-	if err := os.Link(tmp, k.path(name)); err != nil {
+	if err := os.Link(tmp, path); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		if os.IsExist(err) {
@@ -323,21 +332,6 @@ func (k *Keeper) claim(name string, epoch uint64) (*Lease, error) {
 	}
 	os.Remove(tmp)
 	return l, nil
-}
-
-// sanitize keeps instance-derived path fragments filesystem-safe.
-func sanitize(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.':
-			out = append(out, c)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
 }
 
 // Lease is a held lease. All methods are safe for concurrent use.
@@ -390,22 +384,24 @@ func (l *Lease) writeLocked(released bool) error {
 	return nil
 }
 
-// ownsLocked verifies the lease path still resolves to the held
-// descriptor's inode — the ground truth for "do I still own this".
+// ownsLocked verifies this epoch's path still resolves to the held
+// descriptor's inode and that no successor epoch has been claimed — the
+// ground truth for "do I still own this".
 func (l *Lease) ownsLocked() bool {
-	onDisk, err := os.Stat(l.k.path(l.name))
+	onDisk, err := os.Stat(l.k.path(l.name, l.epoch))
 	if err != nil {
 		return false
 	}
 	held, err := l.f.Stat()
-	if err != nil {
+	if err != nil || !os.SameFile(onDisk, held) {
 		return false
 	}
-	return os.SameFile(onDisk, held)
+	_, err = os.Stat(l.k.path(l.name, l.epoch+1))
+	return os.IsNotExist(err)
 }
 
 // Renew refreshes the heartbeat. It returns ErrLost — permanently —
-// once the lease path no longer resolves to this holder's file: a peer
+// once a successor epoch exists (or this epoch's file is gone): a peer
 // stole the lease, and the holder must stop the work it was covering.
 func (l *Lease) Renew() error {
 	l.mu.Lock()
@@ -438,9 +434,9 @@ func (l *Lease) Release() error {
 	return l.closeLocked(false)
 }
 
-// Discard removes the lease file entirely. Use it when the guarded
-// resource is finished for good (the job completed), so the directory
-// does not accumulate a tombstone per historical job.
+// Discard removes every epoch file of the lease. Use it when the
+// guarded resource is finished for good (the job completed), so the
+// directory does not accumulate tombstones per historical job.
 func (l *Lease) Discard() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -454,7 +450,11 @@ func (l *Lease) closeLocked(remove bool) error {
 	var err error
 	if !l.lost && l.ownsLocked() {
 		if remove {
-			err = os.Remove(l.k.path(l.name))
+			// Lowest first: an observer of a half-removed chain sees the
+			// lease as absent, never an old epoch as its holder.
+			for e := uint64(1); e <= l.epoch && err == nil; e++ {
+				err = os.Remove(l.k.path(l.name, e))
+			}
 		} else {
 			err = l.writeLocked(true)
 		}

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
-	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -159,7 +159,7 @@ func TestContestedStealExactlyOneWinner(t *testing.T) {
 
 func TestTornLeaseTreatedAsLive(t *testing.T) {
 	k := keeper(t, "a", time.Millisecond)
-	path := k.path("job")
+	path := k.path("job", 1)
 	if err := os.WriteFile(path, []byte(`{"instance":"x","epo`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestTornLeaseTreatedAsLive(t *testing.T) {
 		t.Fatalf("torn lease acquire: got %v, want ErrHeld", err)
 	}
 	// Same for a checksum mismatch (a record tampered or half-replaced).
-	info := Info{Instance: "x", Epoch: 3, HeartbeatNS: 1, TTLNS: 1, Sum: "not-the-sum"}
+	info := Info{Instance: "x", Epoch: 1, HeartbeatNS: 1, TTLNS: 1, Sum: "not-the-sum"}
 	data, _ := json.Marshal(info)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -228,28 +228,125 @@ func TestInjectedRenewFailure(t *testing.T) {
 	}
 }
 
+// TestAcquireLeavesNoTempDebris: after a claim and a steal the directory
+// holds the lease's epoch chain and nothing else; Discard removes it all.
 func TestAcquireLeavesNoTempDebris(t *testing.T) {
-	k := keeper(t, "a", 10*time.Millisecond)
-	l, err := k.Acquire("job")
-	if err != nil {
+	k := keeper(t, "a/with slash", 10*time.Millisecond)
+	if _, err := k.Acquire("job"); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(30 * time.Millisecond)
 	b := &Keeper{Dir: k.Dir, Instance: "b", TTL: time.Minute}
-	if _, err := b.Acquire("job"); err != nil {
-		t.Fatal(err)
-	}
-	_ = l
-	entries, err := os.ReadDir(k.Dir)
+	lb, err := b.Acquire("job")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if e.Name() != "job.lease" {
-			t.Errorf("debris left behind: %s", e.Name())
+	names := func() []string {
+		entries, err := os.ReadDir(k.Dir)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var out []string
+		for _, e := range entries {
+			out = append(out, e.Name())
+		}
+		return out
 	}
-	if _, err := os.Stat(filepath.Join(k.Dir, "job.lease")); err != nil {
-		t.Errorf("lease file missing: %v", err)
+	if got := names(); !reflect.DeepEqual(got, []string{"job.e1.lease", "job.e2.lease"}) {
+		t.Errorf("after a claim and a steal the directory holds %v, want the two epoch files", got)
+	}
+	if err := lb.Discard(); err != nil {
+		t.Fatal(err)
+	}
+	if got := names(); len(got) != 0 {
+		t.Errorf("Discard left %v behind", got)
+	}
+}
+
+// staleThief stages the interleavings that broke the rename-based
+// steal: a thief reads the dead holder's epoch 1 as expired and then
+// stalls at the lease.steal point, where meanwhile runs before the
+// thief goes on to claim with its stale read.
+func staleThief(t *testing.T, meanwhile func(dir string)) (dir string, thiefErr error) {
+	t.Helper()
+	dead := keeper(t, "dead", time.Millisecond)
+	if _, err := dead.Acquire("job"); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond)
+	thief := &Keeper{Dir: dead.Dir, Instance: "thief", TTL: time.Minute,
+		Inject: faultinject.Func(func(point, key string) faultinject.Outcome {
+			if point == "lease.steal" {
+				meanwhile(dead.Dir)
+			}
+			return faultinject.Outcome{}
+		})}
+	l, err := thief.Acquire("job")
+	if err == nil {
+		t.Errorf("thief acting on a stale read won epoch %d", l.Epoch())
+	}
+	return dead.Dir, err
+}
+
+// TestStaleReadThiefCannotUnseatLiveLease: a peer completes its steal
+// while the thief holds a stale "expired" read; the thief must lose and
+// the peer's fresh lease must survive it.
+func TestStaleReadThiefCannotUnseatLiveLease(t *testing.T) {
+	var peer *Lease
+	dir, err := staleThief(t, func(dir string) {
+		var perr error
+		if peer, perr = (&Keeper{Dir: dir, Instance: "peer", TTL: time.Minute}).Acquire("job"); perr != nil {
+			t.Fatal(perr)
+		}
+	})
+	if !errors.Is(err, ErrHeld) {
+		t.Fatalf("thief: got %v, want ErrHeld", err)
+	}
+	if !peer.Stolen() || peer.Epoch() != 2 {
+		t.Fatalf("peer: stolen=%v epoch=%d, want a steal at epoch 2", peer.Stolen(), peer.Epoch())
+	}
+	if err := peer.Renew(); err != nil {
+		t.Errorf("peer lost its live lease to the stale thief: %v", err)
+	}
+	info, status := (&Keeper{Dir: dir, Instance: "observer"}).Read("job")
+	if status != StatusLive || info.Instance != "peer" || info.Epoch != 2 {
+		t.Errorf("lease is %v %+v, want live, held by peer at epoch 2", status, info)
+	}
+}
+
+// TestStaleReadThiefCannotRegressEpoch: ownership moves on twice (steal,
+// release, takeover) while the thief stalls; its claim of the epoch it
+// computed from the stale read must fail, and the sequence continues
+// from the highest epoch ever issued.
+func TestStaleReadThiefCannotRegressEpoch(t *testing.T) {
+	dir, err := staleThief(t, func(dir string) {
+		peer := &Keeper{Dir: dir, Instance: "peer", TTL: time.Minute}
+		l2, err := peer.Acquire("job")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l2.Release(); err != nil {
+			t.Fatal(err)
+		}
+		l3, err := peer.Acquire("job")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l2.Epoch() != 2 || l3.Epoch() != 3 {
+			t.Fatalf("peer epochs %d, %d, want 2, 3", l2.Epoch(), l3.Epoch())
+		}
+		if err := l3.Release(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !errors.Is(err, ErrHeld) {
+		t.Fatalf("thief: got %v, want ErrHeld", err)
+	}
+	next, err := (&Keeper{Dir: dir, Instance: "next", TTL: time.Minute}).Acquire("job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Epoch() != 4 {
+		t.Errorf("next owner got epoch %d, want 4: epochs must not regress", next.Epoch())
 	}
 }

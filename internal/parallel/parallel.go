@@ -96,7 +96,10 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int)) int {
 	dispatched := 0
 dispatch:
 	for i := 0; i < n; i++ {
-		if panicked.Load() {
+		// Checked here as in the serial loop: the select below picks at
+		// random when a worker is ready and ctx is already done, and a
+		// dead context must dispatch nothing.
+		if panicked.Load() || ctx.Err() != nil {
 			break
 		}
 		// The unbuffered channel means a job is "dispatched" only once a

@@ -165,49 +165,37 @@ func Run(ctx context.Context, cfg Config, traces trace.Set) (plan *Plan, err err
 		slog.Int("step_weeks", cfg.StepWeeks))
 	stepsC := h.Counter("planner_steps_total")
 	truncatedC := h.Counter("planner_truncated_total")
-	replayC := h.Counter("planner_steps_replayed_total")
-	appendErrC := h.Counter("checkpoint_append_errors_total")
 	stepSecs := h.Histogram("planner_step_seconds", nil)
-
-	retry := cfg.Retry
-	if retry.Hooks == nil {
-		retry.Hooks = cfg.Hooks
+	cell := checkpoint.Cell{
+		Journal: cfg.Journal,
+		Unit:    unitStep,
+		Retry:   cfg.Retry,
+		Hooks:   cfg.Hooks,
+		Replays: "planner_steps_replayed_total",
 	}
-	// lookupStep replays a horizon step already checkpointed by a prior
-	// run; recordStep journals a freshly computed one (append failures
-	// only cost recompute on the next resume, never the run).
-	lookupStep := func(ahead int) (Step, bool) {
-		var cached Step
-		ok, cerr := cfg.Journal.Lookup(unitStep, checkpoint.NewHasher().Int(int64(ahead)).Sum(), &cached)
-		if cerr == nil && ok {
-			replayC.Inc()
-			stepsC.Inc()
-			return cached, true
-		}
-		return Step{}, false
-	}
-	recordStep := func(ahead int, step Step) {
-		if ctx.Err() != nil {
-			return // a cancellation may have cut this step's search short
-		}
-		if aerr := cfg.Journal.Append(unitStep, checkpoint.NewHasher().Int(int64(ahead)).Sum(), step); aerr != nil {
-			appendErrC.Inc()
-		}
-	}
-
-	baseline, replayed := lookupStep(0)
-	if !replayed {
+	// evaluate runs one horizon step (0 is the baseline) through the
+	// journaled retry cell: replayed when a prior run checkpointed it,
+	// otherwise projected, consolidated and journaled.
+	evaluate := func(ctx context.Context, ahead int) (Step, bool, error) {
 		start := time.Now()
-		baseline, _, err = resilience.Do(ctx, retry, "0",
+		step, _, replayed, err := checkpoint.Memo(ctx, cell,
+			checkpoint.NewHasher().Int(int64(ahead)).Sum(), strconv.Itoa(ahead), nil,
 			func(attemptCtx context.Context) (Step, error) {
-				return consolidateStep(attemptCtx, ctx, cfg, traces, 0)
+				return consolidateStep(attemptCtx, ctx, cfg, traces, ahead)
 			})
 		if err != nil {
-			return nil, fmt.Errorf("planner: baseline: %w", err)
+			return Step{}, false, err
 		}
 		stepsC.Inc()
-		stepSecs.Observe(time.Since(start).Seconds())
-		recordStep(0, baseline)
+		if !replayed {
+			stepSecs.Observe(time.Since(start).Seconds())
+		}
+		return step, replayed, nil
+	}
+
+	baseline, _, err := evaluate(ctx, 0)
+	if err != nil {
+		return nil, fmt.Errorf("planner: baseline: %w", err)
 	}
 	plan = &Plan{Baseline: baseline}
 	if !baseline.Feasible {
@@ -219,42 +207,28 @@ func Run(ctx context.Context, cfg Config, traces trace.Set) (plan *Plan, err err
 			plan.Truncated = true
 			break
 		}
-		step, replayed := lookupStep(ahead)
-		if !replayed {
-			stepCtx, stepSpan := telemetry.StartSpanCtx(ctx, cfg.Hooks, "planner.step",
-				telemetry.Int("weeks_ahead", ahead))
-			start := time.Now()
-			projected, err := projectSet(cfg, traces, ahead)
-			if err != nil {
-				stepSpan.End()
-				return nil, fmt.Errorf("planner: project +%dw: %w", ahead, err)
-			}
-			step, _, err = resilience.Do(stepCtx, retry, strconv.Itoa(ahead),
-				func(attemptCtx context.Context) (Step, error) {
-					return consolidateStep(attemptCtx, stepCtx, cfg, projected, ahead)
-				})
-			if err != nil {
-				stepSpan.End()
-				if ctx.Err() != nil {
-					// Cancellation surfaced through the consolidation stack:
-					// degrade to the completed prefix of steps.
-					plan.Truncated = true
-					break
-				}
-				return nil, fmt.Errorf("planner: consolidate +%dw: %w", ahead, err)
-			}
-			stepsC.Inc()
-			stepSecs.Observe(time.Since(start).Seconds())
-			stepSpan.SetAttr(
-				telemetry.Bool("feasible", step.Feasible),
-				telemetry.Int("servers", step.Servers))
+		stepCtx, stepSpan := telemetry.StartSpanCtx(ctx, cfg.Hooks, "planner.step",
+			telemetry.Int("weeks_ahead", ahead))
+		step, replayed, err := evaluate(stepCtx, ahead)
+		if err != nil {
 			stepSpan.End()
-			step.WeeksAhead = ahead
+			if ctx.Err() != nil {
+				// Cancellation surfaced through the consolidation stack:
+				// degrade to the completed prefix of steps.
+				plan.Truncated = true
+				break
+			}
+			return nil, fmt.Errorf("planner: step +%dw: %w", ahead, err)
+		}
+		stepSpan.SetAttr(
+			telemetry.Bool("feasible", step.Feasible),
+			telemetry.Int("servers", step.Servers))
+		stepSpan.End()
+		if !replayed {
 			obslog.From(ctx).InfoContext(ctx, "planner.step",
 				slog.Int("weeks_ahead", ahead),
 				slog.Bool("feasible", step.Feasible),
 				slog.Int("servers", step.Servers))
-			recordStep(ahead, step)
 		}
 		plan.Steps = append(plan.Steps, step)
 		exhausted := !step.Feasible || (cfg.PoolServers > 0 && step.Servers > cfg.PoolServers)
@@ -304,7 +278,8 @@ func projectSet(cfg Config, traces trace.Set, ahead int) (trace.Set, error) {
 	return out, nil
 }
 
-// consolidateStep translates and consolidates one trace set. A
+// consolidateStep projects the observed traces `ahead` weeks out (0
+// keeps them as observed), then translates and consolidates them. A
 // placement that fits on no pool configuration is reported as an
 // infeasible step, not an error. ctx is the (possibly deadline-bounded)
 // attempt context; parent is the run context, used to convert an
@@ -325,11 +300,17 @@ func consolidateStep(ctx, parent context.Context, cfg Config, traces trace.Set, 
 			return Step{}, o.Err
 		}
 	}
+	if ahead > 0 {
+		var err error
+		if traces, err = projectSet(cfg, traces, ahead); err != nil {
+			return Step{}, fmt.Errorf("project: %w", err)
+		}
+	}
 	translation, err := cfg.Framework.Translate(ctx, traces, cfg.Requirements)
 	if err != nil {
 		return Step{}, err
 	}
-	step := Step{CPeak: translation.CPeakTotal()}
+	step := Step{WeeksAhead: ahead, CPeak: translation.CPeakTotal()}
 	cons, err := cfg.Framework.Consolidate(ctx, translation)
 	if errors.Is(err, placement.ErrNoFeasible) {
 		return step, nil

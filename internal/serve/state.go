@@ -20,7 +20,7 @@ import (
 //	<state>/results/<id>.json       result document (written at completion)
 //	<state>/ckpt/<id>.e<N>.ckpt     checkpoint journal of lease epoch N
 //	<state>/ckpt/<id>.ckpt          legacy pre-fleet journal (epoch 0)
-//	<state>/leases/job-<id>.lease   job ownership lease
+//	<state>/leases/job-<id>.e<N>.lease  ownership record of lease epoch N (highest = holder)
 //
 // A job with a spec but no result is unfinished: the scanner adopts it
 // and any instance that wins the lease runs it. Journals are written
