@@ -37,12 +37,14 @@ bench-smoke:
 experiments:
 	$(GO) run ./cmd/experiments
 
+# The one fuzz list: CI runs this target.
 fuzz:
 	$(GO) test -fuzz FuzzReadCSV -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzReadJSON -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/checkpoint/
 	$(GO) test -fuzz FuzzBreakpoint -fuzztime 30s ./internal/portfolio/
 	$(GO) test -fuzz FuzzTranslate -fuzztime 30s ./internal/portfolio/
+	$(GO) test -fuzz FuzzScenarioDSL -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzPartition -fuzztime 30s ./internal/partition/
 	$(GO) test -fuzz FuzzFleetGen -fuzztime 30s ./internal/workload/
 

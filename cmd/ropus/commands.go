@@ -405,6 +405,9 @@ func cmdPlace(ctx context.Context, args []string) error {
 	if *partitions && !*fwk.hier {
 		return fmt.Errorf("place: -partitions requires -hierarchical")
 	}
+	if *topoPath != "" && !*fwk.hier {
+		return fmt.Errorf("place: -topology requires -hierarchical")
+	}
 	if *topoPath != "" {
 		tb, err := os.ReadFile(*topoPath)
 		if err != nil {

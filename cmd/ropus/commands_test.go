@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,6 +128,14 @@ func TestCmdPlace(t *testing.T) {
 	}
 	if err := run([]string{"place"}); err == nil {
 		t.Error("missing -traces accepted")
+	}
+	// Flags that only act on the hierarchical search are rejected
+	// without it, not silently ignored.
+	for _, flags := range [][]string{{"-partitions"}, {"-topology", "topo.json"}} {
+		err := run(append([]string{"place", "-traces", path}, flags...))
+		if err == nil || !strings.Contains(err.Error(), "requires -hierarchical") {
+			t.Errorf("place %v without -hierarchical: err = %v", flags, err)
+		}
 	}
 }
 

@@ -1,13 +1,11 @@
 package ropus
 
 // Facade tests for the lifecycle APIs added on top of the core pipeline:
-// exact placement, migrations, rebalancing, capacity planning, pool
-// failure simulation and trace sanitization — all exercised through the
-// public surface only.
+// the placement heuristics, capacity planning and pool failure
+// simulation — all exercised through the public surface only.
 
 import (
 	"context"
-	"math"
 	"testing"
 	"time"
 )
@@ -43,14 +41,7 @@ func facadeProblem(sizes []float64, cpus int) *PlacementProblem {
 
 func TestFacadePlacementAlgorithms(t *testing.T) {
 	p := facadeProblem([]float64{6, 6, 4, 4, 3, 3, 2}, 10)
-
-	exact, err := ExactPlacement(context.Background(), p, 500000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.ServersUsed != 3 {
-		t.Errorf("exact = %d servers, want 3", exact.ServersUsed)
-	}
+	const optimum = 3 // 28 CPUs of flat demand on 10-CPU servers
 	for _, fn := range []func(context.Context, *PlacementProblem) (*Plan, error){
 		FirstFitDecreasing, BestFitDecreasing, LeastCorrelatedFit,
 	} {
@@ -58,9 +49,9 @@ func TestFacadePlacementAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !plan.Feasible || plan.ServersUsed < exact.ServersUsed {
+		if !plan.Feasible || plan.ServersUsed < optimum {
 			t.Errorf("heuristic plan: feasible=%v servers=%d (optimum %d)",
-				plan.Feasible, plan.ServersUsed, exact.ServersUsed)
+				plan.Feasible, plan.ServersUsed, optimum)
 		}
 	}
 
@@ -74,33 +65,9 @@ func TestFacadePlacementAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moves, err := Migrations(p, initial, ga.Assignment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(moves) == 0 {
-		t.Error("consolidation from one-per-server should move something")
-	}
-}
-
-func TestFacadeRebalance(t *testing.T) {
-	p := facadeProblem([]float64{3, 3}, 10)
-	cfg := RebalanceConfig{GA: DefaultGAConfig(2), MinScoreGain: 0.5}
-	cfg.GA.MaxGenerations = 40
-
-	audit, err := AuditPlacement(p, Assignment{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !audit.Feasible {
-		t.Fatal("spread assignment should be feasible")
-	}
-	prop, err := Rebalance(context.Background(), p, Assignment{0, 1}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prop.Keep {
-		t.Error("consolidation gain ignored")
+	if ga.ServersUsed < optimum || ga.ServersUsed >= len(p.Servers) {
+		t.Errorf("consolidation from one-per-server uses %d servers, want [%d, %d)",
+			ga.ServersUsed, optimum, len(p.Servers))
 	}
 }
 
@@ -138,14 +105,6 @@ func TestFacadeCapacityPlanning(t *testing.T) {
 	if len(plan.Steps) != 2 {
 		t.Errorf("%d steps, want 2", len(plan.Steps))
 	}
-
-	fc, err := ForecastWeeks(traces[0], 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fc.Weeks() != 1 {
-		t.Errorf("forecast covers %d weeks", fc.Weeks())
-	}
 }
 
 func TestFacadePoolFailureSimulation(t *testing.T) {
@@ -181,18 +140,5 @@ func TestFacadePoolFailureSimulation(t *testing.T) {
 	}
 	if !res.Apps[0].Migrated || res.Apps[1].Migrated {
 		t.Error("migration flags wrong")
-	}
-}
-
-func TestFacadeSanitize(t *testing.T) {
-	tr, res, err := SanitizeSamples("a", time.Hour, []float64{1, math.NaN(), 3}, GapInterpolate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Repaired != 1 || tr.Samples[1] != 2 {
-		t.Errorf("sanitize: %+v, sample %v", res, tr.Samples[1])
-	}
-	if _, _, err := SanitizeSamples("a", time.Hour, nil, GapZero); err == nil {
-		t.Error("empty input accepted")
 	}
 }

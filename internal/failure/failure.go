@@ -246,24 +246,3 @@ func usedServers(p *placement.Problem, basePlan *placement.Plan) []int {
 	}
 	return used
 }
-
-// Migrations returns the container moves needed to realize this
-// scenario's plan starting from the base configuration: applications on
-// the failed server evacuate, and the re-consolidation may also
-// relocate others. The base problem and plan must be the ones the
-// scenario was computed from.
-func (s *Scenario) Migrations(base *placement.Problem, basePlan *placement.Plan) ([]placement.Move, error) {
-	if !s.Feasible || s.Plan == nil {
-		return nil, errors.New("failure: scenario has no feasible plan")
-	}
-	if base == nil || basePlan == nil {
-		return nil, errors.New("failure: need the base problem and plan")
-	}
-	apps := make([]string, len(base.Apps))
-	for i, a := range base.Apps {
-		apps[i] = a.ID
-	}
-	return placement.MigrationsByServerID(apps,
-		base.Servers, basePlan.Assignment,
-		s.Servers, s.Plan.Assignment)
-}

@@ -172,52 +172,6 @@ func TestAnalyzeSkipsUnusedServers(t *testing.T) {
 	}
 }
 
-func TestScenarioMigrations(t *testing.T) {
-	p := problem([]float64{6, 6, 6}, 3, 10)
-	base, err := placement.Evaluate(p, placement.Assignment{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := Input{Problem: p, FailureApps: failureApps(p, 0.5), GA: ga()}
-	report, err := Analyze(context.Background(), in, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sc := range report.Scenarios {
-		if !sc.Feasible {
-			t.Fatalf("scenario %s infeasible", sc.FailedServer)
-		}
-		moves, err := sc.Migrations(p, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The app on the failed server must appear among the moves.
-		found := false
-		for _, m := range moves {
-			if m.From == sc.FailedServer {
-				found = true
-			}
-			if m.To == sc.FailedServer {
-				t.Errorf("move %v targets the failed server", m)
-			}
-		}
-		if !found {
-			t.Errorf("scenario %s: no move evacuates the failed server (moves: %v)",
-				sc.FailedServer, moves)
-		}
-	}
-
-	// Infeasible scenarios have no migration plan.
-	var infeasible Scenario
-	if _, err := infeasible.Migrations(p, base); err == nil {
-		t.Error("infeasible scenario produced migrations")
-	}
-	feasible := report.Scenarios[0]
-	if _, err := feasible.Migrations(nil, nil); err == nil {
-		t.Error("nil base accepted")
-	}
-}
-
 func TestAnalyzeInputErrors(t *testing.T) {
 	p := problem([]float64{2, 3}, 2, 10)
 	base, err := placement.Evaluate(p, placement.Assignment{0, 1})

@@ -54,10 +54,6 @@ type GAConfig struct {
 	// MigrationInterval is the number of generations between ring
 	// migrations when Islands > 1; 0 selects DefaultMigrationInterval.
 	MigrationInterval int
-	// TimeBudget bounds the search's wall-clock time; when it elapses the
-	// search stops at the next generation boundary and returns its best
-	// plan so far, flagged Truncated. Zero means no budget.
-	TimeBudget time.Duration
 }
 
 // DefaultGAConfig returns the configuration used for the case study.
@@ -92,8 +88,6 @@ func (c GAConfig) Validate() error {
 	// Negated-range form so that a NaN rate is rejected too.
 	case !(c.MutationRate >= 0 && c.MutationRate <= 1):
 		return fmt.Errorf("placement: MutationRate %v outside [0,1]", c.MutationRate)
-	case c.TimeBudget < 0:
-		return fmt.Errorf("placement: TimeBudget %v < 0", c.TimeBudget)
 	case c.Islands < 0:
 		return fmt.Errorf("placement: Islands %d < 0", c.Islands)
 	case c.MigrationInterval < 0:
@@ -121,12 +115,12 @@ func (c GAConfig) Validate() error {
 //
 // Cancellation degrades gracefully: ctx is checked at every generation
 // boundary (and by the parallel offspring evaluations), and a cancelled
-// or over-budget search returns its best feasible plan so far with
-// Plan.Truncated set and a nil error. Only when cancellation strikes
-// before any feasible plan exists does Consolidate return an error. The
-// initial population is always evaluated to completion (detached from
-// ctx's cancellation) so that a given seed yields the same best-so-far
-// plan no matter when the cancel lands.
+// search returns its best feasible plan so far with Plan.Truncated set
+// and a nil error. Only when cancellation strikes before any feasible
+// plan exists does Consolidate return an error. The initial population
+// is always evaluated to completion (detached from ctx's cancellation)
+// so that a given seed yields the same best-so-far plan no matter when
+// the cancel lands.
 //
 // With cfg.Islands > 1 the search runs the deterministic island model
 // (see islands.go): the population is split into subpopulations that
@@ -178,10 +172,6 @@ func consolidateSingle(ctx context.Context, p *Problem, initial Assignment, cfg 
 	defer ev.release(sc)
 	var breed grouping // the mutation operators' scratch
 
-	var deadline time.Time
-	if cfg.TimeBudget > 0 {
-		deadline = time.Now().Add(cfg.TimeBudget)
-	}
 	// The initial population is evaluated detached from cancellation:
 	// it is the floor every truncated search can still return, and
 	// keeping it complete makes best-so-far deterministic per seed.
@@ -226,10 +216,10 @@ func consolidateSingle(ctx context.Context, p *Problem, initial Assignment, cfg 
 	ran := 0
 	truncated := false
 	for gen := 0; gen < cfg.MaxGenerations && stale < cfg.Stagnation; gen++ {
-		// Cheap per-generation degradation check: a cancelled context or
-		// an exhausted time budget stops the search at this boundary with
-		// whatever has been found so far.
-		if ctx.Err() != nil || (!deadline.IsZero() && !time.Now().Before(deadline)) {
+		// Cheap per-generation degradation check: a cancelled context
+		// stops the search at this boundary with whatever has been found
+		// so far.
+		if ctx.Err() != nil {
 			truncated = true
 			break
 		}
@@ -295,11 +285,7 @@ func consolidateSingle(ctx context.Context, p *Problem, initial Assignment, cfg 
 func finishSearch(ctx context.Context, ev *evaluator, sc *scratch, best *scored, ran int, truncated bool, maxGenerations int, span *telemetry.Span) (*Plan, error) {
 	if best == nil {
 		if truncated {
-			cause := ctx.Err()
-			if cause == nil {
-				cause = context.DeadlineExceeded // time budget elapsed
-			}
-			return nil, fmt.Errorf("placement: consolidation cancelled after %d generations with no feasible plan: %w", ran, cause)
+			return nil, fmt.Errorf("placement: consolidation cancelled after %d generations with no feasible plan: %w", ran, ctx.Err())
 		}
 		return nil, fmt.Errorf("%w after %d generations", ErrNoFeasible, maxGenerations)
 	}

@@ -117,6 +117,9 @@ type HierPlan struct {
 // round-trips through JSON exactly (all ints).
 type partitionRecord struct {
 	Assignment []int `json:"assignment"`
+	// truncated marks a sub-search cut short by cancellation. Such a
+	// record is never journaled, so the flag stays out of the encoding.
+	truncated bool
 }
 
 // SplitProblem clusters the problem's applications into sub-pools by
@@ -171,10 +174,12 @@ func partitionKey(k int, seed int64, appIDs []string) uint64 {
 // Otherwise initial is only validated — each sub-pool starts from its
 // own one-app-per-server configuration.
 //
-// Cancellation degrades at partition boundaries: partitions already
-// dispatched run to completion and are journaled (when cfg.Journal is
-// set), so a killed run resumes from its completed prefix; the
-// cancelled call itself returns an error, never a partial plan.
+// Cancellation degrades at partition boundaries: partitions that
+// converged before the cancel are journaled (when cfg.Journal is set),
+// so a killed run resumes from what it completed; the cancelled call
+// itself returns an error, never a partial plan. The journal is
+// best-effort, as in every checkpoint.Memo sweep: an unreadable record
+// is recomputed and a failed append costs only that recompute.
 func ConsolidateHierarchical(ctx context.Context, p *Problem, initial Assignment, ga GAConfig, cfg HierConfig) (hier *HierPlan, err error) {
 	defer robust.Recover("placement.ConsolidateHierarchical", &err)
 	if err := p.Validate(); err != nil {
@@ -230,57 +235,46 @@ func ConsolidateHierarchical(ctx context.Context, p *Problem, initial Assignment
 	// Solve every partition independently. Results are index-addressed,
 	// so the worker count cannot reorder them.
 	type subResult struct {
-		assignment Assignment // local: group position -> local server
-		replayed   bool
-		truncated  bool
-		err        error
+		partitionRecord
+		replayed bool
+		err      error
 	}
 	results := make([]subResult, parts)
-	replayedC := h.Counter("hier_partitions_replayed_total")
+	cell := checkpoint.Cell{Journal: cfg.Journal, Unit: "placement.partition",
+		Hooks: p.Hooks, Replays: "hier_partitions_replayed_total"}
 	solvedC := h.Counter("hier_partitions_solved_total")
+	// A truncated sub-plan is not the converged solution; never journal
+	// it, and fail the whole call as cancelled below.
+	converged := func(r partitionRecord) bool { return !r.truncated }
 	solve := func(k int) {
 		group := res.Groups[k]
-		ids := appIDs(p, group)
 		seed := partitionSeed(ga.Seed, parts, k)
-		key := partitionKey(k, seed, ids)
-		var rec partitionRecord
-		if ok, lerr := cfg.Journal.Lookup("placement.partition", key, &rec); lerr != nil {
-			results[k] = subResult{err: lerr}
-			return
-		} else if ok {
+		rec, _, replayed, err := checkpoint.Memo(ctx, cell, partitionKey(k, seed, appIDs(p, group)),
+			fmt.Sprintf("partition/%03d", k), converged,
+			func(ctx context.Context) (partitionRecord, error) {
+				sub := subProblem(p, group, k)
+				start, err := OneAppPerServer(sub)
+				if err != nil {
+					return partitionRecord{}, err
+				}
+				subGA := ga
+				subGA.Seed = seed
+				plan, err := Consolidate(ctx, sub, start, subGA)
+				if err != nil {
+					return partitionRecord{}, fmt.Errorf("placement: partition %d (%d apps): %w", k, len(group), err)
+				}
+				return partitionRecord{Assignment: plan.Assignment, truncated: plan.Truncated}, nil
+			})
+		switch {
+		case err != nil:
+		case replayed:
 			if verr := validLocal(rec.Assignment, len(group)); verr != nil {
-				results[k] = subResult{err: fmt.Errorf("placement: journaled partition %d: %w", k, verr)}
-				return
+				err = fmt.Errorf("placement: journaled partition %d: %w", k, verr)
 			}
-			replayedC.Inc()
-			results[k] = subResult{assignment: rec.Assignment, replayed: true}
-			return
+		case !rec.truncated:
+			solvedC.Inc()
 		}
-		sub := subProblem(p, group, k)
-		start, serr := OneAppPerServer(sub)
-		if serr != nil {
-			results[k] = subResult{err: serr}
-			return
-		}
-		subGA := ga
-		subGA.Seed = seed
-		plan, serr := Consolidate(ctx, sub, start, subGA)
-		if serr != nil {
-			results[k] = subResult{err: fmt.Errorf("placement: partition %d (%d apps): %w", k, len(group), serr)}
-			return
-		}
-		if plan.Truncated {
-			// A truncated sub-plan is not the converged solution; never
-			// journal it, and fail the whole call as cancelled below.
-			results[k] = subResult{truncated: true}
-			return
-		}
-		if jerr := cfg.Journal.Append("placement.partition", key, partitionRecord{Assignment: plan.Assignment}); jerr != nil {
-			results[k] = subResult{err: jerr}
-			return
-		}
-		solvedC.Inc()
-		results[k] = subResult{assignment: plan.Assignment}
+		results[k] = subResult{partitionRecord: rec, replayed: replayed, err: err}
 	}
 	dispatched := parallel.ForEach(ctx, cfg.Workers, parts, solve)
 	for k := 0; k < dispatched; k++ {
@@ -295,12 +289,8 @@ func ConsolidateHierarchical(ctx context.Context, p *Problem, initial Assignment
 		}
 	}
 	if truncated {
-		cause := context.Cause(ctx)
-		if cause == nil {
-			cause = context.DeadlineExceeded // a sub-search's time budget elapsed
-		}
 		return nil, fmt.Errorf("placement: hierarchical consolidation cancelled after %d of %d partitions: %w",
-			dispatched, parts, cause)
+			dispatched, parts, context.Cause(ctx))
 	}
 
 	// Stitch: allocate pool servers to partitions (largest first so the
@@ -308,7 +298,7 @@ func ConsolidateHierarchical(ctx context.Context, p *Problem, initial Assignment
 	// assignment through its allocation.
 	used := make([]int, parts)
 	for k := range results {
-		used[k] = distinctServers(results[k].assignment)
+		used[k] = distinctServers(results[k].Assignment)
 	}
 	alloc, rackOf, racks, err := allocateServers(p, cfg.Topology, used)
 	if err != nil {
@@ -316,13 +306,13 @@ func ConsolidateHierarchical(ctx context.Context, p *Problem, initial Assignment
 	}
 	global := make(Assignment, len(p.Apps))
 	for k, group := range res.Groups {
-		locals := sortedDistinct(results[k].assignment)
+		locals := sortedDistinct(results[k].Assignment)
 		toGlobal := make(map[int]int, len(locals))
 		for j, l := range locals {
 			toGlobal[l] = alloc[k][j]
 		}
 		for i, app := range group {
-			global[app] = toGlobal[results[k].assignment[i]]
+			global[app] = toGlobal[results[k].Assignment[i]]
 		}
 	}
 

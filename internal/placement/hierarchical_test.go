@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ropus/internal/checkpoint"
+	"ropus/internal/telemetry"
 	"ropus/internal/topology"
 )
 
@@ -303,6 +304,76 @@ func TestCancelHierarchicalResume(t *testing.T) {
 	}
 	if got, want := planFingerprint(final.Plan), planFingerprint(baseline.Plan); got != want {
 		t.Errorf("post-interrupt resume diverged:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestHierarchicalJournalBestEffort pins the journal rule every
+// checkpoint.Memo sweep shares: an unreadable partition record is
+// recomputed and a failed append costs a counter — neither changes the
+// plan.
+func TestHierarchicalJournalBestEffort(t *testing.T) {
+	ga := hierGA(2006, 1)
+	cfg := HierConfig{MaxApps: 4, Workers: 2}
+	run := func(journal *checkpoint.Journal) (*HierPlan, map[string]int64) {
+		t.Helper()
+		reg := telemetry.NewRegistry()
+		p := hierProblem()
+		p.Hooks = telemetry.New(reg, nil)
+		initial, err := OneAppPerServer(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.Journal = journal
+		hier, err := ConsolidateHierarchical(context.Background(), p, initial, ga, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hier, reg.Snapshot().Counters
+	}
+	want, _ := run(nil)
+	parts := int64(len(want.Partitions))
+
+	// A record filed under partition 1's key that does not decode as a
+	// partition record.
+	p := hierProblem()
+	split, err := SplitProblem(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := partitionKey(1, partitionSeed(ga.Seed, len(split.Groups), 1), appIDs(p, split.Groups[1]))
+	j, err := checkpoint.Open(filepath.Join(t.TempDir(), "hier.journal"), 42, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append("placement.partition", key, "not a partition record"); err != nil {
+		t.Fatal(err)
+	}
+	got, counters := run(j)
+	if hierFingerprint(got) != hierFingerprint(want) {
+		t.Errorf("plan over an unreadable record diverged:\n got %s\nwant %s",
+			hierFingerprint(got), hierFingerprint(want))
+	}
+	if counters["hier_partitions_solved_total"] != parts || counters["hier_partitions_replayed_total"] != 0 {
+		t.Errorf("solved %d, replayed %d partitions, want all %d recomputed",
+			counters["hier_partitions_solved_total"], counters["hier_partitions_replayed_total"], parts)
+	}
+
+	// A closed journal fails every append.
+	j.Close()
+	closed, err := checkpoint.Open(filepath.Join(t.TempDir(), "closed.journal"), 42, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	got, counters = run(closed)
+	if hierFingerprint(got) != hierFingerprint(want) {
+		t.Errorf("plan over failing appends diverged:\n got %s\nwant %s",
+			hierFingerprint(got), hierFingerprint(want))
+	}
+	if counters["checkpoint_append_errors_total"] != parts || counters["hier_partitions_solved_total"] != parts {
+		t.Errorf("append errors %d, solved %d, want %d each",
+			counters["checkpoint_append_errors_total"], counters["hier_partitions_solved_total"], parts)
 	}
 }
 

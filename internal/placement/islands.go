@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
-	"time"
 
 	"ropus/internal/parallel"
 	"ropus/internal/telemetry"
@@ -79,7 +78,7 @@ type island struct {
 	stale int
 
 	ran       int  // generations actually run
-	truncated bool // stopped early on ctx/deadline
+	truncated bool // stopped early on ctx
 	err       error
 }
 
@@ -89,10 +88,10 @@ func (isl *island) parked(cfg GAConfig) bool { return isl.stale >= cfg.Stagnatio
 // runEpoch evolves the island for up to gens generations using at most
 // workers goroutines for offspring evaluation. It mirrors the
 // single-population generation loop; only island-local state is touched.
-func (isl *island) runEpoch(ctx context.Context, ev *evaluator, cfg GAConfig, gens, workers int, deadline time.Time, tel *islandTelemetry) {
+func (isl *island) runEpoch(ctx context.Context, ev *evaluator, cfg GAConfig, gens, workers int, tel *islandTelemetry) {
 	p := ev.p
 	for g := 0; g < gens && !isl.parked(cfg); g++ {
-		if ctx.Err() != nil || (!deadline.IsZero() && !time.Now().Before(deadline)) {
+		if ctx.Err() != nil {
 			isl.truncated = true
 			return
 		}
@@ -176,10 +175,6 @@ func consolidateIslands(ctx context.Context, p *Problem, initial Assignment, cfg
 	ev := newEvaluator(p)
 	sc := ev.acquire()
 	defer ev.release(sc)
-	var deadline time.Time
-	if cfg.TimeBudget > 0 {
-		deadline = time.Now().Add(cfg.TimeBudget)
-	}
 	// Like the single search, the initial populations are evaluated
 	// detached from cancellation: they are the floor every truncated
 	// search can still return.
@@ -275,7 +270,7 @@ func consolidateIslands(ctx context.Context, p *Problem, initial Assignment, cfg
 		// boundary), otherwise cancellation timing could strand islands
 		// at different epochs.
 		parallel.ForEach(context.WithoutCancel(ctx), min(n, runtime.GOMAXPROCS(0)), n, func(i int) {
-			islands[i].runEpoch(ctx, ev, cfg, gens, islandWorkers, deadline, tel)
+			islands[i].runEpoch(ctx, ev, cfg, gens, islandWorkers, tel)
 		})
 		epochs++
 		for _, isl := range islands {

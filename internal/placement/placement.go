@@ -173,8 +173,8 @@ type Problem struct {
 	// Cache is an optional shared cross-run simulation cache (see
 	// NewSimCache): per-(server-shape, app-group) results persist across
 	// Consolidate/Evaluate calls and across Problems, keyed by content,
-	// so the failure sweep, rebalancing and the planner stop re-solving
-	// groups the base plan already solved. Cached reuse is bit-exact, so
+	// so the failure sweep and the planner stop re-solving groups the
+	// base plan already solved. Cached reuse is bit-exact, so
 	// plans are identical with or without it. Ignored while Inject is
 	// set: fault-injection points must fire per evaluation.
 	Cache *SimCache

@@ -9,9 +9,9 @@ import (
 // expensive unit of work is the (server-capacity, app-group) simulation:
 // one bisection search over replays of the aggregated traces. The GA
 // re-creates its per-run evaluator for every Consolidate call, so the
-// base-plan search, the N failure-scenario searches, the greedy seeds,
-// rebalancing audits and the capacity planner all keep re-simulating
-// groups the pipeline has already solved. A SimCache hoists those
+// base-plan search, the N failure-scenario searches, the greedy seeds
+// and the capacity planner all keep re-simulating groups the pipeline
+// has already solved. A SimCache hoists those
 // results out of the run: entries are keyed by content (a hash of the
 // traces in the group, the commitment/tolerance configuration, and the
 // server's capacity signature — not its identity), so a result computed

@@ -126,14 +126,6 @@ func (q AppQoS) String() string {
 // measurements allowed to run degraded.
 func (q AppQoS) MDegrPercent() float64 { return 100 - q.MPercent }
 
-// BurstFactorRange returns the burst-factor range (ideal, minimum
-// acceptable) corresponding to (1/ULow, 1/UHigh). The workload manager
-// multiplies measured demand by a burst factor in this range to obtain
-// the next allocation.
-func (q AppQoS) BurstFactorRange() (ideal, minimum float64) {
-	return 1 / q.ULow, 1 / q.UHigh
-}
-
 // TDegrSlots returns R, the number of whole measurement slots covered by
 // TDegr at the given interval, and whether a contiguous limit applies.
 // A run of more than R consecutive degraded observations violates the

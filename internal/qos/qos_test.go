@@ -62,21 +62,6 @@ func TestMDegrPercent(t *testing.T) {
 	}
 }
 
-func TestBurstFactorRange(t *testing.T) {
-	q := caseStudyQoS()
-	ideal, minimum := q.BurstFactorRange()
-	if ideal != 2 {
-		t.Errorf("ideal burst factor = %v, want 2", ideal)
-	}
-	want := 1 / 0.66
-	if diff := minimum - want; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("minimum burst factor = %v, want %v", minimum, want)
-	}
-	if ideal < minimum {
-		t.Error("ideal burst factor should be >= minimum")
-	}
-}
-
 func TestTDegrSlots(t *testing.T) {
 	tests := []struct {
 		name        string

@@ -238,31 +238,54 @@ func TestSearchKaryMatchesBisect(t *testing.T) {
 	}
 }
 
-// TestSearchInjectUsesScalarPath pins the fault-injection contract:
-// with an injector configured, Search must take the scalar bisection so
-// "sim.replay" occurrence counting still sees one hit per probe.
-func TestSearchInjectUsesScalarPath(t *testing.T) {
+// TestSearchInjectCountsPasses pins the fault-injection contract of the
+// one search: an attached injector changes nothing about the outcome,
+// "sim.replay" fires once per trace pass, and a corruption injected
+// there surfaces through Search as the NaN-statistics error.
+func TestSearchInjectCountsPasses(t *testing.T) {
 	cos2 := make([]float64, 28)
 	for i := range cos2 {
 		cos2[i] = float64(1 + i%3)
 	}
 	a := batchAgg(make([]float64, 28), cos2)
-	inj := faultinject.MustScript(1) // no rules: counts hits, injects nothing
 	cfg := Config{
 		SlotsPerDay:   4,
 		DeadlineSlots: 2,
 		Commitment:    qos.PoolCommitment{Theta: 0.6},
-		Inject:        inj,
 	}
-	out, err := a.Search(context.Background(), cfg, 10, 0.05)
+	ctx := context.Background()
+	want, err := a.Search(ctx, cfg, 10, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Feasible {
+	if !want.Feasible {
 		t.Fatal("search infeasible")
 	}
-	if replays := inj.Hits("sim.replay"); replays < 5 {
-		t.Errorf("scalar fallback should hit sim.replay once per probe; saw %d", replays)
+
+	inj := faultinject.MustScript(1) // no rules: counts hits, injects nothing
+	reg := telemetry.NewRegistry()
+	counted := cfg
+	counted.Inject = inj
+	counted.Hooks = telemetry.New(reg, nil)
+	got, err := a.Search(ctx, counted, 10, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("outcome with a counting injector = %+v, want %+v", got, want)
+	}
+	passes := reg.Counter("sim_search_passes_total").Value()
+	if hits := int64(inj.Hits("sim.replay")); passes == 0 || hits != passes {
+		t.Errorf("sim.replay hits = %d, want one per trace pass (%d)", hits, passes)
+	}
+	if hits := inj.Hits("sim.required_capacity"); hits != 1 {
+		t.Errorf("sim.required_capacity hits = %d, want 1", hits)
+	}
+
+	corrupt := cfg
+	corrupt.Inject = faultinject.MustScript(1, faultinject.Rule{Point: "sim.replay", Corrupt: true})
+	if _, err := a.Search(ctx, corrupt, 10, 0.05); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Errorf("corrupted search: err = %v, want the NaN-statistics error", err)
 	}
 }
 

@@ -31,32 +31,6 @@ type Diagnostics struct {
 	SlotShortfall []float64
 }
 
-// WorstGroups returns the n (week, slot) groups with the lowest access
-// ratios, ordered worst-first, as flat indexes into GroupTheta.
-func (d *Diagnostics) WorstGroups(n int) []int {
-	if n <= 0 {
-		return nil
-	}
-	idx := make([]int, len(d.GroupTheta))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Partial selection sort: n is small.
-	if n > len(idx) {
-		n = len(idx)
-	}
-	for i := 0; i < n; i++ {
-		minJ := i
-		for j := i + 1; j < len(idx); j++ {
-			if d.GroupTheta[idx[j]] < d.GroupTheta[idx[minJ]] {
-				minJ = j
-			}
-		}
-		idx[i], idx[minJ] = idx[minJ], idx[i]
-	}
-	return idx[:n]
-}
-
 // Diagnose replays the aggregate like Replay but records the
 // per-(week, slot) access ratios and the per-slot shortfall profile.
 func (a *Aggregate) Diagnose(cfg Config) (*Diagnostics, error) {

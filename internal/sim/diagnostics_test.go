@@ -68,20 +68,6 @@ func TestDiagnoseIdleGroupsReportOne(t *testing.T) {
 	}
 }
 
-func TestWorstGroups(t *testing.T) {
-	d := &Diagnostics{GroupTheta: []float64{0.9, 0.2, 1.0, 0.5}}
-	got := d.WorstGroups(2)
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("WorstGroups = %v, want [1 3]", got)
-	}
-	if got := d.WorstGroups(0); got != nil {
-		t.Errorf("WorstGroups(0) = %v", got)
-	}
-	if got := d.WorstGroups(10); len(got) != 4 {
-		t.Errorf("WorstGroups beyond len = %v", got)
-	}
-}
-
 func TestDiagnoseConfigError(t *testing.T) {
 	agg, err := NewAggregate([]Workload{{AppID: "a", CoS1: []float64{0}, CoS2: []float64{0}}})
 	if err != nil {

@@ -401,15 +401,14 @@ func (a *Aggregate) RequiredCapacity(ctx context.Context, cfg Config, limit, tol
 
 // Search is RequiredCapacity with the full outcome detail.
 //
-// The search normally runs in batched K-ary form: instead of replaying
-// one bisection midpoint per pass over the trace, it evaluates the next
+// The search runs in batched K-ary form: instead of replaying one
+// bisection midpoint per pass over the trace, it evaluates the next
 // several levels of the bisection tree in a single BatchReplayer pass
 // and then walks the tree with the probe outcomes in hand, cutting
 // trace passes by ~5× while returning the bit-identical capacity and
-// Result the plain bisection would (the probe capacities and the
-// decisions taken at them are exactly the bisection's own). When a
-// fault injector is attached the scalar bisection runs instead, so
-// "sim.replay" injection points keep firing once per probe.
+// Result a plain bisection would (the probe capacities and the
+// decisions taken at them are exactly the bisection's own). The
+// "sim.replay" injection point fires once per trace pass.
 func (a *Aggregate) Search(ctx context.Context, cfg Config, limit, tol float64) (SearchOutcome, error) {
 	if tol <= 0 {
 		return SearchOutcome{}, fmt.Errorf("sim: tolerance %v <= 0", tol)
@@ -428,81 +427,8 @@ func (a *Aggregate) Search(ctx context.Context, cfg Config, limit, tol float64) 
 		if o.Err != nil {
 			return SearchOutcome{}, fmt.Errorf("sim: required-capacity search %q: %w", cfg.InjectKey, o.Err)
 		}
-		return a.searchBisect(ctx, cfg, limit, tol)
 	}
 	return a.searchKary(ctx, cfg, limit, tol)
-}
-
-// searchBisect is the scalar reference bisection: one replay per probe.
-// It remains the path under fault injection (occurrence counting must
-// see every probe) and the reference the batched-search parity suite
-// pins against.
-func (a *Aggregate) searchBisect(ctx context.Context, cfg Config, limit, tol float64) (SearchOutcome, error) {
-	r := replayerPool.Get().(*Replayer)
-	defer replayerPool.Put(r)
-	h := telemetry.OrNop(cfg.Hooks)
-	h.Counter("sim_searches_total").Inc()
-	iterations := h.Counter("sim_search_iterations_total")
-	// The workloads cannot fit at any capacity <= limit if the
-	// guaranteed class alone exceeds it.
-	if a.cos1Peak > limit {
-		cfg.Capacity = limit
-		res, err := a.ReplayWith(r, cfg)
-		h.Counter("sim_search_infeasible_total").Inc()
-		return SearchOutcome{Capacity: limit, Result: res}, err
-	}
-
-	// With limit >= TotalPeak the whole search is independent of the
-	// limit (barring an escalation below, which clears the flag).
-	unclamped := limit >= a.totalPeak
-
-	hi := math.Min(limit, a.totalPeak) // capacity beyond the total peak is never needed
-	if hi <= 0 {
-		hi = tol // all-zero workloads: any positive capacity fits
-	}
-	cfg.Capacity = hi
-	hiRes, err := a.ReplayWith(r, cfg)
-	if err != nil {
-		return SearchOutcome{}, err
-	}
-	if !hiRes.Fits(cfg.Commitment.Theta) {
-		// θ or deadline unsatisfiable even at the peak: try the full
-		// limit before giving up (deadline backlogs can need headroom).
-		unclamped = false
-		if hi < limit {
-			cfg.Capacity = limit
-			hiRes, err = a.ReplayWith(r, cfg)
-			if err != nil {
-				return SearchOutcome{}, err
-			}
-			hi = limit
-		}
-		if !hiRes.Fits(cfg.Commitment.Theta) {
-			h.Counter("sim_search_infeasible_total").Inc()
-			return SearchOutcome{Capacity: hi, Result: hiRes}, nil
-		}
-	}
-
-	lo := a.cos1Peak
-	for hi-lo > tol {
-		if err := ctx.Err(); err != nil {
-			return SearchOutcome{}, fmt.Errorf("sim: required-capacity search: %w", err)
-		}
-		iterations.Inc()
-		mid := (lo + hi) / 2
-		cfg.Capacity = mid
-		midRes, err := a.ReplayWith(r, cfg)
-		if err != nil {
-			return SearchOutcome{}, err
-		}
-		if midRes.Fits(cfg.Commitment.Theta) {
-			hi = mid
-			hiRes = midRes
-		} else {
-			lo = mid
-		}
-	}
-	return SearchOutcome{Capacity: hi, Result: hiRes, Feasible: true, Unclamped: unclamped}, nil
 }
 
 // searchDepth is how many bisection levels one batched pass evaluates:
@@ -613,7 +539,8 @@ func (bt *bisectTree) build(lo, hi, tol float64, depth int) {
 // evaluates the next ≤ searchDepth levels of midpoints in one trace
 // traversal, then the walk descends the tree with every probe outcome
 // already known. The capacities probed, the order of the Fits
-// decisions, and the returned outcome are identical to searchBisect's.
+// decisions, and the returned outcome are identical to the scalar
+// bisection's (the reference the parity suites keep in a test file).
 func (a *Aggregate) searchKary(ctx context.Context, cfg Config, limit, tol float64) (SearchOutcome, error) {
 	br := batchPool.Get().(*BatchReplayer)
 	defer batchPool.Put(br)

@@ -203,20 +203,6 @@ func Mean(samples []float64) (float64, error) {
 	return sum / float64(len(samples)), nil
 }
 
-// StdDev returns the population standard deviation of samples.
-func StdDev(samples []float64) (float64, error) {
-	mean, err := Mean(samples)
-	if err != nil {
-		return 0, err
-	}
-	ss := 0.0
-	for _, v := range samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(samples))), nil
-}
-
 // Summary bundles the descriptive statistics most reports need.
 type Summary struct {
 	Count  int
@@ -325,21 +311,6 @@ func LongestRunAbove(samples []float64, threshold float64) Run {
 		}
 	}
 	return best
-}
-
-// FractionAbove returns the fraction of samples strictly greater than
-// threshold. It returns 0 for an empty slice.
-func FractionAbove(samples []float64, threshold float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range samples {
-		if v > threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(samples))
 }
 
 // MinInRange returns the minimum value within samples[start:start+length]

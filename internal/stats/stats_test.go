@@ -277,7 +277,7 @@ func TestQuickPercentileMonotoneInP(t *testing.T) {
 	}
 }
 
-func TestMinMaxMeanStdDev(t *testing.T) {
+func TestMinMaxMean(t *testing.T) {
 	samples := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got, _ := Min(samples); got != 2 {
 		t.Errorf("Min = %v, want 2", got)
@@ -288,10 +288,7 @@ func TestMinMaxMeanStdDev(t *testing.T) {
 	if got, _ := Mean(samples); got != 5 {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	if got, _ := StdDev(samples); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	for _, fn := range []func([]float64) (float64, error){Min, Max, Mean, StdDev} {
+	for _, fn := range []func([]float64) (float64, error){Min, Max, Mean} {
 		if _, err := fn(nil); err == nil {
 			t.Error("expected error on empty input")
 		}
@@ -398,18 +395,6 @@ func TestQuickRunsCoverExactlyExceedances(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFractionAbove(t *testing.T) {
-	if got := FractionAbove(nil, 1); got != 0 {
-		t.Errorf("FractionAbove(nil) = %v, want 0", got)
-	}
-	if got := FractionAbove([]float64{1, 2, 3, 4}, 2); got != 0.5 {
-		t.Errorf("FractionAbove = %v, want 0.5", got)
-	}
-	if got := FractionAbove([]float64{1, 2}, 5); got != 0 {
-		t.Errorf("FractionAbove above max = %v, want 0", got)
 	}
 }
 

@@ -119,15 +119,6 @@ var RatioBuckets = []float64{
 	0.95, 0.99, 0.999, 1,
 }
 
-// LinearBuckets returns count bounds starting at start, spaced by width.
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExponentialBuckets returns count bounds starting at start, each factor
 // times the previous.
 func ExponentialBuckets(start, factor float64, count int) []float64 {

@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"ropus/internal/checkpoint"
 )
 
 // Well-known domain kinds. Kind is free-form; these are the ones the
@@ -182,36 +180,6 @@ func (t *Topology) ServersIn(id string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// AllServers returns every server referenced anywhere in the topology,
-// sorted and deduplicated.
-func (t *Topology) AllServers() []string {
-	seen := make(map[string]bool)
-	for _, d := range t.Domains {
-		for _, s := range d.Servers {
-			seen[s] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Fold mixes the topology's result-determining content into a run
-// hash, so a checkpoint journal recorded against one topology cannot
-// silently resume another.
-func (t *Topology) Fold(h *checkpoint.Hasher) {
-	h.Int(int64(len(t.Domains)))
-	for _, d := range t.Domains {
-		h.String(d.ID).String(d.Kind).String(d.Parent).Int(int64(len(d.Servers)))
-		for _, s := range d.Servers {
-			h.String(s)
-		}
-	}
 }
 
 // GenConfig parameterizes Synthesize.

@@ -65,9 +65,6 @@ func TestServersInClosure(t *testing.T) {
 	if kinds := topo.DomainsOfKind(KindRack); len(kinds) != 2 {
 		t.Errorf("DomainsOfKind(rack) = %v", kinds)
 	}
-	if all := topo.AllServers(); len(all) != 3 {
-		t.Errorf("AllServers = %v", all)
-	}
 }
 
 func TestSynthesizeDeterministic(t *testing.T) {
@@ -91,9 +88,6 @@ func TestSynthesizeDeterministic(t *testing.T) {
 		t.Error("Synthesize is not deterministic")
 	}
 	// Every server lands in exactly one rack and one power domain.
-	if all := a.AllServers(); len(all) != 9 {
-		t.Fatalf("AllServers = %v, want 9 servers", all)
-	}
 	counts := make(map[string]int)
 	for _, rack := range a.DomainsOfKind(KindRack) {
 		srvs, err := a.ServersIn(rack)
@@ -108,6 +102,9 @@ func TestSynthesizeDeterministic(t *testing.T) {
 		if n != 1 {
 			t.Errorf("server %s appears in %d racks", s, n)
 		}
+	}
+	if len(counts) != 9 {
+		t.Errorf("racks cover %d servers, want 9", len(counts))
 	}
 	// Zones partition the pool.
 	zoneTotal := 0

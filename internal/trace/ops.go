@@ -1,34 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"time"
-)
-
-// ResampleMethod selects how samples are combined when resampling to a
-// coarser interval.
-type ResampleMethod int
-
-const (
-	// ResampleMean averages the fine-grained samples in each coarse
-	// interval — what a monitoring system reports as utilization.
-	ResampleMean ResampleMethod = iota + 1
-	// ResampleMax keeps the peak of each coarse interval — conservative
-	// for capacity planning.
-	ResampleMax
-)
-
-// String implements fmt.Stringer.
-func (m ResampleMethod) String() string {
-	switch m {
-	case ResampleMean:
-		return "mean"
-	case ResampleMax:
-		return "max"
-	default:
-		return fmt.Sprintf("ResampleMethod(%d)", int(m))
-	}
-}
+import "fmt"
 
 // Window returns the sub-trace covering the whole days
 // [startDay, startDay+days). The result shares no storage with t.
@@ -62,50 +34,6 @@ func (t *Trace) LastWeeks(n int) (*Trace, error) {
 		return nil, fmt.Errorf("trace: cannot take last %d weeks of a %d-week trace", n, weeks)
 	}
 	return t.Window((weeks-n)*7, n*7)
-}
-
-// Resample aggregates the trace to a coarser interval. The new interval
-// must be a positive multiple of the current one and still divide 24h;
-// trailing samples that do not fill a whole coarse interval are dropped.
-func (t *Trace) Resample(interval time.Duration, method ResampleMethod) (*Trace, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	if interval <= 0 || interval%t.Interval != 0 {
-		return nil, fmt.Errorf("trace: new interval %v is not a multiple of %v", interval, t.Interval)
-	}
-	if (24*time.Hour)%interval != 0 {
-		return nil, fmt.Errorf("trace: new interval %v does not divide 24h", interval)
-	}
-	if method != ResampleMean && method != ResampleMax {
-		return nil, fmt.Errorf("trace: unknown resample method %v", method)
-	}
-	group := int(interval / t.Interval)
-	n := len(t.Samples) / group
-	if n == 0 {
-		return nil, fmt.Errorf("trace: %d samples cannot fill one %v interval", len(t.Samples), interval)
-	}
-	out := &Trace{AppID: t.AppID, Interval: interval, Samples: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		chunk := t.Samples[i*group : (i+1)*group]
-		switch method {
-		case ResampleMean:
-			sum := 0.0
-			for _, v := range chunk {
-				sum += v
-			}
-			out.Samples[i] = sum / float64(group)
-		case ResampleMax:
-			m := chunk[0]
-			for _, v := range chunk[1:] {
-				if v > m {
-					m = v
-				}
-			}
-			out.Samples[i] = m
-		}
-	}
-	return out, nil
 }
 
 // Concat returns a new trace with other's samples appended to t's. Both

@@ -63,54 +63,6 @@ func TestLastWeeks(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	tr := hourly(t, "a", 1, func(i int) float64 { return float64(i % 2) }) // 0,1,0,1,...
-	mean, err := tr.Resample(2*time.Hour, ResampleMean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean.Len() != 12 || mean.Interval != 2*time.Hour {
-		t.Fatalf("mean resample: len %d interval %v", mean.Len(), mean.Interval)
-	}
-	for i, v := range mean.Samples {
-		if v != 0.5 {
-			t.Errorf("mean[%d] = %v, want 0.5", i, v)
-		}
-	}
-	max, err := tr.Resample(2*time.Hour, ResampleMax)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range max.Samples {
-		if v != 1 {
-			t.Errorf("max[%d] = %v, want 1", i, v)
-		}
-	}
-
-	if _, err := tr.Resample(90*time.Minute, ResampleMean); err == nil {
-		t.Error("non-multiple interval accepted")
-	}
-	if _, err := tr.Resample(0, ResampleMean); err == nil {
-		t.Error("zero interval accepted")
-	}
-	if _, err := tr.Resample(2*time.Hour, ResampleMethod(99)); err == nil {
-		t.Error("unknown method accepted")
-	}
-	// 25h does not divide a day.
-	if _, err := tr.Resample(25*time.Hour, ResampleMean); err == nil {
-		t.Error("interval not dividing 24h accepted")
-	}
-}
-
-func TestResampleMethodString(t *testing.T) {
-	if ResampleMean.String() != "mean" || ResampleMax.String() != "max" {
-		t.Error("unexpected method strings")
-	}
-	if got := ResampleMethod(5).String(); got != "ResampleMethod(5)" {
-		t.Errorf("unknown method String = %q", got)
-	}
-}
-
 func TestConcat(t *testing.T) {
 	a := hourly(t, "a", 1, func(i int) float64 { return 1 })
 	b := hourly(t, "a", 2, func(i int) float64 { return 2 })

@@ -91,16 +91,6 @@ func (t *Trace) Days() int { return len(t.Samples) / t.SlotsPerDay() }
 // Weeks returns the number of complete weeks covered by the trace.
 func (t *Trace) Weeks() int { return t.Days() / 7 }
 
-// SlotOf returns the time-of-day slot index (0..T-1) of sample i.
-func (t *Trace) SlotOf(i int) int { return i % t.SlotsPerDay() }
-
-// DayOf returns the day-of-week index (0..6) of sample i, counting from
-// the first sample.
-func (t *Trace) DayOf(i int) int { return i / t.SlotsPerDay() % 7 }
-
-// WeekOf returns the week index of sample i.
-func (t *Trace) WeekOf(i int) int { return i / (7 * t.SlotsPerDay()) }
-
 // Index returns the sample index for (week, dayOfWeek, slot).
 func (t *Trace) Index(week, dayOfWeek, slot int) int {
 	return (week*7+dayOfWeek)*t.SlotsPerDay() + slot
@@ -159,17 +149,6 @@ func (t *Trace) Map(fn func(float64) float64) *Trace {
 // new maximum demand D_new_max.
 func (t *Trace) Cap(limit float64) *Trace {
 	return t.Map(func(v float64) float64 { return math.Min(v, limit) })
-}
-
-// Normalized returns a new trace whose samples are percentages of the
-// peak demand (0..100), matching the presentation of the paper's
-// Figure 6. A zero trace normalizes to all zeros.
-func (t *Trace) Normalized() *Trace {
-	peak := t.Peak()
-	if peak == 0 {
-		return t.Clone()
-	}
-	return t.Scale(100 / peak)
 }
 
 // Set is an ordered collection of traces for distinct applications.
@@ -261,18 +240,4 @@ func (s Set) Clone() Set {
 		out[i] = tr.Clone()
 	}
 	return out
-}
-
-// Subset returns the traces whose AppID is in ids, in the order of ids.
-// It fails if any ID is missing.
-func (s Set) Subset(ids []string) (Set, error) {
-	out := make(Set, 0, len(ids))
-	for _, id := range ids {
-		tr := s.ByID(id)
-		if tr == nil {
-			return nil, fmt.Errorf("trace: app %q not in set", id)
-		}
-		out = append(out, tr)
-	}
-	return out, nil
 }

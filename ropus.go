@@ -36,27 +36,18 @@ package ropus
 
 import (
 	"context"
-	"io"
 	"time"
 
-	"ropus/internal/checkpoint"
 	"ropus/internal/core"
-	"ropus/internal/failure"
 	"ropus/internal/faultinject"
 	"ropus/internal/placement"
 	"ropus/internal/planner"
 	"ropus/internal/pool"
 	"ropus/internal/portfolio"
 	"ropus/internal/qos"
-	"ropus/internal/rebalance"
-	"ropus/internal/report"
-	"ropus/internal/resilience"
-	"ropus/internal/scenario"
-	"ropus/internal/serve"
 	"ropus/internal/sim"
 	"ropus/internal/stress"
 	"ropus/internal/telemetry"
-	"ropus/internal/topology"
 	"ropus/internal/trace"
 	"ropus/internal/wlmgr"
 	"ropus/internal/workload"
@@ -71,8 +62,6 @@ type (
 	// PoolCommitment is the pool operator's CoS2 access commitment
 	// (paper section IV).
 	PoolCommitment = qos.PoolCommitment
-	// ClassOfService identifies CoS1 or CoS2.
-	ClassOfService = qos.ClassOfService
 )
 
 // The two classes of service.
@@ -87,12 +76,9 @@ const (
 	ScoreLinear = placement.ScoreLinear
 )
 
-// Common additional capacity attributes (any string works).
-const (
-	AttrMemory  = placement.AttrMemory
-	AttrDiskIO  = placement.AttrDiskIO
-	AttrNetwork = placement.AttrNetwork
-)
+// AttrMemory is the common additional capacity attribute (any string
+// works as an attribute name).
+const AttrMemory = placement.AttrMemory
 
 // Demand traces (paper section II).
 type (
@@ -100,16 +86,6 @@ type (
 	Trace = trace.Trace
 	// TraceSet is an aligned collection of traces.
 	TraceSet = trace.Set
-	// GapPolicy selects how invalid monitoring samples are repaired.
-	GapPolicy = trace.GapPolicy
-	// SanitizeResult reports what trace sanitization repaired.
-	SanitizeResult = trace.SanitizeResult
-)
-
-// Gap-repair policies for SanitizeSamples.
-const (
-	GapInterpolate = trace.GapInterpolate
-	GapZero        = trace.GapZero
 )
 
 // DefaultInterval is the paper's five-minute measurement interval.
@@ -143,32 +119,11 @@ type (
 	GAConfig = placement.GAConfig
 	// ScoreModel selects the consolidation score function.
 	ScoreModel = placement.ScoreModel
-	// FailureReport aggregates single-server failure scenarios.
-	FailureReport = failure.Report
-	// FailureScenario is the outcome for one server failure.
-	FailureScenario = failure.Scenario
-	// MultiFailureReport aggregates k-concurrent-failure scenarios.
-	MultiFailureReport = failure.MultiReport
-	// MultiFailureScenario is the outcome for one combination of
-	// concurrently failed servers.
-	MultiFailureScenario = failure.MultiScenario
-	// ScenarioSpec names one concrete failure scenario for the
-	// scenario-universe sweep: a failed-server set with optional cascade
-	// closure, θ override and probability.
-	ScenarioSpec = failure.ScenarioSpec
-	// Economics prices applications for revenue-at-risk scoring.
-	Economics = failure.Economics
-	// AppValue is one application's revenue/penalty economics.
-	AppValue = failure.AppValue
-	// AppRisk is one application's share of a scenario's revenue at risk.
-	AppRisk = failure.AppRisk
 	// SimCache is a shared, size-bounded cross-run simulation cache;
 	// attach one via PlacementProblem.Cache (or let the Framework manage
 	// one via Config.CacheBytes) to reuse per-(server-shape, app-group)
 	// results bit-exactly across searches, failure sweeps and planning.
 	SimCache = placement.SimCache
-	// SimCacheStats is a point-in-time snapshot of a SimCache's counters.
-	SimCacheStats = placement.CacheStats
 )
 
 // NewSimCache builds a shared simulation cache bounded to maxBytes of
@@ -190,26 +145,12 @@ type (
 // and migration, reporting what each application experienced.
 func SimulatePoolFailure(s *PoolScenario) (*PoolResult, error) { return pool.Run(s) }
 
-// Medium-term rebalancing (paper Figure 1 / section II).
-type (
-	// RebalanceAudit is the service-level evaluation of an assignment.
-	RebalanceAudit = rebalance.Audit
-	// RebalanceConfig tunes a rebalancing pass.
-	RebalanceConfig = rebalance.Config
-	// RebalanceProposal is the outcome of a rebalancing pass.
-	RebalanceProposal = rebalance.Proposal
-)
-
 // Long-term capacity planning (paper Figure 1).
 type (
 	// PlannerConfig parameterizes a capacity-planning run.
 	PlannerConfig = planner.Config
-	// PlannerStep is one horizon step of a capacity plan.
-	PlannerStep = planner.Step
 	// CapacityPlan is the outcome of a capacity-planning run.
 	CapacityPlan = planner.Plan
-	// Move is one container migration between servers.
-	Move = placement.Move
 )
 
 // The composite framework (paper Figure 2).
@@ -230,8 +171,6 @@ type (
 
 // Synthetic workloads and the stress-test substrate.
 type (
-	// AppProfile parameterizes the synthetic demand generator.
-	AppProfile = workload.AppProfile
 	// FleetConfig describes a synthetic fleet.
 	FleetConfig = workload.FleetConfig
 	// StressApplication models a system under stress test.
@@ -249,69 +188,19 @@ type (
 	Container = wlmgr.Container
 	// Compliance summarizes achieved QoS against a requirement.
 	Compliance = wlmgr.Compliance
-	// WorkloadManagerOptions configures a workload-manager replay (lag,
-	// telemetry hooks, fault injection).
-	WorkloadManagerOptions = wlmgr.Options
 )
 
 // Robustness: deterministic fault injection and graceful degradation.
-// Long-running components accept a FaultInjector (nil = no faults) via
-// Config.Inject, PlacementProblem.Inject, PlannerConfig.Inject and
-// WorkloadManagerOptions.Inject; see docs/ROBUSTNESS.md for the
-// injection points and the degradation semantics.
+// Long-running components accept a fault injector (nil = no faults) via
+// Config.Inject, PlacementProblem.Inject and PlannerConfig.Inject; see
+// docs/ROBUSTNESS.md for the injection points and the degradation
+// semantics.
 type (
-	// FaultInjector decides the fate of each instrumented operation.
-	FaultInjector = faultinject.Injector
-	// FaultOutcome is what one injection decision produced.
-	FaultOutcome = faultinject.Outcome
 	// FaultRule scripts faults for one injection point.
 	FaultRule = faultinject.Rule
 	// FaultScript is a deterministic, seeded injector driven by rules.
 	FaultScript = faultinject.Script
-	// FaultFunc adapts a plain function to the FaultInjector interface.
-	FaultFunc = faultinject.Func
 )
-
-// ErrFaultInjected is the base error of every scripted fault; match
-// injected failures with errors.Is.
-var ErrFaultInjected = faultinject.ErrInjected
-
-// Self-healing: deterministic retry of transient failures and
-// crash-safe checkpoint/resume of long sweeps. A RetryPolicy and a
-// CheckpointJournal plug in via Config.Retry / Config.Journal (and the
-// failure, planner and experiments configs); see docs/ROBUSTNESS.md
-// for the classification rules and the byte-identical resume contract.
-type (
-	// RetryPolicy caps attempts per work unit and paces re-attempts
-	// with deterministic seeded backoff.
-	RetryPolicy = resilience.Policy
-	// CheckpointJournal is an append-only fsync'd journal of completed
-	// work units; a nil journal disables checkpointing.
-	CheckpointJournal = checkpoint.Journal
-)
-
-// ErrTransient marks retryable failures; MarkTransient attaches it and
-// Transient (or errors.Is against ErrTransient) detects it. Errors
-// without the mark are permanent and never retried.
-var ErrTransient = resilience.ErrTransient
-
-// MarkTransient marks err as retryable under a RetryPolicy.
-func MarkTransient(err error) error { return resilience.MarkTransient(err) }
-
-// Transient reports whether err is marked retryable.
-func Transient(err error) bool { return resilience.Transient(err) }
-
-// OpenCheckpoint opens (resume=true: loads) a crash-safe checkpoint
-// journal bound to runHash, which must fold every input that
-// determines results — resuming under a different hash fails with
-// checkpoint.ErrRunMismatch.
-func OpenCheckpoint(path string, runHash uint64, resume bool, h Hooks) (*CheckpointJournal, error) {
-	return checkpoint.Open(path, runHash, resume, h)
-}
-
-// NewRunHasher starts a content hash for binding a checkpoint journal
-// to its run identity (traces, QoS, seeds — not worker counts).
-func NewRunHasher() *checkpoint.Hasher { return checkpoint.NewHasher() }
 
 // NewFaultScript builds a deterministic fault-injection script from
 // validated rules.
@@ -321,25 +210,17 @@ func NewFaultScript(seed int64, rules ...FaultRule) (*FaultScript, error) {
 
 // Telemetry: zero-dependency metrics, span tracing and progress hooks.
 // Long-running components accept a Hooks (nil = no-op) via Config.Hooks,
-// PlacementProblem.Hooks, PlannerConfig.Hooks and the *WithHooks entry
-// points; see docs/OBSERVABILITY.md for the metric and span taxonomy.
+// PlacementProblem.Hooks and PlannerConfig.Hooks; see
+// docs/OBSERVABILITY.md for the metric and span taxonomy.
 type (
 	// Hooks hands out metric and span handles to instrumented code.
 	Hooks = telemetry.Hooks
 	// MetricsRegistry is a concurrency-safe registry of counters,
 	// gauges and histograms.
 	MetricsRegistry = telemetry.Registry
-	// MetricsSnapshot is a point-in-time copy of a registry.
-	MetricsSnapshot = telemetry.Snapshot
 	// Tracer records spans for Chrome trace_event export.
 	Tracer = telemetry.Tracer
-	// SpanAttr is a key-value span attribute.
-	SpanAttr = telemetry.Attr
 )
-
-// NopHooks is the no-op Hooks implementation instrumented code falls
-// back to; every handle it returns is free to use.
-var NopHooks = telemetry.Nop
 
 // NewMetricsRegistry builds an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
@@ -353,77 +234,12 @@ func NewHooks(reg *MetricsRegistry, tracer *Tracer) Hooks {
 	return telemetry.New(reg, tracer)
 }
 
-// Serving: the long-running planning service behind `ropus serve`.
-// A PlanningServer accepts translate/place/failover/plan jobs over
-// HTTP/JSON with idempotent content-hashed identities, admission
-// control, and a drain/resume contract that survives SIGTERM; see
-// docs/SERVING.md for the API and the state-directory layout.
-type (
-	// ServeConfig configures a PlanningServer's job manager: state
-	// directory, queue depth, per-class concurrency limits, retry
-	// policy and drain budget.
-	ServeConfig = serve.Config
-	// ServeJobSpec is the JSON job submission body.
-	ServeJobSpec = serve.JobSpec
-	// PlanningServer is the HTTP planning service.
-	PlanningServer = serve.Server
-)
-
-// NewPlanningServer binds addr and prepares (or recovers) the state
-// directory; call Run to serve until the context is cancelled, then
-// drain.
-func NewPlanningServer(addr string, cfg ServeConfig) (*PlanningServer, error) {
-	return serve.New(addr, cfg)
-}
-
-// Topology and the scenario DSL: rack/zone/power-domain structure over
-// the pool's servers, and the declarative scenario classes that compile
-// against it — correlated domain loss, k-of-domain samples, cascades,
-// maintenance windows; see docs/ROBUSTNESS.md.
-type (
-	// Topology is a validated forest of failure domains over servers.
-	Topology = topology.Topology
-	// TopologyDomain is one node of the topology forest.
-	TopologyDomain = topology.Domain
-	// TopologyGenConfig parameterizes SynthesizeTopology.
-	TopologyGenConfig = topology.GenConfig
-	// ScenarioDoc is a decoded scenario DSL document.
-	ScenarioDoc = scenario.Doc
-	// ScenarioEntry is one declared scenario before compilation.
-	ScenarioEntry = scenario.Entry
-)
-
-// ReadTopology decodes and validates a topology JSON document.
-func ReadTopology(r io.Reader) (*Topology, error) { return topology.ReadJSON(r) }
-
-// SynthesizeTopology builds a deterministic synthetic topology (zones,
-// racks, striped power domains) over a pool of servers.
-func SynthesizeTopology(cfg TopologyGenConfig) (*Topology, error) { return topology.Synthesize(cfg) }
-
-// ReadScenarios decodes and validates a scenario DSL document; compile
-// it against a topology with ScenarioDoc.Compile.
-func ReadScenarios(r io.Reader) (*ScenarioDoc, error) { return scenario.ReadJSON(r) }
-
-// AnalyzeFailureScenarios evaluates named failure scenarios against a
-// consolidated configuration with revenue-at-risk economics; most
-// callers should use Framework.RunScenarios instead.
-func AnalyzeFailureScenarios(ctx context.Context, in failure.Input, basePlan *Plan, specs []ScenarioSpec, econ *Economics) (*MultiFailureReport, error) {
-	return failure.AnalyzeScenarios(ctx, in, basePlan, specs, econ)
-}
-
 // NewFramework builds the composite framework from a configuration.
 func NewFramework(cfg Config) (*Framework, error) { return core.New(cfg) }
 
 // NewTrace builds a validated demand trace.
 func NewTrace(appID string, interval time.Duration, samples []float64) (*Trace, error) {
 	return trace.New(appID, interval, samples)
-}
-
-// SanitizeSamples builds a valid demand trace from raw monitoring
-// samples, repairing gaps (NaN) and garbage (negative, infinite)
-// according to the policy.
-func SanitizeSamples(appID string, interval time.Duration, samples []float64, policy GapPolicy) (*Trace, SanitizeResult, error) {
-	return trace.Sanitize(appID, interval, samples, policy)
 }
 
 // Translate maps one application's demand trace onto the pool's two
@@ -447,20 +263,6 @@ func MaxCapReductionBound(uHigh, uDegr float64) float64 {
 // demand traces (the substitute for the paper's proprietary data).
 func GenerateFleet(cfg FleetConfig) (TraceSet, error) { return workload.Fleet(cfg) }
 
-// GenerateFleetFromProfiles produces traces from explicit application
-// profiles (see ReadProfiles/WriteProfiles for the JSON form).
-func GenerateFleetFromProfiles(profiles []AppProfile, weeks int, interval time.Duration, seed int64) (TraceSet, error) {
-	return workload.FleetFromProfiles(profiles, weeks, interval, seed)
-}
-
-// ReadProfiles parses a JSON fleet specification.
-func ReadProfiles(r io.Reader) ([]AppProfile, error) { return workload.ReadProfiles(r) }
-
-// WriteProfiles serializes a fleet specification as JSON.
-func WriteProfiles(w io.Writer, profiles []AppProfile) error {
-	return workload.WriteProfiles(w, profiles)
-}
-
 // CaseStudyFleet returns the 26-application, four-week fleet standing in
 // for the paper's case study.
 func CaseStudyFleet(seed int64) (TraceSet, error) {
@@ -478,9 +280,9 @@ func EvaluatePlacement(p *PlacementProblem, a Assignment) (*Plan, error) {
 }
 
 // ConsolidatePlacement runs the genetic consolidation search from the
-// given initial assignment. Cancelling ctx (or exhausting the
-// GAConfig.TimeBudget) returns the best feasible plan found so far with
-// Plan.Truncated set; see docs/ROBUSTNESS.md for the degradation rules.
+// given initial assignment. Cancelling ctx returns the best feasible
+// plan found so far with Plan.Truncated set; see docs/ROBUSTNESS.md for
+// the degradation rules.
 func ConsolidatePlacement(ctx context.Context, p *PlacementProblem, initial Assignment, cfg GAConfig) (*Plan, error) {
 	return placement.Consolidate(ctx, p, initial, cfg)
 }
@@ -507,31 +309,6 @@ func LeastCorrelatedFit(ctx context.Context, p *PlacementProblem) (*Plan, error)
 	return placement.LeastCorrelatedFit(ctx, p)
 }
 
-// ExactPlacement finds the provably minimal number of servers by branch
-// and bound (practical only for small instances, like the ILP approach
-// the paper's earlier work abandoned for the genetic algorithm).
-func ExactPlacement(ctx context.Context, p *PlacementProblem, maxNodes int) (*Plan, error) {
-	return placement.Exact(ctx, p, maxNodes)
-}
-
-// Migrations returns the container moves needed to get from one
-// assignment to another over the same problem.
-func Migrations(p *PlacementProblem, from, to Assignment) ([]Move, error) {
-	return placement.Migrations(p, from, to)
-}
-
-// AuditPlacement evaluates whether an existing assignment still
-// satisfies the pool commitments under fresh traces.
-func AuditPlacement(p *PlacementProblem, current Assignment) (*RebalanceAudit, error) {
-	return rebalance.Evaluate(p, current)
-}
-
-// Rebalance audits an assignment and proposes migrations when the
-// commitments are violated or consolidation can free servers.
-func Rebalance(ctx context.Context, p *PlacementProblem, current Assignment, cfg RebalanceConfig) (*RebalanceProposal, error) {
-	return rebalance.Run(ctx, p, current, cfg)
-}
-
 // PlanCapacity projects demand over the configured horizon and reports
 // when the current pool will be exhausted (paper Figure 1's long-term
 // capacity planning).
@@ -540,24 +317,6 @@ func Rebalance(ctx context.Context, p *PlacementProblem, current Assignment, cfg
 func PlanCapacity(ctx context.Context, cfg PlannerConfig, traces TraceSet) (*CapacityPlan, error) {
 	return planner.Run(ctx, cfg, traces)
 }
-
-// ForecastWeeks extrapolates a demand trace: the shape of the mean
-// observed week at the level of the weekly trend.
-func ForecastWeeks(tr *Trace, weeks int) (*Trace, error) {
-	return trace.ForecastWeeks(tr, weeks)
-}
-
-// WriteReportText renders a capacity report for terminals.
-func WriteReportText(w io.Writer, r *Report) error { return report.Text(w, r) }
-
-// WriteReportJSON renders a capacity report as JSON.
-func WriteReportJSON(w io.Writer, r *Report) error { return report.JSON(w, r) }
-
-// ReportSummary is the JSON-friendly distillation of a Report.
-type ReportSummary = report.Summary
-
-// SummarizeReport distills a Report into a ReportSummary.
-func SummarizeReport(r *Report) (*ReportSummary, error) { return report.Summarize(r) }
 
 // DeriveUtilizationRange runs the stress-test substrate to find the
 // (Ulow, Uhigh) operating range meeting the responsiveness targets.
@@ -569,22 +328,6 @@ func DeriveUtilizationRange(app StressApplication, targets StressTargets) (Utili
 // simulator at the given capacity and allocation lag.
 func RunWorkloadManager(ctx context.Context, capacity float64, containers []Container, lag int) (*wlmgr.RunResult, error) {
 	return wlmgr.Run(ctx, capacity, containers, lag)
-}
-
-// RunWorkloadManagerWithHooks is RunWorkloadManager with telemetry.
-func RunWorkloadManagerWithHooks(ctx context.Context, capacity float64, containers []Container, lag int, h Hooks) (*wlmgr.RunResult, error) {
-	return wlmgr.RunWithHooks(ctx, capacity, containers, lag, h)
-}
-
-// ReplayWorkloadManager is the fully-optioned workload-manager replay:
-// lag, telemetry hooks and fault injection in one Options struct.
-func ReplayWorkloadManager(ctx context.Context, capacity float64, containers []Container, opts WorkloadManagerOptions) (*wlmgr.RunResult, error) {
-	return wlmgr.Replay(ctx, capacity, containers, opts)
-}
-
-// TranslateWithHooks is Translate with telemetry.
-func TranslateWithHooks(tr *Trace, q AppQoS, theta float64, h Hooks) (*Partition, error) {
-	return portfolio.TranslateWithHooks(tr, q, theta, h)
 }
 
 // CheckCompliance evaluates achieved utilizations of allocation against
