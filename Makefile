@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-smoke experiments fuzz golden serve-e2e fleet-e2e clean
+.PHONY: all build vet test race cover bench bench-smoke bench-ab experiments fuzz golden serve-e2e fleet-e2e clean
 
 all: build vet test race
 
@@ -33,6 +33,14 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=100ms ./... | tee bench_smoke.txt
 
+# Parent-against-working-tree benchmark, interleaved and judged by
+# `bench compare` (scripts/bench_ab.sh): make bench-ab REF=HEAD~1 PAIRS=10
+# WORKLOADS="table1 failover".
+REF ?= HEAD
+PAIRS ?= 10
+bench-ab:
+	bash scripts/bench_ab.sh $(REF) $(PAIRS) $(WORKLOADS)
+
 # Regenerate every table and figure of the paper's evaluation into results/.
 experiments:
 	$(GO) run ./cmd/experiments
@@ -47,6 +55,7 @@ fuzz:
 	$(GO) test -fuzz FuzzScenarioDSL -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzPartition -fuzztime 30s ./internal/partition/
 	$(GO) test -fuzz FuzzFleetGen -fuzztime 30s ./internal/workload/
+	$(GO) test -fuzz FuzzReplayBatchParity -fuzztime 30s ./internal/sim/
 
 # Regenerate the golden corpus after a deliberate behavioural change.
 golden:

@@ -13,40 +13,51 @@ import (
 // Batched multi-capacity replay. A required-capacity search replays the
 // same aggregate trace once per probe; the probes differ only in the
 // scalar capacity being tested. BatchReplayer replays K candidate
-// capacities in ONE pass over the trace: the per-slot work that does not
-// depend on the capacity (trace loads, the θ group index, the requested
-// sums) is computed once and shared, while the per-capacity state lives
-// in contiguous slot-major lanes (a []float64 of per-(group,lane) served
-// sums plus a small per-lane backlog) so the inner loop is branch-light:
-// lanes are kept sorted by capacity, which makes "this lane has a
-// deficit" a prefix property, and slots where no lane carries backlog
-// take a two-branch fast path.
+// capacities in ONE pass and touches only the slots whose outcome can
+// depend on a capacity. Two facts make that exact:
+//
+//   - θ's served = min(requested, avail) never depends on the backlog,
+//     so a θ group none of whose slots has a deficit sums the same
+//     numbers into served as into requested and its ratio is exactly 1,
+//     the value the minimum starts from;
+//   - the deadline queue does nothing while it is empty and the slot is
+//     served in full.
+//
+// Lanes are kept sorted by capacity, and float subtraction is monotone,
+// so "slot i has a deficit" is a prefix property over lanes and a slot
+// without a deficit on the lowest lane (a cold slot) has none on any.
+// A pass is three phases:
+//
+//  1. classify: one linear scan marks the slots that are hot for the
+//     lowest lane, and the θ groups they belong to;
+//  2. θ: only the hot groups are summed, over all their member slots in
+//     time order, per lane;
+//  3. deadlines: lane by lane in ascending capacity, the scalar
+//     serve/drain/expire/enqueue sequence runs over that lane's hot
+//     slots and the drain tails behind them. Hot sets are nested, so
+//     lane j+1 walks the hot list lane j built.
 //
 // Every lane reproduces, bit for bit, what a scalar ReplayWith at that
-// capacity would produce: the per-lane floating-point operations are
-// issued in exactly the same order as the scalar loop, so batched and
-// scalar replays are byte-identical (the parity suite in batch_test.go
-// pins this across the golden corpus, backlog/deadline edge cases and
-// the NaN-corruption fault path).
+// capacity would produce: each accumulator receives exactly the
+// floating-point operations the scalar loop issues, in the same order
+// (the parity suites in batch_test.go and batch_sparse_test.go pin this
+// against the scalar replay and the dense reference kernel across the
+// golden corpus, backlog/deadline edge cases and the NaN-corruption
+// fault path).
 
-// batchLane is the per-capacity cold state: the CoS2 deficit backlog and
-// the deadline statistics. The hot per-lane state (capacity, served
-// sums) lives in the BatchReplayer's contiguous lanes.
+// batchLane is one capacity's deadline statistics.
 type batchLane struct {
-	backlog    []backlogEntry
-	head       int
 	deadlineOK bool
 	unserved   float64
 	misses     int64
 }
 
-// live reports whether the lane carries undischarged backlog.
-func (l *batchLane) live() bool { return l.head < len(l.backlog) }
-
 // BatchReplayer carries the scratch buffers for batched replays: the
-// shared per-group requested sums, the lane-major served sums, and the
-// per-lane backlog queues. Buffers grow on first use and are retained
-// across calls, so steady-state batched replay is allocation-free.
+// hot-slot lists and hot-group marks, the per-group requested sums, the
+// lane-major served sums, and the backlog queue the lanes take turns
+// with. Buffers grow on first use and are retained across calls, so
+// steady-state batched replay is allocation-free. None of them holds a
+// trace or anything keyed by one.
 //
 // A BatchReplayer is not safe for concurrent use; unlike Replayer, this
 // is enforced by a cheap always-on reentrancy guard (a single atomic
@@ -59,17 +70,21 @@ type BatchReplayer struct {
 
 	caps   []float64 // lane capacities, ascending
 	order  []int     // order[j] = caller index of sorted lane j
-	req    []float64 // per-group requested sums (capacity-independent)
-	served []float64 // per-(group,lane) served sums: served[g*K+j]
+	req    []float64 // per-group requested sums; valid for hot groups only
+	served []float64 // per-(group,lane) served sums: served[g*K+j]; hot groups only
 	lanes  []batchLane
 
+	hot       []int  // time-ordered hot slots of the lane being walked
+	hotNext   []int  // the next lane's hot slots, built during the walk
+	hotGroup  []bool // hotGroup[g]: group g contains a hot slot
+	hotGroups []int  // indices of the hot groups, ascending
+	backlog   []backlogEntry
+
 	// workFrac is the last pass's mean expensive-lane fraction: the
-	// share of (slot, lane) pairs that took the full serve/backlog
-	// arithmetic instead of a clean shortcut (full-service add or
-	// suffix break). It is the cost signal the K-ary search adapts its
-	// speculation depth to — a shortcut lane-slot costs ~0.1x of its
-	// scalar equivalent, an arithmetic one ~1x — and never affects
-	// replay results.
+	// share of (slot, lane) pairs that are hot or enter the slot with a
+	// live backlog, i.e. that took the full serve/backlog arithmetic.
+	// It is the cost signal the K-ary search adapts its speculation
+	// depth to, and never affects replay results.
 	workFrac float64
 	// hintDepth is cross-search scratch for the K-ary search: the
 	// speculation depth the last search on this (pooled) replayer
@@ -95,16 +110,20 @@ func (r *BatchReplayer) acquire() {
 // release returns the guard.
 func (r *BatchReplayer) release() { r.busy.Store(0) }
 
-// setup sizes and clears the scratch for K lanes × groups θ groups and
-// sorts the lanes by capacity.
-func (r *BatchReplayer) setup(capacities []float64, groups int) {
+// setup sorts the lanes by capacity and sizes the scratch for K lanes ×
+// groups θ groups over an n-slot trace. The group sums are not cleared
+// here: phase 2 zeroes the hot groups' rows as it reaches them and
+// nothing reads a cold group's.
+func (r *BatchReplayer) setup(capacities []float64, groups, n int) {
 	k := len(capacities)
 	if cap(r.caps) < k {
 		r.caps = make([]float64, k)
 		r.order = make([]int, k)
+		r.lanes = make([]batchLane, k)
 	}
 	r.caps = r.caps[:k]
 	r.order = r.order[:k]
+	r.lanes = r.lanes[:k]
 	for i := range r.order {
 		r.order[i] = i
 	}
@@ -124,43 +143,39 @@ func (r *BatchReplayer) setup(capacities []float64, groups int) {
 	for j, idx := range r.order {
 		r.caps[j] = capacities[idx]
 	}
+	for j := range r.lanes {
+		r.lanes[j] = batchLane{deadlineOK: true}
+	}
 
 	if cap(r.req) < groups {
 		r.req = make([]float64, groups)
+		r.hotGroup = make([]bool, groups)
+		r.hotGroups = make([]int, 0, groups)
 	}
 	r.req = r.req[:groups]
-	for i := range r.req {
-		r.req[i] = 0
-	}
-	need := groups * k
-	if cap(r.served) < need {
+	r.hotGroup = r.hotGroup[:groups]
+	clear(r.hotGroup)
+	r.hotGroups = r.hotGroups[:0]
+	if need := groups * k; cap(r.served) < need {
 		r.served = make([]float64, need)
+	} else {
+		r.served = r.served[:need]
 	}
-	r.served = r.served[:need]
-	for i := range r.served {
-		r.served[i] = 0
-	}
-
-	for len(r.lanes) < k {
-		r.lanes = append(r.lanes, batchLane{})
-	}
-	for j := 0; j < k; j++ {
-		ln := &r.lanes[j]
-		ln.backlog = ln.backlog[:0]
-		ln.head = 0
-		ln.deadlineOK = true
-		ln.unserved = 0
-		ln.misses = 0
+	if cap(r.hot) < n {
+		r.hot = make([]int, n)
+		r.hotNext = make([]int, n)
 	}
 }
 
-// ReplayBatch replays the aggregate against every capacity in one pass
-// over the trace and writes the per-capacity results to out (out[i] is
-// the outcome at capacities[i]); each result is bit-identical to a
-// scalar ReplayWith at that capacity. cfg.Capacity is ignored — the
-// lane capacities replace it. A corruption fault injected at the
-// "sim.replay" point poisons the shared slot-0 request exactly as it
-// does for a scalar replay, so the whole batch surfaces the same
+// ReplayBatch replays the aggregate against every capacity in one
+// three-phase pass (classify the hot slots, sum θ over the hot groups,
+// walk each lane's deadline queue over its hot slots) and writes the
+// per-capacity results to out (out[i] is the outcome at capacities[i]);
+// each result is bit-identical to a scalar ReplayWith at that capacity.
+// cfg.Capacity is ignored — the lane capacities replace it. A
+// corruption fault injected at the "sim.replay" point poisons the
+// shared slot-0 request exactly as it does for a scalar replay (slot 0
+// is hot by construction), so the whole batch surfaces the same
 // NaN-statistics error.
 func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float64, out []Result) error {
 	cfg.Capacity = 0 // ignored; keep Validate happy for the shared fields
@@ -197,174 +212,209 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 	const eps = 1e-9
 	t := cfg.SlotsPerDay
 	n := a.Slots()
+	corrupted = corrupted && n > 0
 	weeks := n / (7 * t)
 	if weeks == 0 {
-		weeks = 1
+		weeks = 1 // partial trace: treat everything as week 0
 	}
+	lastWeek := weeks - 1
 	groups := weeks * t
-	r.setup(capacities, groups)
+	r.setup(capacities, groups, n)
 
 	var (
-		caps   = r.caps
-		req    = r.req
-		served = r.served
-		lanes  = r.lanes[:k]
+		caps     = r.caps
+		req      = r.req
+		served   = r.served
+		lanes    = r.lanes
+		hotGroup = r.hotGroup
+		cos1     = a.cos1[:n]
+		cos2     = a.cos2[:n]
 	)
 
-	// backlogLive counts lanes carrying backlog; while it is zero the
-	// slot takes the fast path below. maxLive is an upper bound on the
-	// highest live lane index (-1 when none): every lane above it is
-	// backlog-free, so the slow path can bulk-serve the clean suffix.
-	// workSlots accumulates the (slot, lane) pairs that took the full
-	// serve/backlog arithmetic, for the workFrac cost signal.
-	backlogLive := 0
-	maxLive := -1
-	workSlots := int64(0)
-	// Incremental θ group index: g = week*t + (i mod t), with the
-	// trailing partial week folded into the last one (the scalar loop's
-	// clamp).
-	tod, week, weekSlot := 0, 0, 0
-	lastWeek := weeks - 1
-
-	for i := 0; i < n; i++ {
-		cos1 := a.cos1[i]
-		requested := a.cos2[i]
-		if corrupted && i == 0 {
-			requested = math.NaN()
+	// Phase 1, classify. A slot is hot iff the lowest lane cannot serve
+	// its request in full: !(max(0, c0−cos1) >= cos2), the kernel's own
+	// predicate. The scan tests it as "c0−cos1 >= cos2 is cold" first —
+	// the clamp can only raise avail — and consults the clamp only on
+	// the slots that fail, so a cold slot costs one subtraction and one
+	// compare, and a NaN request fails both tests and is hot. Walking day
+	// by day keeps the θ group index at week·t + (i − base): g = i + gOff,
+	// the trailing partial week folded into the last one (the scalar
+	// loop's clamp).
+	hot := r.hot[:n]
+	m := 0
+	if corrupted {
+		hot[0], hotGroup[0], m = 0, true, 1
+	}
+	c0 := caps[0]
+	for base, day, week := 0, 0, 0; base < n; base += t {
+		first := base
+		if corrupted && base == 0 {
+			first = 1
 		}
-		g := week*t + tod
-		req[g] += requested
-		row := served[g*k : g*k+k]
-
-		if backlogLive == 0 {
-			// No lane has backlog. Lanes that cannot serve the full
-			// request form a prefix of the ascending-capacity lanes;
-			// everything past the prefix serves `requested` exactly.
-			j := 0
-			for ; j < k; j++ {
-				avail := caps[j] - cos1
-				if avail < 0 {
-					avail = 0
-				}
-				if avail >= requested {
-					break
-				}
-				s := math.Min(requested, avail)
-				row[j] += s
-				if deficit := requested - s; deficit > eps {
-					ln := &lanes[j]
-					if cfg.DeadlineSlots == 0 {
-						ln.deadlineOK = false
-						ln.unserved += deficit
-						ln.misses++
-					} else {
-						ln.backlog = append(ln.backlog, backlogEntry{due: i + cfg.DeadlineSlots, amount: deficit})
-						backlogLive++
-						maxLive = j // ascending loop: the last append is the highest
-					}
-				}
+		end := min(base+t, n)
+		day1, day2 := cos1[first:end], cos2[first:end]
+		m0 := m
+		for x, c1 := range day1 {
+			requested := day2[x]
+			if c0-c1 >= requested || (c0 < c1 && 0 >= requested) {
+				continue
 			}
-			workSlots += int64(j) // the deficit prefix did full arithmetic
-			for ; j < k; j++ {
-				row[j] += requested
-			}
-		} else {
-			// bound is maxLive frozen at slot start: lanes above it were
-			// backlog-free entering the slot and are processed after any
-			// lane that could go live this slot, so once the loop passes
-			// bound with a fully-served clean lane, every remaining lane
-			// is clean and serves exactly `requested` too.
-			bound := maxLive
-			for j := 0; j < k; j++ {
-				ln := &lanes[j]
-				avail := caps[j] - cos1
-				if avail < 0 {
-					avail = 0
-				}
-				if avail >= requested && !ln.live() {
-					// Clean lane: no backlog to drain or expire, and
-					// min(requested, avail) is exactly `requested` (no
-					// arithmetic), so this is the scalar result bit for
-					// bit. A NaN request never takes this branch (the
-					// comparison is false), keeping corruption parity.
-					if j > bound {
-						for ; j < k; j++ {
-							row[j] += requested
-						}
-						break
-					}
-					row[j] += requested
-					continue
-				}
-				workSlots++
-				s := math.Min(requested, avail)
-				avail -= s
-				wasLive := ln.live()
-				if wasLive {
-					for ln.head < len(ln.backlog) && avail > eps {
-						take := math.Min(ln.backlog[ln.head].amount, avail)
-						ln.backlog[ln.head].amount -= take
-						avail -= take
-						if ln.backlog[ln.head].amount <= eps {
-							ln.head++
-						}
-					}
-					for ln.head < len(ln.backlog) && ln.backlog[ln.head].due <= i {
-						if ln.backlog[ln.head].amount > eps {
-							ln.deadlineOK = false
-							ln.unserved += ln.backlog[ln.head].amount
-							ln.misses++
-						}
-						ln.head++
-					}
-				}
-				if deficit := requested - s; deficit > eps {
-					if cfg.DeadlineSlots == 0 {
-						ln.deadlineOK = false
-						ln.unserved += deficit
-						ln.misses++
-					} else {
-						ln.backlog = append(ln.backlog, backlogEntry{due: i + cfg.DeadlineSlots, amount: deficit})
-					}
-				}
-				if nowLive := ln.live(); nowLive != wasLive {
-					if nowLive {
-						backlogLive++
-						if j > maxLive {
-							maxLive = j
-						}
-					} else {
-						ln.backlog = ln.backlog[:0]
-						ln.head = 0
-						backlogLive--
-					}
-				}
-				row[j] += s
-			}
-			// Tighten the stale bound so the next slot's suffix break
-			// starts as low as possible.
-			if backlogLive == 0 {
-				maxLive = -1
-			} else {
-				for maxLive >= 0 && !lanes[maxLive].live() {
-					maxLive--
-				}
-			}
+			hot[m] = first + x
+			m++
 		}
-
-		if tod++; tod == t {
-			tod = 0
+		gOff := week*t - base
+		for _, i := range hot[m0:m] {
+			hotGroup[i+gOff] = true
 		}
-		if weekSlot++; weekSlot == 7*t {
-			weekSlot = 0
+		if day++; day == 7 {
+			day = 0
 			if week < lastWeek {
 				week++
 			}
 		}
 	}
+	hot = hot[:m]
+
+	// Phase 2, θ. Every member of a hot group, hot or not, adds to the
+	// group's sums in time order with exactly the scalar operations:
+	// lanes in the deficit prefix add min(requested, avail), the rest
+	// add requested.
+	visited := int64(0)
+	hotGroups := r.hotGroups
+	for week, g := 0, 0; week < weeks; week++ {
+		end := (week + 1) * 7 * t
+		if week == lastWeek {
+			end = n
+		}
+		for x := 0; x < t; x, g = x+1, g+1 {
+			if !hotGroup[g] {
+				continue
+			}
+			hotGroups = append(hotGroups, g)
+			row := served[g*k : g*k+k]
+			clear(row)
+			rq := 0.0
+			for i := week*7*t + x; i < end; i += t {
+				visited++
+				c1 := cos1[i]
+				requested := cos2[i]
+				if corrupted && i == 0 {
+					requested = math.NaN()
+				}
+				rq += requested
+				j := 0
+				for ; j < k; j++ {
+					avail := caps[j] - c1
+					if avail < 0 {
+						avail = 0
+					}
+					if avail >= requested {
+						break
+					}
+					row[j] += min(requested, avail)
+				}
+				for ; j < k; j++ {
+					row[j] += requested
+				}
+			}
+			req[g] = rq
+		}
+	}
+	r.hotGroups = hotGroups
+
+	// Phase 3, deadlines. Lane j walks the hot list of lane j−1 (a
+	// superset of its own) and builds its own for lane j+1. Between
+	// listed slots its backlog is empty and every slot is served in
+	// full, so nothing happens there; at a hot slot it runs the scalar
+	// sequence and keeps stepping slot by slot until the backlog has
+	// drained. workSlots counts the scalar-sequence runs — the (slot,
+	// lane) pairs that are hot or enter the slot with a live backlog.
+	workSlots := int64(0)
+	next := r.hotNext[:n]
+	backlog := r.backlog[:0]
+	for j := 0; j < k; j++ {
+		ln := &lanes[j]
+		c := caps[j]
+		m = 0
+		for p := 0; p < len(hot); {
+			i := hot[p]
+			p++
+			visited++
+			avail := c - cos1[i]
+			if avail < 0 {
+				avail = 0
+			}
+			requested := cos2[i]
+			if corrupted && i == 0 {
+				requested = math.NaN()
+			}
+			if avail >= requested {
+				continue
+			}
+			next[m] = i
+			m++
+			workSlots++
+			deficit := requested - min(requested, avail)
+			if !(deficit > eps) {
+				continue
+			}
+			if cfg.DeadlineSlots == 0 {
+				ln.deadlineOK = false
+				ln.unserved += deficit
+				ln.misses++
+				continue
+			}
+			// The deficit opens a backlog: step through the slots behind
+			// it until it has drained or expired.
+			backlog = append(backlog[:0], backlogEntry{due: i + cfg.DeadlineSlots, amount: deficit})
+			head := 0
+			for i++; i < n && head < len(backlog); i++ {
+				visited++
+				workSlots++
+				avail := c - cos1[i]
+				if avail < 0 {
+					avail = 0
+				}
+				requested := cos2[i]
+				if !(avail >= requested) {
+					next[m] = i
+					m++
+				}
+				s := min(requested, avail)
+				avail -= s
+				for head < len(backlog) && avail > eps {
+					take := min(backlog[head].amount, avail)
+					backlog[head].amount -= take
+					avail -= take
+					if backlog[head].amount <= eps {
+						head++
+					}
+				}
+				for head < len(backlog) && backlog[head].due <= i {
+					if backlog[head].amount > eps {
+						ln.deadlineOK = false
+						ln.unserved += backlog[head].amount
+						ln.misses++
+					}
+					head++
+				}
+				if deficit := requested - s; deficit > eps {
+					backlog = append(backlog, backlogEntry{due: i + cfg.DeadlineSlots, amount: deficit})
+				}
+			}
+			// Listed slots the tail already stepped through are done.
+			for p < len(hot) && hot[p] < i {
+				p++
+			}
+		}
+		hot, next = next[:m], hot[:n]
+	}
+	r.backlog = backlog[:0]
 
 	// Finalize each lane exactly like the scalar θ loop, writing results
-	// back in the caller's capacity order.
+	// back in the caller's capacity order. Cold groups are skipped: their
+	// served and requested sums are the same fold of the same finite
+	// numbers, so their ratio is exactly 1 and they hold no NaN.
 	h := telemetry.OrNop(cfg.Hooks)
 	thetaHist := h.Histogram("sim_probe_theta", telemetry.RatioBuckets)
 	var missesTotal int64
@@ -377,7 +427,7 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 			PeakAggregate: a.totalPeak,
 		}
 		res.Theta = 1
-		for g := 0; g < groups; g++ {
+		for _, g := range hotGroups {
 			rq, sv := req[g], served[g*k+j]
 			if math.IsNaN(rq) || math.IsNaN(sv) {
 				return fmt.Errorf("sim: replay produced NaN statistics (corrupted trace slot?)")
@@ -399,6 +449,7 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 	}
 	h.Counter("sim_replays_total").Add(int64(k))
 	h.Counter("sim_replay_slots_total").Add(int64(n))
+	h.Counter("sim_replay_slots_visited_total").Add(visited)
 	r.workFrac = 0
 	if n > 0 {
 		r.workFrac = float64(workSlots) / float64(int64(n)*int64(k))

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"ropus/internal/qos"
@@ -22,10 +24,12 @@ import (
 
 // benchBurstyAgg builds a 4-week, 5-minute-slot trace with a diurnal
 // base load and 2% demand spikes.
-func benchBurstyAgg() *Aggregate {
+func benchBurstyAgg() *Aggregate { return benchDiurnalAgg(28, 288) }
+
+// benchDiurnalAgg is that shape at a chosen calendar: days of spd slots.
+func benchDiurnalAgg(days, spd int) *Aggregate {
 	r := rand.New(rand.NewSource(11))
-	const weeks, spd = 4, 288
-	n := weeks * 7 * spd
+	n := days * spd
 	cos1 := make([]float64, n)
 	cos2 := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -124,4 +128,66 @@ func BenchmarkSearchKary(b *testing.B) {
 	saved := reg.Counter("sim_search_passes_saved_total").Value()
 	b.ReportMetric(float64(passes)/float64(b.N), "passes/search")
 	b.ReportMetric(float64(passes+saved)/float64(b.N), "probes/search")
+}
+
+// hotLadder returns 7 ascending lanes whose lowest leaves about the
+// given share of slots in deficit: the (1−hot) quantile of the total
+// demand up to TotalPeak. hot = 1 is the worst case for a sparse
+// kernel — every lane far below the smallest demand, so every slot is
+// hot and every lane carries backlog throughout.
+func hotLadder(a *Aggregate, hot float64) []float64 {
+	total := make([]float64, a.Slots())
+	for i := range total {
+		total[i] = a.cos1[i] + a.cos2[i]
+	}
+	sort.Float64s(total)
+	lo, hi := total[int(float64(len(total)-1)*(1-hot))], a.totalPeak
+	if hot >= 1 {
+		lo, hi = 0.3*total[0], 0.6*total[0]
+	}
+	caps := make([]float64, 7)
+	for j := range caps {
+		caps[j] = lo + (hi-lo)*float64(j)/float64(len(caps))
+	}
+	return caps
+}
+
+// BenchmarkReplayBatchHot puts the sparse kernel's worst case on the
+// record next to the dense reference: one 7-lane pass at hot fractions
+// of about 1%, 10%, 50% and 100%, on the paper's 8064-slot trace and on
+// a 168-slot one (a week of hourly slots, where the fixed per-pass
+// costs weigh most). docs/PERFORMANCE.md quotes the ratios.
+func BenchmarkReplayBatchHot(b *testing.B) {
+	for _, shape := range []struct{ days, spd int }{{28, 288}, {7, 24}} {
+		a := benchDiurnalAgg(shape.days, shape.spd)
+		cfg := benchBatchConfig()
+		cfg.SlotsPerDay = shape.spd
+		for _, hot := range []float64{0.01, 0.10, 0.50, 1} {
+			caps := hotLadder(a, hot)
+			out := make([]Result, len(caps))
+			name := fmt.Sprintf("slots=%d/hot=%d%%", a.Slots(), int(hot*100))
+			report := func(b *testing.B, workFrac float64) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(caps)*a.Slots()), "ns/lane-slot")
+				b.ReportMetric(workFrac, "workfrac")
+			}
+			b.Run(name+"/sparse", func(b *testing.B) {
+				br := NewBatchReplayer()
+				for i := 0; i < b.N; i++ {
+					if err := a.ReplayBatch(br, cfg, caps, out); err != nil {
+						b.Fatal(err)
+					}
+				}
+				report(b, br.workFrac)
+			})
+			b.Run(name+"/dense", func(b *testing.B) {
+				dr := new(denseReplayer)
+				for i := 0; i < b.N; i++ {
+					if err := a.replayBatchDense(dr, cfg, caps, out); err != nil {
+						b.Fatal(err)
+					}
+				}
+				report(b, dr.workFrac)
+			})
+		}
+	}
 }

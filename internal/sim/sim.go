@@ -407,8 +407,13 @@ func (a *Aggregate) RequiredCapacity(ctx context.Context, cfg Config, limit, tol
 // and then walks the tree with the probe outcomes in hand, cutting
 // trace passes by ~5× while returning the bit-identical capacity and
 // Result a plain bisection would (the probe capacities and the
-// decisions taken at them are exactly the bisection's own). The
-// "sim.replay" injection point fires once per trace pass.
+// decisions taken at them are exactly the bisection's own). The order
+// of the first probes depends on limit < TotalPeak alone: a clamped
+// search replays its ceiling (the limit) by itself and returns
+// "infeasible" at once if that does not fit, speculating midpoints only
+// afterwards; an unclamped search, whose ceiling is TotalPeak and
+// nearly free to replay, carries it as one more lane of the first tree
+// pass. The "sim.replay" injection point fires once per trace pass.
 func (a *Aggregate) Search(ctx context.Context, cfg Config, limit, tol float64) (SearchOutcome, error) {
 	if tol <= 0 {
 		return SearchOutcome{}, fmt.Errorf("sim: tolerance %v <= 0", tol)
@@ -506,7 +511,7 @@ func (bt *bisectTree) build(lo, hi, tol float64, depth int) {
 	if cap(bt.mids) < maxN {
 		bt.mids = make([]float64, 0, maxN)
 		bt.lanes = make([]int, 0, maxN)
-		bt.caps = make([]float64, 0, maxN+1) // +1: the first pass rides the hi probe along
+		bt.caps = make([]float64, 0, maxN+1) // +1: an unclamped first pass rides the hi probe along
 		bt.out = make([]Result, maxN+1)
 		bt.spans = make([]searchSpan, 0, maxN)
 	}
@@ -538,9 +543,10 @@ func (bt *bisectTree) build(lo, hi, tol float64, depth int) {
 // searchKary runs the bisection over batched passes: each pass
 // evaluates the next ≤ searchDepth levels of midpoints in one trace
 // traversal, then the walk descends the tree with every probe outcome
-// already known. The capacities probed, the order of the Fits
-// decisions, and the returned outcome are identical to the scalar
-// bisection's (the reference the parity suites keep in a test file).
+// already known. The capacities the walk consults, the Fits decisions
+// taken at them, and the returned outcome are identical to the scalar
+// bisection's (the reference the parity suites keep in a test file);
+// a clamped search decides its ceiling before the first tree.
 func (a *Aggregate) searchKary(ctx context.Context, cfg Config, limit, tol float64) (SearchOutcome, error) {
 	br := batchPool.Get().(*BatchReplayer)
 	defer batchPool.Put(br)
@@ -603,41 +609,61 @@ func (a *Aggregate) searchKaryWith(ctx context.Context, cfg Config, limit, tol f
 	}
 	depth := depthFor(br.hintDepth)
 
-	// First pass: the hi probe rides along with the speculative first
-	// tree of midpoints over (lo, hi), so a feasible search starts its
-	// walk with the first levels already evaluated.
 	tree := treePool.Get().(*bisectTree)
 	defer treePool.Put(tree)
-	tree.build(lo, hi, tol, depth)
-	k := len(tree.caps)
-	caps := append(tree.caps, hi)
-	out := tree.out[:k+1]
-	if err := a.ReplayBatch(br, cfg, caps, out); err != nil {
-		return SearchOutcome{}, err
-	}
-	tree.caps = caps[:k]
-	hiRes := out[k]
-	treeLive := true
-	br.hintDepth = depthForWorkFrac(br.workFrac)
-	depth = depthFor(br.hintDepth)
-
-	if !hiRes.Fits(cfg.Commitment.Theta) {
-		// θ or deadline unsatisfiable even at the peak: try the full
-		// limit before giving up (deadline backlogs can need headroom).
-		unclamped = false
-		treeLive = false // the speculative tree covered (lo, old hi)
-		if hi < limit {
-			var err error
-			if hiRes, err = a.replayOne(br, cfg, limit); err != nil {
-				return SearchOutcome{}, err
-			}
-			probes++
-			passes++
-			hi = limit
+	var hiRes Result
+	treeLive := false
+	if !unclamped {
+		// Clamped (hi == limit, nothing to escalate to): decide the
+		// ceiling before speculating. A search that does not fit at the
+		// server's limit ends after this one lane, without replaying a
+		// tree of midpoints — the lanes deepest in deficit — that nobody
+		// would read. The lone probe says nothing about the cost regime
+		// of the midpoints, so it leaves hintDepth alone.
+		var err error
+		if hiRes, err = a.replayOne(br, cfg, hi); err != nil {
+			return SearchOutcome{}, err
 		}
 		if !hiRes.Fits(cfg.Commitment.Theta) {
 			h.Counter("sim_search_infeasible_total").Inc()
 			return SearchOutcome{Capacity: hi, Result: hiRes}, nil
+		}
+	} else {
+		// Unclamped (hi == TotalPeak, a lane with next to no hot slots):
+		// the hi probe rides along with the speculative first tree of
+		// midpoints over (lo, hi), so the walk starts with the first
+		// levels already evaluated.
+		tree.build(lo, hi, tol, depth)
+		k := len(tree.caps)
+		caps := append(tree.caps, hi)
+		out := tree.out[:k+1]
+		if err := a.ReplayBatch(br, cfg, caps, out); err != nil {
+			return SearchOutcome{}, err
+		}
+		tree.caps = caps[:k]
+		hiRes = out[k]
+		treeLive = true
+		br.hintDepth = depthForWorkFrac(br.workFrac)
+		depth = depthFor(br.hintDepth)
+
+		if !hiRes.Fits(cfg.Commitment.Theta) {
+			// θ or deadline unsatisfiable even at the peak: try the full
+			// limit before giving up (deadline backlogs can need headroom).
+			unclamped = false
+			treeLive = false // the speculative tree covered (lo, old hi)
+			if hi < limit {
+				var err error
+				if hiRes, err = a.replayOne(br, cfg, limit); err != nil {
+					return SearchOutcome{}, err
+				}
+				probes++
+				passes++
+				hi = limit
+			}
+			if !hiRes.Fits(cfg.Commitment.Theta) {
+				h.Counter("sim_search_infeasible_total").Inc()
+				return SearchOutcome{Capacity: hi, Result: hiRes}, nil
+			}
 		}
 	}
 
