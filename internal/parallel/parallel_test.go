@@ -87,6 +87,12 @@ func TestForEachCancelMidwayParallel(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]bool{}
 	done := ForEach(ctx, 3, 100, func(i int) {
+		if i > 5 {
+			// Hold every later job until job 5 has cancelled, so the other
+			// workers cannot drain the range while its worker is
+			// descheduled.
+			<-ctx.Done()
+		}
 		mu.Lock()
 		seen[i] = true
 		mu.Unlock()

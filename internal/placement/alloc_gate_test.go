@@ -9,7 +9,7 @@ import (
 // TestConsolidateAllocBudget is the allocation gate for the
 // consolidation path: a small search must stay within a fixed
 // allocation budget. The ceilings sit ~2x above the measured counts
-// (~1.2k single-population, ~1.7k islands), so GA trajectory noise
+// (~1.2k with one island, ~1.9k with four), so GA trajectory noise
 // passes but an accidental per-server or per-miss allocation in the
 // scoring loop — candidates are scored without per-server detail, and
 // only the returned plan is materialised — fails.

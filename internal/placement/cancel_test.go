@@ -3,8 +3,11 @@ package placement
 import (
 	"context"
 	"errors"
+	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,23 +161,111 @@ func TestChaosInjectedSolverError(t *testing.T) {
 	}
 }
 
-func TestChaosConsolidatePanicRecovered(t *testing.T) {
+// TestChaosPanicReleasesWaiters checks that a panic while computing a
+// group still releases the goroutines waiting for that group: the
+// worker pool re-raises a panic only once every running job returns, so
+// a waiter left blocked would hang the search instead.
+func TestChaosPanicReleasesWaiters(t *testing.T) {
 	p := cancelProblem()
-	p.Inject = faultinject.Func(func(point, key string) faultinject.Outcome {
-		panic("injected panic for " + point)
-	})
-	initial, err := OneAppPerServer(p)
-	if err != nil {
+	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Consolidate(context.Background(), p, initial, DefaultGAConfig(7))
-	if err == nil {
-		t.Fatalf("want recovered panic error, got plan %+v", plan)
+	ev := newEvaluator(p)
+	waiting := func() bool {
+		for i := range ev.shards {
+			sh := &ev.shards[i]
+			sh.mu.Lock()
+			for _, fl := range sh.inflight {
+				if fl != nil {
+					sh.mu.Unlock()
+					return true
+				}
+			}
+			sh.mu.Unlock()
+		}
+		return false
 	}
-	if !errors.Is(err, robust.ErrPanic) {
-		t.Errorf("error should wrap robust.ErrPanic, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "injected panic") {
-		t.Errorf("error should carry the panic value, got %v", err)
+	var calls atomic.Int64
+	p.Inject = faultinject.Func(func(point, key string) faultinject.Outcome {
+		if calls.Add(1) == 1 {
+			for !waiting() {
+				runtime.Gosched()
+			}
+			panic("injected panic")
+		}
+		return faultinject.Outcome{}
+	})
+	defer func() {
+		if r := recover(); r != "injected panic" {
+			t.Errorf("recovered %v, want the injected panic", r)
+		}
+	}()
+	// Both assignments are one group on server 0: the first scorer
+	// computes it, the second waits for it.
+	a := make(Assignment, len(p.Apps))
+	_, _ = scoreAll(context.Background(), ev, []Assignment{a, a.Clone()}, 2)
+	t.Error("scoreAll returned instead of re-raising the panic")
+}
+
+// TestChaosConsolidatePanicRecovered checks that a panic inside a search
+// comes back from Consolidate as an error wrapping robust.ErrPanic: on
+// the first evaluation of seeding, and after seeding, inside offspring
+// evaluations running on worker goroutines — with one island, and with
+// four, where the panic also crosses the island dispatch.
+func TestChaosConsolidatePanicRecovered(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2) // offspring are scored on two workers
+	defer runtime.GOMAXPROCS(prev)
+	for _, tc := range []struct {
+		name    string
+		islands int
+		late    bool
+	}{
+		{"seeding", 0, false},
+		{"offspring", 0, true},
+		{"offspring/islands=4", 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultGAConfig(7)
+			cfg.Islands = tc.islands
+			var calls, after atomic.Int64
+			run := func(ctx context.Context) (*Plan, error) {
+				p := cancelProblem()
+				p.Inject = faultinject.Func(func(point, key string) faultinject.Outcome {
+					if calls.Add(1) > after.Load() {
+						panic("injected panic")
+					}
+					return faultinject.Outcome{}
+				})
+				initial, err := OneAppPerServer(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return Consolidate(ctx, p, initial, cfg)
+			}
+			if tc.late {
+				// Without warm starts seeding is the initial assignment and
+				// its mutants. A search on a dead context runs seeding and
+				// nothing else, which counts its injector calls.
+				cfg.SeedGreedy = false
+				after.Store(math.MaxInt64)
+				dead, cancel := context.WithCancel(context.Background())
+				cancel()
+				if _, err := run(dead); err != nil {
+					t.Fatal(err)
+				}
+				after.Store(calls.Load())
+				calls.Store(0)
+			}
+			plan, err := run(context.Background())
+			if err == nil {
+				t.Fatalf("want recovered panic error, got plan %+v", plan)
+			}
+			if !errors.Is(err, robust.ErrPanic) {
+				t.Errorf("error should wrap robust.ErrPanic, got %v", err)
+			}
+			if !strings.Contains(err.Error(), "injected panic") {
+				t.Errorf("error should carry the panic value, got %v", err)
+			}
+		})
 	}
 }

@@ -7,9 +7,8 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
-	"time"
 
+	"ropus/internal/parallel"
 	"ropus/internal/robust"
 	"ropus/internal/telemetry"
 )
@@ -46,10 +45,10 @@ type GAConfig struct {
 	// Islands splits the population into this many subpopulations that
 	// evolve independently (each on its own deterministically derived
 	// RNG) and exchange their best member around a ring every
-	// MigrationInterval generations. 0 or 1 runs the classic
-	// single-population search, bit-for-bit identical to earlier
-	// releases; any value is byte-deterministic per (Seed, Islands)
-	// regardless of how many worker goroutines evaluate offspring.
+	// MigrationInterval generations. 0 or 1 runs a ring of one island
+	// drawing from Seed itself: the classic single-population search.
+	// Any value is byte-deterministic per (Seed, Islands) regardless of
+	// how many worker goroutines evaluate offspring.
 	Islands int
 	// MigrationInterval is the number of generations between ring
 	// migrations when Islands > 1; 0 selects DefaultMigrationInterval.
@@ -113,6 +112,11 @@ func (c GAConfig) Validate() error {
 // and returns the best feasible plan found. It returns an error if no
 // feasible assignment is discovered (including the initial one).
 //
+// The search runs as a ring of n = max(cfg.Islands, 1) islands (see
+// islands.go): subpopulations that evolve independently and trade their
+// best member around the ring every MigrationInterval generations. A
+// ring of one is the classic single-population search of Figure 5.
+//
 // Cancellation degrades gracefully: ctx is checked at every generation
 // boundary (and by the parallel offspring evaluations), and a cancelled
 // search returns its best feasible plan so far with Plan.Truncated set
@@ -121,12 +125,6 @@ func (c GAConfig) Validate() error {
 // is always evaluated to completion (detached from ctx's cancellation)
 // so that a given seed yields the same best-so-far plan no matter when
 // the cancel lands.
-//
-// With cfg.Islands > 1 the search runs the deterministic island model
-// (see islands.go): the population is split into subpopulations that
-// evolve independently and trade their best member around a ring every
-// MigrationInterval generations. Islands <= 1 runs the classic
-// single-population loop below, unchanged.
 func Consolidate(ctx context.Context, p *Problem, initial Assignment, cfg GAConfig) (plan *Plan, err error) {
 	defer robust.Recover("placement.Consolidate", &err)
 	if err := p.Validate(); err != nil {
@@ -138,160 +136,88 @@ func Consolidate(ctx context.Context, p *Problem, initial Assignment, cfg GAConf
 	if err := initial.Validate(p); err != nil {
 		return nil, err
 	}
-	if cfg.Islands > 1 {
-		return consolidateIslands(ctx, p, initial, cfg)
-	}
-	return consolidateSingle(ctx, p, initial, cfg)
-}
-
-// consolidateSingle is the classic single-population genetic search; its
-// RNG consumption order is pinned by the deterministic golden tests and
-// must not change.
-func consolidateSingle(ctx context.Context, p *Problem, initial Assignment, cfg GAConfig) (plan *Plan, err error) {
-	h := telemetry.OrNop(p.Hooks)
-	ctx, span := telemetry.StartSpanCtx(ctx, p.Hooks, "placement.consolidate",
-		telemetry.Int("apps", len(p.Apps)),
+	n := max(cfg.Islands, 1)
+	attrs := []telemetry.Attr{telemetry.Int("apps", len(p.Apps)),
 		telemetry.Int("servers", len(p.Servers)),
-		telemetry.Int("population", cfg.PopulationSize))
+		telemetry.Int("population", cfg.PopulationSize)}
+	if n > 1 {
+		attrs = append(attrs, telemetry.Int("islands", n))
+	}
+	ctx, span := telemetry.StartSpanCtx(ctx, p.Hooks, "placement.consolidate", attrs...)
 	defer span.End()
-	var (
-		generations = h.Counter("ga_generations_total")
-		crossovers  = h.Counter("ga_crossovers_total")
-		mutations   = h.Counter("ga_mutations_total")
-		offspringC  = h.Counter("ga_offspring_evaluated_total")
-		bestScore   = h.Gauge("ga_best_score")
-		meanScore   = h.Gauge("ga_mean_score")
-		bestServers = h.Gauge("ga_best_feasible_servers")
-		staleGauge  = h.Gauge("ga_stagnation_generations")
-		genSeconds  = h.Histogram("ga_generation_seconds", nil)
-	)
+	tel := newGATelemetry(telemetry.OrNop(p.Hooks), n)
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	ev := newEvaluator(p)
 	sc := ev.acquire()
 	defer ev.release(sc)
-	var breed grouping // the mutation operators' scratch
-
-	// The initial population is evaluated detached from cancellation:
-	// it is the floor every truncated search can still return, and
-	// keeping it complete makes best-so-far deterministic per seed.
-	seedCtx := context.WithoutCancel(ctx)
-
-	// Seed the population with the initial assignment, optional greedy
-	// packings, and mutated copies of the initial assignment.
-	pop := make([]*scored, 0, cfg.PopulationSize)
-	first, err := ev.score(seedCtx, sc, initial.Clone())
+	islands, err := seedRing(ctx, ev, sc, initial, cfg, n)
 	if err != nil {
 		return nil, err
 	}
-	pop = append(pop, first)
-	if cfg.SeedGreedy {
-		for _, greedyFn := range []func(context.Context, *Problem) (*Plan, error){FirstFitDecreasing, BestFitDecreasing} {
-			plan, err := greedyFn(seedCtx, p)
-			if err != nil {
-				continue // a greedy failure just means no warm start
-			}
-			// Re-evaluate through this run's evaluator so the plan
-			// shares its cache and tolerance.
-			seeded, err := ev.score(seedCtx, sc, plan.Assignment)
-			if err != nil {
-				return nil, err
-			}
-			pop = append(pop, seeded)
-		}
-	}
-	for len(pop) < cfg.PopulationSize {
-		a := initial.Clone()
-		mutate(a, p, rng, &breed)
-		c, err := ev.score(seedCtx, sc, a)
-		if err != nil {
-			return nil, err
-		}
-		pop = append(pop, c)
-	}
-	sortPopulation(pop)
 
-	best := bestFeasible(pop)
-	stale := 0
-	ran := 0
-	truncated := false
-	for gen := 0; gen < cfg.MaxGenerations && stale < cfg.Stagnation; gen++ {
-		// Cheap per-generation degradation check: a cancelled context
-		// stops the search at this boundary with whatever has been found
-		// so far.
-		if ctx.Err() != nil {
-			truncated = true
+	// Each epoch runs every unparked island MigrationInterval further
+	// generations in parallel, then migrates at the barrier. Workers are
+	// split so each island's offspring evaluations get an even share of
+	// the cores.
+	workers := max(runtime.GOMAXPROCS(0)/n, 1)
+	gens, epochs, truncated := 0, 0, false
+	for gens < cfg.MaxGenerations && !truncated {
+		step := min(cfg.migrationInterval(), cfg.MaxGenerations-gens)
+		active := 0
+		for _, isl := range islands {
+			if !isl.parked(cfg) {
+				active++
+			}
+		}
+		if active == 0 {
 			break
 		}
-		genStart := time.Now()
-		next := make([]*scored, 0, cfg.PopulationSize)
-		for i := 0; i < cfg.Elite && i < len(pop); i++ {
-			next = append(next, pop[i])
-		}
-		// Breed serially (the RNG is not safe for concurrent use), then
-		// evaluate the offspring in parallel: the simulator replays are
-		// the expensive part and are independent of each other.
-		offspring := make([]Assignment, 0, cfg.PopulationSize-len(next))
-		for len(next)+len(offspring) < cfg.PopulationSize {
-			a := crossover(tournament(pop, cfg.TournamentK, rng).assignment,
-				tournament(pop, cfg.TournamentK, rng).assignment, rng)
-			crossovers.Inc()
-			if rng.Float64() < cfg.MutationRate {
-				mutate(a, p, rng, &breed)
-				mutations.Inc()
+		// Dispatch with a detached context: every island must enter the
+		// epoch (its own loop observes ctx and stops at a generation
+		// boundary), otherwise cancellation timing could strand islands
+		// at different epochs.
+		parallel.ForEach(context.WithoutCancel(ctx), min(n, runtime.GOMAXPROCS(0)), n, func(i int) {
+			islands[i].runEpoch(ctx, ev, cfg, step, workers, tel)
+		})
+		epochs++
+		for _, isl := range islands {
+			if isl.err != nil {
+				return nil, isl.err
 			}
-			offspring = append(offspring, a)
+			truncated = truncated || isl.truncated
 		}
-		children, err := scoreAll(ctx, ev, offspring, 0)
-		if err != nil {
-			if ctx.Err() != nil {
-				// Cancellation mid-generation: discard the partial
-				// generation and fall back to the best completed one.
-				truncated = true
-				break
-			}
-			return nil, err
+		gens += step
+		if !truncated {
+			migrate(islands, cfg, tel)
 		}
-		pop = append(next, children...)
-		sortPopulation(pop)
+	}
 
-		if cand := bestFeasible(pop); cand != nil && (best == nil || cand.score > best.score+1e-12) {
-			best = cand
-			stale = 0
-		} else {
-			stale++
+	// The global best is collected deterministically in island order
+	// with the per-island improvement threshold, so ties go to the lowest
+	// island index.
+	var best *scored
+	ran := 0
+	for _, isl := range islands {
+		if isl.best != nil && (best == nil || isl.best.score > best.score+1e-12) {
+			best = isl.best
 		}
-		ran++
-
-		generations.Inc()
-		offspringC.Add(int64(len(children)))
-		staleGauge.Set(float64(stale))
-		meanScore.Set(meanScoreOf(pop))
-		if best != nil {
-			bestScore.Set(best.score)
-			bestServers.Set(float64(best.serversUsed))
-		}
-		genSeconds.Observe(time.Since(genStart).Seconds())
+		ran = max(ran, isl.ran)
 	}
 	span.SetAttr(telemetry.Int("generations", ran),
 		telemetry.Bool("feasible", best != nil),
 		telemetry.Bool("truncated", truncated))
-	return finishSearch(ctx, ev, sc, best, ran, truncated, cfg.MaxGenerations, span)
-}
-
-// finishSearch turns a search's best candidate into its result: the
-// materialised plan, flagged Truncated when the search was cut short,
-// or the error for a search that found nothing feasible.
-func finishSearch(ctx context.Context, ev *evaluator, sc *scratch, best *scored, ran int, truncated bool, maxGenerations int, span *telemetry.Span) (*Plan, error) {
+	if n > 1 {
+		span.SetAttr(telemetry.Int("epochs", epochs))
+	}
 	if best == nil {
 		if truncated {
 			return nil, fmt.Errorf("placement: consolidation cancelled after %d generations with no feasible plan: %w", ran, ctx.Err())
 		}
-		return nil, fmt.Errorf("%w after %d generations", ErrNoFeasible, maxGenerations)
+		return nil, fmt.Errorf("%w after %d generations", ErrNoFeasible, cfg.MaxGenerations)
 	}
-	plan := ev.materialise(sc, best)
+	plan = ev.materialise(sc, best)
 	if truncated {
-		telemetry.OrNop(ev.p.Hooks).Counter("ga_truncated_total").Inc()
+		telemetry.OrNop(p.Hooks).Counter("ga_truncated_total").Inc()
 		plan.Truncated = true
 	}
 	span.SetAttr(telemetry.Int("servers_used", plan.ServersUsed), telemetry.Float("score", plan.Score))
@@ -310,51 +236,23 @@ func meanScoreOf(pop []*scored) float64 {
 	return sum / float64(len(pop))
 }
 
-// scoreAll scores assignments concurrently, preserving order.
-// workers <= 0 selects GOMAXPROCS (island epochs pass their share of the
-// cores instead); the evaluator's cache is shared and thread-safe, so
-// duplicate groupings are still computed only ~once, and because every
-// evaluation is a pure content-keyed function the results are identical
-// at any worker count.
+// scoreAll scores assignments on at most workers goroutines (<= 0
+// selects GOMAXPROCS), writing each result at its index. The evaluator's
+// cache is shared and every evaluation is a pure content-keyed function,
+// so the results are identical at any worker count. A dispatch cut short
+// by ctx returns ctx's error; a panic in an evaluation is re-raised on
+// the caller's goroutine.
 func scoreAll(ctx context.Context, ev *evaluator, assignments []Assignment, workers int) ([]*scored, error) {
 	out := make([]*scored, len(assignments))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(assignments) {
-		workers = len(assignments)
-	}
-	if workers <= 1 {
+	errs := make([]error, len(assignments))
+	done := parallel.ForEach(ctx, workers, len(assignments), func(i int) {
 		sc := ev.acquire()
 		defer ev.release(sc)
-		for i, a := range assignments {
-			c, err := ev.score(ctx, sc, a)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = c
-		}
-		return out, nil
+		out[i], errs[i] = ev.score(ctx, sc, assignments[i])
+	})
+	if done < len(assignments) {
+		return nil, fmt.Errorf("placement: scoring cancelled after %d of %d assignments: %w", done, len(assignments), ctx.Err())
 	}
-	errs := make([]error, len(assignments))
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := ev.acquire()
-			defer ev.release(sc)
-			for i := range jobs {
-				out[i], errs[i] = ev.score(ctx, sc, assignments[i])
-			}
-		}()
-	}
-	for i := range assignments {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -3,25 +3,25 @@ package placement
 import (
 	"context"
 	"math/rand"
-	"runtime"
+	"time"
 
-	"ropus/internal/parallel"
 	"ropus/internal/telemetry"
 )
 
-// Deterministic island-model genetic search (GAConfig.Islands > 1).
+// The genetic search as a deterministic island model.
 //
-// The population is split into Islands subpopulations ("islands") that
-// evolve independently, each with its own RNG derived deterministically
-// from (Seed, island index). Every MigrationInterval generations the
-// islands synchronize at a barrier and exchange migrants around a ring:
-// the best member of island i replaces the worst member of island i+1.
-// Between barriers the islands share no mutable state except the
-// evaluator's content-keyed cache, whose results are identical no
-// matter which goroutine computes them first — so the search outcome is
-// byte-deterministic per (Seed, Islands) at any worker count, while a
-// single consolidation now scales across cores instead of only the
-// offspring evaluations inside one generation.
+// The population is split into n = max(Islands, 1) subpopulations
+// ("islands") that evolve independently, each with its own RNG derived
+// deterministically from (Seed, n, island index). Every
+// MigrationInterval generations the islands synchronize at a barrier and
+// exchange migrants around a ring: the best member of island i replaces
+// the worst member of island i+1. Between barriers the islands share no
+// mutable state except the evaluator's content-keyed cache, whose
+// results are identical no matter which goroutine computes them first —
+// so the search outcome is byte-deterministic per (Seed, Islands) at any
+// worker count. A ring of one island is the classic single-population
+// search: it draws from Seed itself, holds the whole population, and its
+// barrier changes nothing.
 
 // DefaultMigrationInterval is the generations-between-migrations used
 // when GAConfig.MigrationInterval is zero.
@@ -39,6 +39,9 @@ func (c GAConfig) migrationInterval() int {
 // FNV-1a fold, so per-island streams are decorrelated but fixed by
 // (seed, islands, i).
 func islandSeed(seed int64, islands, i int) int64 {
+	if islands == 1 {
+		return seed // a ring of one draws the classic search's stream
+	}
 	h := uint64(fnvOffset64)
 	h = fnvU64(h, uint64(seed))
 	h = fnvInt(h, islands)
@@ -62,7 +65,6 @@ func islandSizes(size, n int) []int {
 
 // island is one subpopulation plus its private evolution state.
 type island struct {
-	idx  int
 	rng  *rand.Rand
 	pop  []*scored
 	size int
@@ -85,23 +87,93 @@ type island struct {
 // parked reports whether the island has stagnated.
 func (isl *island) parked(cfg GAConfig) bool { return isl.stale >= cfg.Stagnation }
 
+// seedRing builds every island's initial population. The initial
+// assignment and, on island 0 while it has room, the greedy warm starts
+// are scored once and shared; the rest of each island is mutated copies
+// of the initial assignment, bred serially on the island's own RNG and
+// then scored in one parallel batch. Seeding is detached from ctx's
+// cancellation: it is the floor every truncated search can still
+// return, and keeping it complete makes best-so-far deterministic per
+// seed.
+func seedRing(ctx context.Context, ev *evaluator, sc *scratch, initial Assignment, cfg GAConfig, n int) ([]*island, error) {
+	p := ev.p
+	seedCtx := context.WithoutCancel(ctx)
+	first, err := ev.score(seedCtx, sc, initial.Clone())
+	if err != nil {
+		return nil, err
+	}
+	var greedy []*scored
+	if cfg.SeedGreedy {
+		for _, greedyFn := range []func(context.Context, *Problem) (*Plan, error){FirstFitDecreasing, BestFitDecreasing} {
+			plan, err := greedyFn(seedCtx, p)
+			if err != nil {
+				continue // a greedy failure just means no warm start
+			}
+			// Re-evaluate through this run's evaluator so the plan
+			// shares its cache and tolerance.
+			seeded, err := ev.score(seedCtx, sc, plan.Assignment)
+			if err != nil {
+				return nil, err
+			}
+			greedy = append(greedy, seeded)
+		}
+	}
+	islands := make([]*island, n)
+	var fill []Assignment
+	for i, size := range islandSizes(cfg.PopulationSize, n) {
+		isl := &island{rng: rand.New(rand.NewSource(islandSeed(cfg.Seed, n, i))), size: size}
+		islands[i] = isl
+		isl.pop = append(isl.pop, first)
+		if i == 0 {
+			for _, gp := range greedy {
+				if len(isl.pop) < isl.size {
+					isl.pop = append(isl.pop, gp)
+				}
+			}
+		}
+		for want := isl.size - len(isl.pop); want > 0; want-- {
+			a := initial.Clone()
+			mutate(a, p, isl.rng, &isl.breed)
+			fill = append(fill, a)
+		}
+	}
+	filled, err := scoreAll(seedCtx, ev, fill, 0)
+	if err != nil {
+		return nil, err
+	}
+	for _, isl := range islands {
+		k := isl.size - len(isl.pop)
+		isl.pop = append(isl.pop, filled[:k]...)
+		filled = filled[k:]
+		sortPopulation(isl.pop)
+		isl.observeBest()
+		isl.stale = 0 // seeding is generation zero, not a stagnation tick
+	}
+	return islands, nil
+}
+
 // runEpoch evolves the island for up to gens generations using at most
-// workers goroutines for offspring evaluation. It mirrors the
-// single-population generation loop; only island-local state is touched.
-func (isl *island) runEpoch(ctx context.Context, ev *evaluator, cfg GAConfig, gens, workers int, tel *islandTelemetry) {
+// workers goroutines for offspring evaluation; only island-local state
+// is touched.
+func (isl *island) runEpoch(ctx context.Context, ev *evaluator, cfg GAConfig, gens, workers int, tel *gaTelemetry) {
 	p := ev.p
 	for g := 0; g < gens && !isl.parked(cfg); g++ {
+		// Cheap per-generation degradation check: a cancelled context
+		// stops the search at this boundary with whatever has been found
+		// so far.
 		if ctx.Err() != nil {
 			isl.truncated = true
 			return
 		}
+		start := time.Now()
 		next := make([]*scored, 0, isl.size)
 		for i := 0; i < cfg.Elite && i < len(isl.pop); i++ {
 			next = append(next, isl.pop[i])
 		}
 		// Breed serially on the island's own RNG (the stream per island
 		// is what the determinism contract pins), then evaluate the
-		// offspring on this island's share of the worker pool.
+		// offspring in parallel: the simulator replays are the expensive
+		// part and are independent of each other.
 		offspring := make([]Assignment, 0, isl.size-len(next))
 		for len(next)+len(offspring) < isl.size {
 			a := crossover(tournament(isl.pop, cfg.TournamentK, isl.rng).assignment,
@@ -116,6 +188,8 @@ func (isl *island) runEpoch(ctx context.Context, ev *evaluator, cfg GAConfig, ge
 		children, err := scoreAll(ctx, ev, offspring, workers)
 		if err != nil {
 			if ctx.Err() != nil {
+				// Cancellation mid-generation: discard the partial
+				// generation and fall back to the best completed one.
 				isl.truncated = true
 				return
 			}
@@ -126,13 +200,12 @@ func (isl *island) runEpoch(ctx context.Context, ev *evaluator, cfg GAConfig, ge
 		sortPopulation(isl.pop)
 		isl.observeBest()
 		isl.ran++
-		tel.generations.Inc()
-		tel.offspring.Add(int64(len(children)))
+		tel.generation(isl, len(children), time.Since(start))
 	}
 }
 
 // observeBest folds the current population into the island's best/stale
-// tracking, using the same improvement threshold as the single search.
+// tracking: an improvement must beat the best by more than 1e-12.
 func (isl *island) observeBest() {
 	if cand := bestFeasible(isl.pop); cand != nil && (isl.best == nil || cand.score > isl.best.score+1e-12) {
 		isl.best = cand
@@ -142,197 +215,80 @@ func (isl *island) observeBest() {
 	}
 }
 
-// islandTelemetry groups the counters the epochs share; all counters are
-// atomic, so concurrent islands may increment them freely.
-type islandTelemetry struct {
-	generations *telemetry.Counter
-	crossovers  *telemetry.Counter
-	mutations   *telemetry.Counter
-	offspring   *telemetry.Counter
+// migrate is the ring barrier. Every island's best member is
+// snapshotted first and then replaces its right neighbour's worst
+// member, so a migrant travels one hop per barrier regardless of apply
+// order. In a ring of one the neighbour is the island itself, which
+// already leads with its best, so nothing changes.
+func migrate(islands []*island, cfg GAConfig, tel *gaTelemetry) {
+	n := len(islands)
+	migrants := make([]*scored, n)
+	for i, isl := range islands {
+		migrants[i] = isl.pop[0]
+	}
+	for i := range islands {
+		recv := islands[(i+1)%n]
+		if migrants[i] == recv.pop[0] {
+			continue // the ring neighbour already leads with it
+		}
+		recv.pop[len(recv.pop)-1] = migrants[i]
+		tel.migrations.Inc()
+	}
+	for _, isl := range islands {
+		sortPopulation(isl.pop)
+		wasParked := isl.parked(cfg)
+		isl.observeBest()
+		if isl.stale == 0 {
+			if wasParked {
+				tel.revivals.Inc()
+			}
+		} else {
+			isl.stale-- // the barrier itself is not a generation
+		}
+	}
 }
 
-// consolidateIslands runs the island-model search. Inputs are already
-// validated by Consolidate.
-func consolidateIslands(ctx context.Context, p *Problem, initial Assignment, cfg GAConfig) (*Plan, error) {
-	n := cfg.Islands
-	h := telemetry.OrNop(p.Hooks)
-	ctx, span := telemetry.StartSpanCtx(ctx, p.Hooks, "placement.consolidate",
-		telemetry.Int("apps", len(p.Apps)),
-		telemetry.Int("servers", len(p.Servers)),
-		telemetry.Int("population", cfg.PopulationSize),
-		telemetry.Int("islands", n))
-	defer span.End()
-	tel := &islandTelemetry{
+// gaTelemetry holds the search's metric handles. Counters are atomic,
+// so concurrent islands share them; each gauge holds the value of the
+// island that finished a generation last. The ring series are nil
+// (discarding) for a ring of one, so a one-island search exports the
+// classic metric set.
+type gaTelemetry struct {
+	generations, crossovers, mutations, offspring *telemetry.Counter
+	bestScore, meanScore, bestServers, stale      *telemetry.Gauge
+	genSeconds                                    *telemetry.Histogram
+	migrations, revivals                          *telemetry.Counter
+}
+
+func newGATelemetry(h telemetry.Hooks, n int) *gaTelemetry {
+	tel := &gaTelemetry{
 		generations: h.Counter("ga_generations_total"),
 		crossovers:  h.Counter("ga_crossovers_total"),
 		mutations:   h.Counter("ga_mutations_total"),
 		offspring:   h.Counter("ga_offspring_evaluated_total"),
+		bestScore:   h.Gauge("ga_best_score"),
+		meanScore:   h.Gauge("ga_mean_score"),
+		bestServers: h.Gauge("ga_best_feasible_servers"),
+		stale:       h.Gauge("ga_stagnation_generations"),
+		genSeconds:  h.Histogram("ga_generation_seconds", nil),
 	}
-	migrationsC := h.Counter("ga_migrations_total")
-	revivalsC := h.Counter("ga_island_revivals_total")
-	h.Gauge("ga_islands").Set(float64(n))
+	if n > 1 {
+		tel.migrations = h.Counter("ga_migrations_total")
+		tel.revivals = h.Counter("ga_island_revivals_total")
+		h.Gauge("ga_islands").Set(float64(n))
+	}
+	return tel
+}
 
-	ev := newEvaluator(p)
-	sc := ev.acquire()
-	defer ev.release(sc)
-	// Like the single search, the initial populations are evaluated
-	// detached from cancellation: they are the floor every truncated
-	// search can still return.
-	seedCtx := context.WithoutCancel(ctx)
-
-	// Seed every island. The shared warm starts (the initial assignment
-	// and, on island 0, the greedy packings) are evaluated once; the
-	// remaining members are mutated copies of the initial assignment
-	// bred on each island's own RNG. All assignments are bred serially
-	// (island by island) and then evaluated in one parallel batch so
-	// seeding cost does not grow with the island count.
-	sizes := islandSizes(cfg.PopulationSize, n)
-	islands := make([]*island, n)
-	first, err := ev.score(seedCtx, sc, initial.Clone())
-	if err != nil {
-		return nil, err
+// generation records one generation isl finished in took.
+func (tel *gaTelemetry) generation(isl *island, children int, took time.Duration) {
+	tel.generations.Inc()
+	tel.offspring.Add(int64(children))
+	tel.stale.Set(float64(isl.stale))
+	tel.meanScore.Set(meanScoreOf(isl.pop))
+	if isl.best != nil {
+		tel.bestScore.Set(isl.best.score)
+		tel.bestServers.Set(float64(isl.best.serversUsed))
 	}
-	var greedy []*scored
-	if cfg.SeedGreedy {
-		for _, greedyFn := range []func(context.Context, *Problem) (*Plan, error){FirstFitDecreasing, BestFitDecreasing} {
-			plan, err := greedyFn(seedCtx, p)
-			if err != nil {
-				continue // a greedy failure just means no warm start
-			}
-			seeded, err := ev.score(seedCtx, sc, plan.Assignment)
-			if err != nil {
-				return nil, err
-			}
-			greedy = append(greedy, seeded)
-		}
-	}
-	var fill []Assignment // every island's mutants, bred serially
-	fillOf := make([][2]int, n)
-	for i := 0; i < n; i++ {
-		isl := &island{idx: i, rng: rand.New(rand.NewSource(islandSeed(cfg.Seed, n, i))), size: sizes[i]}
-		islands[i] = isl
-		isl.pop = append(isl.pop, first)
-		if i == 0 {
-			for _, gp := range greedy {
-				if len(isl.pop) < isl.size {
-					isl.pop = append(isl.pop, gp)
-				}
-			}
-		}
-		start := len(fill)
-		for want := isl.size - len(isl.pop); want > 0; want-- {
-			a := initial.Clone()
-			mutate(a, p, isl.rng, &isl.breed)
-			fill = append(fill, a)
-		}
-		fillOf[i] = [2]int{start, len(fill)}
-	}
-	filled, err := scoreAll(seedCtx, ev, fill, 0)
-	if err != nil {
-		return nil, err
-	}
-	for i, isl := range islands {
-		lo, hi := fillOf[i][0], fillOf[i][1]
-		isl.pop = append(isl.pop, filled[lo:hi]...)
-		sortPopulation(isl.pop)
-		isl.observeBest()
-		isl.stale = 0 // seeding is generation zero, not a stagnation tick
-	}
-
-	// Each epoch runs every unparked island MigrationInterval further
-	// generations in parallel, then migrates at the barrier. Workers are
-	// split so each island's offspring evaluations get an even share of
-	// the cores.
-	interval := cfg.migrationInterval()
-	islandWorkers := runtime.GOMAXPROCS(0) / n
-	if islandWorkers < 1 {
-		islandWorkers = 1
-	}
-	totalGens := 0
-	truncated := false
-	epochs := 0
-	for totalGens < cfg.MaxGenerations {
-		gens := interval
-		if rest := cfg.MaxGenerations - totalGens; gens > rest {
-			gens = rest
-		}
-		active := 0
-		for _, isl := range islands {
-			if !isl.parked(cfg) {
-				active++
-			}
-		}
-		if active == 0 {
-			break
-		}
-		// Dispatch with a detached context: every island must enter the
-		// epoch (its own loop observes ctx and stops at a generation
-		// boundary), otherwise cancellation timing could strand islands
-		// at different epochs.
-		parallel.ForEach(context.WithoutCancel(ctx), min(n, runtime.GOMAXPROCS(0)), n, func(i int) {
-			islands[i].runEpoch(ctx, ev, cfg, gens, islandWorkers, tel)
-		})
-		epochs++
-		for _, isl := range islands {
-			if isl.err != nil {
-				return nil, isl.err
-			}
-			if isl.truncated {
-				truncated = true
-			}
-		}
-		totalGens += gens
-		if truncated {
-			break
-		}
-
-		// Migration barrier: snapshot every island's best member first,
-		// then replace each right neighbour's worst member, so a migrant
-		// travels one hop per barrier regardless of apply order.
-		migrants := make([]*scored, n)
-		for i, isl := range islands {
-			migrants[i] = isl.pop[0]
-		}
-		for i := range islands {
-			recv := islands[(i+1)%n]
-			if migrants[i] == recv.pop[0] {
-				continue // the ring neighbour already leads with it
-			}
-			recv.pop[len(recv.pop)-1] = migrants[i]
-			migrationsC.Inc()
-		}
-		for _, isl := range islands {
-			sortPopulation(isl.pop)
-			wasParked := isl.parked(cfg)
-			isl.observeBest()
-			if isl.stale == 0 {
-				if wasParked {
-					revivalsC.Inc()
-				}
-			} else {
-				isl.stale-- // the barrier itself is not a generation
-			}
-		}
-	}
-
-	// The global best is collected deterministically in island order
-	// with the single search's improvement threshold, so ties go to the
-	// lowest island index.
-	var best *scored
-	for _, isl := range islands {
-		if isl.best != nil && (best == nil || isl.best.score > best.score+1e-12) {
-			best = isl.best
-		}
-	}
-	ran := 0
-	for _, isl := range islands {
-		if isl.ran > ran {
-			ran = isl.ran
-		}
-	}
-	span.SetAttr(telemetry.Int("generations", ran),
-		telemetry.Int("epochs", epochs),
-		telemetry.Bool("feasible", best != nil),
-		telemetry.Bool("truncated", truncated))
-	return finishSearch(ctx, ev, sc, best, ran, truncated, cfg.MaxGenerations, span)
+	tel.genSeconds.Observe(took.Seconds())
 }

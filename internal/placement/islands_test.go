@@ -95,28 +95,6 @@ func TestIslandsDeterministicRepeat(t *testing.T) {
 	}
 }
 
-// TestIslandsOneMatchesSingle pins that Islands=1 (and 0) run the
-// classic single-population search: all three spellings return the
-// byte-identical plan.
-func TestIslandsOneMatchesSingle(t *testing.T) {
-	sizes := []float64{6, 6, 4, 4, 3, 3, 2}
-	initial := make(Assignment, len(sizes))
-	var want string
-	for _, islands := range []int{0, 1} {
-		p := binPackProblem(sizes, 7, 10)
-		plan, err := Consolidate(context.Background(), p, initial, islandGA(7, islands))
-		if err != nil {
-			t.Fatalf("islands=%d: %v", islands, err)
-		}
-		got := planFingerprint(plan)
-		if islands == 0 {
-			want = got
-		} else if got != want {
-			t.Errorf("islands=1 diverged from the single-population search:\n got %s\nwant %s", got, want)
-		}
-	}
-}
-
 // TestIslandsImproveOnGreedy checks the search still does its job under
 // the island model: the greedy warm start (3 servers for this perfect
 // packing) is never lost, because island 0 is seeded with it and
@@ -140,27 +118,55 @@ func TestIslandsImproveOnGreedy(t *testing.T) {
 	}
 }
 
-// TestIslandsTelemetry checks the island counters: the gauge reports
-// the island count and ring migrations actually happen.
+// TestIslandsTelemetry checks the GA series: every island count reports
+// the generation gauges and histogram, with the best-plan gauges
+// matching the returned plan for a ring of one; only a ring of several
+// reports the island count and its migrations.
 func TestIslandsTelemetry(t *testing.T) {
 	sizes := []float64{6, 6, 4, 4, 3, 3, 2}
 	initial := make(Assignment, len(sizes))
-	p := binPackProblem(sizes, 7, 10)
-	reg := telemetry.NewRegistry()
-	p.Hooks = telemetry.New(reg, nil)
-	cfg := islandGA(5, 4)
-	cfg.MigrationInterval = 2
-	if _, err := Consolidate(context.Background(), p, initial, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Gauge("ga_islands").Value(); got != 4 {
-		t.Errorf("ga_islands = %v, want 4", got)
-	}
-	if reg.Counter("ga_migrations_total").Value() == 0 {
-		t.Error("no ring migrations recorded")
-	}
-	if reg.Counter("ga_generations_total").Value() == 0 {
-		t.Error("no generations recorded")
+	for _, islands := range []int{0, 4} {
+		p := binPackProblem(sizes, 7, 10)
+		reg := telemetry.NewRegistry()
+		p.Hooks = telemetry.New(reg, nil)
+		cfg := islandGA(5, islands)
+		cfg.MigrationInterval = 2
+		plan, err := Consolidate(context.Background(), p, initial, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		gens := snap.Counters["ga_generations_total"]
+		if gens == 0 {
+			t.Errorf("islands=%d: no generations recorded", islands)
+		}
+		if got := snap.Histograms["ga_generation_seconds"].Count; got != gens {
+			t.Errorf("islands=%d: %d generation timings for %d generations", islands, got, gens)
+		}
+		for _, g := range []string{"ga_best_score", "ga_mean_score", "ga_best_feasible_servers", "ga_stagnation_generations"} {
+			if _, ok := snap.Gauges[g]; !ok {
+				t.Errorf("islands=%d: gauge %s not reported", islands, g)
+			}
+		}
+		_, hasIslands := snap.Gauges["ga_islands"]
+		_, hasMigrations := snap.Counters["ga_migrations_total"]
+		_, hasRevivals := snap.Counters["ga_island_revivals_total"]
+		if islands == 0 {
+			if hasIslands || hasMigrations || hasRevivals {
+				t.Error("a ring of one reports island series")
+			}
+			if snap.Gauges["ga_best_score"] != plan.Score || snap.Gauges["ga_best_feasible_servers"] != float64(plan.ServersUsed) {
+				t.Errorf("best gauges %v/%v, plan %v/%d", snap.Gauges["ga_best_score"],
+					snap.Gauges["ga_best_feasible_servers"], plan.Score, plan.ServersUsed)
+			}
+			continue
+		}
+		if got := snap.Gauges["ga_islands"]; got != 4 {
+			t.Errorf("ga_islands = %v, want 4", got)
+		}
+		if !hasRevivals || snap.Counters["ga_migrations_total"] == 0 {
+			t.Error("no ring migrations recorded")
+		}
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"ropus/internal/faultinject"
 	"ropus/internal/qos"
@@ -418,9 +417,8 @@ type evaluator struct {
 	evictC      *telemetry.Counter
 
 	shards [evalShards]evalShard
-	// hits/misses are instrumentation for the ablation benchmarks.
-	hits, misses atomic.Int64
-	// hitC/missC mirror hits/misses into the problem's metrics registry.
+	// hitC/missC count per-run cache lookups; a singleflight waiter is a
+	// hit.
 	hitC, missC *telemetry.Counter
 
 	// free holds the scratch not in use; see acquire.
@@ -498,7 +496,6 @@ func (e *evaluator) evalServer(ctx context.Context, sc *scratch, server int, app
 		sh.mu.Lock()
 		if ev, ok := sh.cache[k]; ok {
 			sh.mu.Unlock()
-			e.hits.Add(1)
 			e.hitC.Inc()
 			return ev, nil
 		}
@@ -526,10 +523,23 @@ func (e *evaluator) evalServer(ctx context.Context, sc *scratch, server int, app
 		}
 		sh.inflight[k] = nil
 		sh.mu.Unlock()
-		e.misses.Add(1)
 		e.missC.Inc()
+		return e.lead(ctx, sc, sh, k, server, apps)
+	}
+}
 
-		ev, err := e.loadOrCompute(ctx, sc, server, apps)
+// errLeaderPanicked is what the waiters on a group see when the
+// goroutine computing it panicked.
+var errLeaderPanicked = errors.New("placement: group evaluation panicked")
+
+// lead computes the group the calling goroutine claimed under key k,
+// caches it on success and hands the outcome to any waiters. The
+// hand-off is deferred so that it also runs when the computation panics:
+// the worker pool re-raises that panic only after every in-flight
+// evaluation returns, and a waiter left blocked would stall it forever.
+func (e *evaluator) lead(ctx context.Context, sc *scratch, sh *evalShard, k uint64, server int, apps []int) (ev groupEval, err error) {
+	err = errLeaderPanicked
+	defer func() {
 		sh.mu.Lock()
 		fl := sh.inflight[k]
 		if err == nil {
@@ -541,8 +551,8 @@ func (e *evaluator) evalServer(ctx context.Context, sc *scratch, server int, app
 			fl.eval, fl.err = ev, err
 			close(fl.done)
 		}
-		return ev, err
-	}
+	}()
+	return e.loadOrCompute(ctx, sc, server, apps)
 }
 
 // loadOrCompute checks the shared cross-run cache for the full

@@ -9,6 +9,7 @@ import (
 
 	"ropus/internal/qos"
 	"ropus/internal/sim"
+	"ropus/internal/telemetry"
 )
 
 // flatApp builds an app with constant per-slot allocations. Flat CoS2
@@ -414,21 +415,24 @@ func TestConsolidateInputErrors(t *testing.T) {
 
 func TestEvaluatorCache(t *testing.T) {
 	p := binPackProblem([]float64{2, 3}, 2, 10)
+	reg := telemetry.NewRegistry()
+	p.Hooks = telemetry.New(reg, nil)
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	hits, misses := reg.Counter("placement_eval_cache_hits_total"), reg.Counter("placement_eval_cache_misses_total")
 	ev := newEvaluator(p)
 	if _, err := ev.evaluate(context.Background(), Assignment{0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	missesAfterFirst := ev.misses.Load()
+	missesAfterFirst := misses.Value()
 	if _, err := ev.evaluate(context.Background(), Assignment{0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if ev.misses.Load() != missesAfterFirst {
-		t.Errorf("second evaluation missed the cache: %d -> %d", missesAfterFirst, ev.misses.Load())
+	if misses.Value() != missesAfterFirst {
+		t.Errorf("second evaluation missed the cache: %d -> %d", missesAfterFirst, misses.Value())
 	}
-	if ev.hits.Load() == 0 {
+	if hits.Value() == 0 {
 		t.Error("expected cache hits on repeat evaluation")
 	}
 }
