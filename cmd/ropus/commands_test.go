@@ -190,13 +190,6 @@ func TestCmdPlan(t *testing.T) {
 	}
 }
 
-func TestCmdPlaceDiagnose(t *testing.T) {
-	path := writeFleet(t)
-	if err := run([]string{"place", "-traces", path, "-diagnose"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCmdFailoverJSON(t *testing.T) {
 	path := writeFleet(t)
 	if err := run([]string{"failover", "-traces", path, "-json"}); err != nil {

@@ -61,9 +61,9 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestGolden pins the user-visible output of the three pipeline stages
-// — the portfolio split, the failover report JSON and the capacity-plan
-// JSON — for three fixed seeds. Any behavioural drift in translation,
+// TestGolden pins the user-visible output of the pipeline stages — the
+// portfolio split, the failover report JSON, the capacity-plan JSON and
+// the per-server placement diagnostics — for three fixed seeds. Any behavioural drift in translation,
 // placement, failure analysis or planning shows up as a readable diff;
 // deliberate changes regenerate the corpus with -update.
 func TestGolden(t *testing.T) {
@@ -96,6 +96,14 @@ func TestGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkGolden(t, fmt.Sprintf("plan_seed%d.json", seed), out)
+
+			out, err = captureStdout(t, func() error {
+				return run([]string{"place", "-traces", traces, "-diagnose"})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, fmt.Sprintf("place_diagnose_seed%d.txt", seed), out)
 		})
 	}
 }

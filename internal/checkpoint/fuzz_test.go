@@ -15,10 +15,10 @@ func FuzzDecode(f *testing.F) {
 	valid := `{"kind":"ropus-checkpoint","version":1,"run":"00000000deadbeef"}` + "\n" +
 		string(mustEncode(Record{Unit: "u", Key: "0000000000000001", Data: []byte(`{"a":1}`)}))
 	f.Add([]byte(valid))
-	f.Add([]byte(valid[:len(valid)-3]))  // torn tail
-	f.Add([]byte(""))                    // empty file
-	f.Add([]byte("{"))                   // torn header
-	f.Add([]byte("not json at all\n\n")) // garbage
+	f.Add([]byte(valid[:len(valid)-3]))                                        // torn tail
+	f.Add([]byte(""))                                                          // empty file
+	f.Add([]byte("{"))                                                         // torn header
+	f.Add([]byte("not json at all\n\n"))                                       // garbage
 	f.Add([]byte(`{"kind":"ropus-checkpoint","version":2,"run":"00"}` + "\n")) // version skew
 	f.Add([]byte(strings.Replace(valid, `"a":1`, `"a":2`, 1)))                 // checksum mismatch
 	f.Add([]byte(strings.Replace(valid, "0000000000000001", "zznothex", 1)))   // bad key

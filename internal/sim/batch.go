@@ -37,13 +37,27 @@ import (
 //     slots and the drain tails behind them. Hot sets are nested, so
 //     lane j+1 walks the hot list lane j built.
 //
-// Every lane reproduces, bit for bit, what a scalar ReplayWith at that
-// capacity would produce: each accumulator receives exactly the
-// floating-point operations the scalar loop issues, in the same order
-// (the parity suites in batch_test.go and batch_sparse_test.go pin this
-// against the scalar replay and the dense reference kernel across the
-// golden corpus, backlog/deadline edge cases and the NaN-corruption
-// fault path).
+// Every lane reproduces, bit for bit, what the scalar reference loop
+// (replayScalar, kept in replay_reference_test.go) produces at that
+// capacity: each accumulator receives exactly the floating-point
+// operations the scalar loop issues, in the same order (the parity
+// suites in batch_test.go and batch_sparse_test.go pin this against the
+// scalar loop and the dense reference kernel across the golden corpus,
+// backlog/deadline edge cases and the NaN-corruption fault path). The
+// kernel is the only production replay: Replay, Diagnose and the
+// capacity search all run through it.
+
+// eps is the replay's tolerance for "served in full" and "drained".
+const eps = 1e-9
+
+// groupRatio is one θ group's access ratio Σ served / Σ requested; a
+// group with no CoS2 demand counts as fully served.
+func groupRatio(requested, served float64) float64 {
+	if requested > eps {
+		return served / requested
+	}
+	return 1
+}
 
 // batchLane is one capacity's deadline statistics.
 type batchLane struct {
@@ -59,26 +73,32 @@ type batchLane struct {
 // steady-state batched replay is allocation-free. None of them holds a
 // trace or anything keyed by one.
 //
-// A BatchReplayer is not safe for concurrent use; unlike Replayer, this
-// is enforced by a cheap always-on reentrancy guard (a single atomic
-// compare-and-swap per pass, noise next to a trace traversal): a
-// concurrent or re-entrant ReplayBatch panics instead of corrupting
-// lanes silently.
+// A BatchReplayer is not safe for concurrent use; this is enforced by a
+// cheap always-on reentrancy guard (a single atomic compare-and-swap per
+// pass, noise next to a trace traversal): a concurrent or re-entrant
+// ReplayBatch panics instead of corrupting lanes silently.
 type BatchReplayer struct {
 	// busy is the reentrancy guard: 1 while a pass is running.
 	busy atomic.Int32
 
-	caps   []float64 // lane capacities, ascending
-	order  []int     // order[j] = caller index of sorted lane j
-	req    []float64 // per-group requested sums; valid for hot groups only
-	served []float64 // per-(group,lane) served sums: served[g*K+j]; hot groups only
-	lanes  []batchLane
+	caps  []float64 // lane capacities, ascending
+	order []int     // order[j] = caller index of sorted lane j
+	lanes []batchLane
 
-	hot       []int  // time-ordered hot slots of the lane being walked
-	hotNext   []int  // the next lane's hot slots, built during the walk
-	hotGroup  []bool // hotGroup[g]: group g contains a hot slot
-	hotGroups []int  // indices of the hot groups, ascending
-	backlog   []backlogEntry
+	// hotGroups lists the last pass's hot groups in ascending order, and
+	// req and served hold their requested sums and per-(group, lane)
+	// served sums (served[g*K+j], lanes in ascending capacity). They are
+	// valid for those groups only, and only until the next pass; every
+	// other group's ratio is exactly 1. Diagnose reads them after its
+	// one-lane pass.
+	hotGroups []int
+	req       []float64
+	served    []float64
+
+	hot      []int  // time-ordered hot slots of the lane being walked
+	hotNext  []int  // the next lane's hot slots, built during the walk
+	hotGroup []bool // hotGroup[g]: group g contains a hot slot
+	backlog  []backlogEntry
 
 	// workFrac is the last pass's mean expensive-lane fraction: the
 	// share of (slot, lane) pairs that are hot or enter the slot with a
@@ -97,7 +117,8 @@ type BatchReplayer struct {
 // first use.
 func NewBatchReplayer() *BatchReplayer { return &BatchReplayer{} }
 
-// batchPool recycles BatchReplayers for the K-ary capacity search.
+// batchPool recycles BatchReplayers for Replay, Diagnose and the K-ary
+// capacity search.
 var batchPool = sync.Pool{New: func() any { return NewBatchReplayer() }}
 
 // acquire takes the reentrancy guard.
@@ -171,7 +192,8 @@ func (r *BatchReplayer) setup(capacities []float64, groups, n int) {
 // three-phase pass (classify the hot slots, sum θ over the hot groups,
 // walk each lane's deadline queue over its hot slots) and writes the
 // per-capacity results to out (out[i] is the outcome at capacities[i]);
-// each result is bit-identical to a scalar ReplayWith at that capacity.
+// each result is bit-identical to the scalar reference loop
+// (replayScalar) at that capacity.
 // cfg.Capacity is ignored — the lane capacities replace it. A
 // corruption fault injected at the "sim.replay" point poisons the
 // shared slot-0 request exactly as it does for a scalar replay (slot 0
@@ -209,7 +231,6 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 	r.acquire()
 	defer r.release()
 
-	const eps = 1e-9
 	t := cfg.SlotsPerDay
 	n := a.Slots()
 	corrupted = corrupted && n > 0
@@ -432,11 +453,7 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 			if math.IsNaN(rq) || math.IsNaN(sv) {
 				return fmt.Errorf("sim: replay produced NaN statistics (corrupted trace slot?)")
 			}
-			ratio := 1.0
-			if rq > eps {
-				ratio = sv / rq
-			}
-			if ratio < res.Theta {
+			if ratio := groupRatio(rq, sv); ratio < res.Theta {
 				res.Theta = ratio
 			}
 		}

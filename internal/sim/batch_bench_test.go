@@ -56,16 +56,29 @@ func benchBatchConfig() Config {
 	}
 }
 
-// BenchmarkReplayScalar is the baseline: one scalar replay of the
-// bursty trace at a mid-range capacity.
+// BenchmarkReplayScalar is the baseline: one replay of the bursty trace
+// at a mid-range capacity through the scalar reference loop.
 func BenchmarkReplayScalar(b *testing.B) {
 	a := benchBurstyAgg()
 	cfg := benchBatchConfig()
 	cfg.Capacity = (a.cos1Peak + a.totalPeak) / 2
-	r := NewReplayer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.ReplayWith(r, cfg); err != nil {
+		if _, err := a.replayScalar(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReplay is the same replay through Replay, one lane of the
+// pooled kernel.
+func BenchmarkReplay(b *testing.B) {
+	a := benchBurstyAgg()
+	cfg := benchBatchConfig()
+	cfg.Capacity = (a.cos1Peak + a.totalPeak) / 2
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Replay(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

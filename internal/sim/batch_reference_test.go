@@ -105,7 +105,8 @@ func (r *denseReplayer) setup(capacities []float64, groups int) {
 
 // replayBatchDense is the dense slot-major replay of every capacity in
 // one loop over the trace: out[i] is the outcome at capacities[i], each
-// bit-identical to a scalar ReplayWith at that capacity.
+// bit-identical to the scalar reference loop (replayScalar) at that
+// capacity.
 func (a *Aggregate) replayBatchDense(r *denseReplayer, cfg Config, capacities []float64, out []Result) error {
 	cfg.Capacity = 0 // ignored; keep Validate happy for the shared fields
 	if err := cfg.Validate(); err != nil {

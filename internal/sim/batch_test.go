@@ -40,13 +40,13 @@ func randBatchAgg(r *rand.Rand, weeks, slotsPerDay int) *Aggregate {
 }
 
 // TestBatchReplayParity pins the core contract: every lane of a batched
-// replay is bit-identical to a scalar ReplayWith at that capacity, for
-// random traces spanning partial weeks, DeadlineSlots = 0 (immediate
-// misses) and backlog-carrying regimes, at lane counts from 1 to 17.
+// replay is bit-identical to the scalar reference loop at that
+// capacity, for random traces spanning partial weeks, DeadlineSlots = 0
+// (immediate misses) and backlog-carrying regimes, at lane counts from
+// 1 to 17.
 func TestBatchReplayParity(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	br := NewBatchReplayer()
-	sr := NewReplayer()
 	for trial := 0; trial < 300; trial++ {
 		weeks := 1 + r.Intn(3)
 		slotsPerDay := 4 + r.Intn(8)
@@ -68,7 +68,7 @@ func TestBatchReplayParity(t *testing.T) {
 		for j := range caps {
 			c := cfg
 			c.Capacity = caps[j]
-			want, err := a.ReplayWith(sr, c)
+			want, err := a.replayScalar(c)
 			if err != nil {
 				t.Fatalf("trial %d: scalar: %v", trial, err)
 			}
@@ -109,7 +109,6 @@ func TestBatchReplayParityEdges(t *testing.T) {
 		},
 	}
 	br := NewBatchReplayer()
-	sr := NewReplayer()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := batchAgg(tc.cos1, tc.cos2)
@@ -125,7 +124,7 @@ func TestBatchReplayParityEdges(t *testing.T) {
 			for j, c := range tc.caps {
 				scfg := cfg
 				scfg.Capacity = c
-				want, err := a.ReplayWith(sr, scfg)
+				want, err := a.replayScalar(scfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -154,7 +153,7 @@ func TestBatchReplayCorruptionParity(t *testing.T) {
 	}
 	scfg := mk()
 	scfg.Capacity = 2
-	_, scalarErr := a.ReplayWith(NewReplayer(), scfg)
+	_, scalarErr := a.replayScalar(scfg)
 	if scalarErr == nil || !strings.Contains(scalarErr.Error(), "NaN") {
 		t.Fatalf("scalar corruption error = %v, want NaN-statistics error", scalarErr)
 	}

@@ -1,86 +1,42 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Diagnostics exposes what the scalar Result hides: where in the
-// calendar the resource access probability is earned or lost. Operators
-// use it to see which time-of-day slots drive the required capacity of
-// a server (Figure 4's simulator reports only the verdict; this is the
-// accompanying evidence).
+// calendar the resource access probability is lost. Operators use it to
+// see which (week, time-of-day slot) group drives the required capacity
+// of a server (Figure 4's simulator reports only the verdict; this is
+// the accompanying evidence).
 type Diagnostics struct {
-	// SlotsPerDay is T, the table width.
+	// SlotsPerDay is T, the number of time-of-day slots.
 	SlotsPerDay int
-	// Weeks is the number of week rows.
-	Weeks int
-	// GroupTheta holds the per-(week, slot) access ratio
-	// Σ_days served / Σ_days requested, indexed week*SlotsPerDay+slot;
-	// groups with no CoS2 demand report 1.
-	GroupTheta []float64
-	// WorstWeek and WorstSlot locate the minimum (the measured θ).
+	// WorstWeek and WorstSlot locate the first group, in group order,
+	// whose access ratio is the measured θ; (0, 0) when every group is
+	// served in full.
 	WorstWeek int
 	WorstSlot int
-	// Theta is the measured resource access probability (the minimum of
-	// GroupTheta).
+	// Theta is the measured resource access probability, bit-equal to
+	// Replay's Result.Theta at the same capacity.
 	Theta float64
-	// SlotShortfall holds, per time-of-day slot, the total CoS2 demand
-	// (in CPU-slots) that was not served on request across the whole
-	// trace — the capacity pressure profile over the day.
-	SlotShortfall []float64
 }
 
-// Diagnose replays the aggregate like Replay but records the
-// per-(week, slot) access ratios and the per-slot shortfall profile.
+// Diagnose replays the aggregate like Replay and locates the binding θ
+// group. Only a hot group can have a ratio below 1, so the worst group
+// is read off the hot-group sums the kernel's own pass left behind.
 func (a *Aggregate) Diagnose(cfg Config) (*Diagnostics, error) {
-	if err := cfg.Validate(); err != nil {
+	br := batchPool.Get().(*BatchReplayer)
+	defer batchPool.Put(br)
+	res, err := a.replayOne(br, cfg, cfg.Capacity)
+	if err != nil {
 		return nil, err
 	}
-	const eps = 1e-9
 	t := cfg.SlotsPerDay
-	n := a.Slots()
-	weeks := n / (7 * t)
-	if weeks == 0 {
-		weeks = 1
-	}
-	d := &Diagnostics{
-		SlotsPerDay:   t,
-		Weeks:         weeks,
-		SlotShortfall: make([]float64, t),
-	}
-	requested := make([]float64, weeks*t)
-	served := make([]float64, weeks*t)
-
-	for i := 0; i < n; i++ {
-		avail := cfg.Capacity - a.cos1[i]
-		if avail < 0 {
-			avail = 0
-		}
-		req := a.cos2[i]
-		srv := math.Min(req, avail)
-		w := i / (7 * t)
-		if w >= weeks {
-			w = weeks - 1
-		}
-		g := w*t + i%t
-		requested[g] += req
-		served[g] += srv
-		d.SlotShortfall[i%t] += req - srv
-	}
-
-	d.GroupTheta = make([]float64, weeks*t)
-	d.Theta = 1
-	for g := range d.GroupTheta {
-		ratio := 1.0
-		if requested[g] > eps {
-			ratio = served[g] / requested[g]
-		}
-		d.GroupTheta[g] = ratio
-		if ratio < d.Theta {
-			d.Theta = ratio
-			d.WorstWeek = g / t
-			d.WorstSlot = g % t
+	d := &Diagnostics{SlotsPerDay: t, Theta: res.Theta}
+	worst := 1.0
+	for _, g := range br.hotGroups {
+		if ratio := groupRatio(br.req[g], br.served[g]); ratio < worst {
+			worst = ratio
+			d.WorstWeek, d.WorstSlot = g/t, g%t
 		}
 	}
 	return d, nil

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -28,24 +29,16 @@ func TestDiagnoseMatchesReplayTheta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(diag.Theta-res.Theta) > 1e-12 {
+	if math.Float64bits(diag.Theta) != math.Float64bits(res.Theta) {
 		t.Errorf("Diagnose theta %v != Replay theta %v", diag.Theta, res.Theta)
 	}
-	if diag.WorstSlot != 0 {
-		t.Errorf("WorstSlot = %d, want 0 (the hot slot)", diag.WorstSlot)
+	if diag.WorstWeek != 0 || diag.WorstSlot != 0 || diag.SlotsPerDay != 2 {
+		t.Errorf("worst at week %d, slot %d of %d; want week 0, slot 0 of 2 (the hot slot)",
+			diag.WorstWeek, diag.WorstSlot, diag.SlotsPerDay)
 	}
-	if diag.Weeks != 1 || diag.SlotsPerDay != 2 {
-		t.Errorf("dimensions = %d weeks x %d slots", diag.Weeks, diag.SlotsPerDay)
-	}
-	// Shortfall: slot 0 misses (3-2)+(4-2)=3 CPU-slots; slot 1 none.
-	if math.Abs(diag.SlotShortfall[0]-3) > 1e-9 {
-		t.Errorf("SlotShortfall[0] = %v, want 3", diag.SlotShortfall[0])
-	}
-	if diag.SlotShortfall[1] != 0 {
-		t.Errorf("SlotShortfall[1] = %v, want 0", diag.SlotShortfall[1])
-	}
-	if got := diag.String(); got == "" {
-		t.Error("empty String()")
+	// Slot 0 serves 2+1+2+1+1+1+1 = 9 of 3+1+4+1+1+1+1 = 12.
+	if got, want := diag.String(), "theta=0.7500 (worst at week 0, slot 0 of 2)"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
 
@@ -58,13 +51,9 @@ func TestDiagnoseIdleGroupsReportOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diag.Theta != 1 {
-		t.Errorf("idle workload theta = %v, want 1", diag.Theta)
-	}
-	for g, v := range diag.GroupTheta {
-		if v != 1 {
-			t.Errorf("GroupTheta[%d] = %v, want 1", g, v)
-		}
+	if diag.Theta != 1 || diag.WorstWeek != 0 || diag.WorstSlot != 0 {
+		t.Errorf("idle workload: theta %v at week %d, slot %d; want 1 at (0, 0)",
+			diag.Theta, diag.WorstWeek, diag.WorstSlot)
 	}
 }
 
@@ -75,5 +64,69 @@ func TestDiagnoseConfigError(t *testing.T) {
 	}
 	if _, err := agg.Diagnose(Config{}); err == nil {
 		t.Error("invalid config accepted")
+	}
+}
+
+// worstGroupDense is the brute-force argmin Diagnose must reproduce:
+// every (week, slot) group's ratio from a dense pass over the trace, the
+// first strict minimum in group order, (0, 0) when none is below 1.
+func worstGroupDense(a *Aggregate, capacity float64, t int) (week, slot int) {
+	n := a.Slots()
+	weeks := max(n/(7*t), 1)
+	requested := make([]float64, weeks*t)
+	served := make([]float64, weeks*t)
+	for i := 0; i < n; i++ {
+		g := min(i/(7*t), weeks-1)*t + i%t
+		requested[g] += a.cos2[i]
+		served[g] += math.Min(a.cos2[i], math.Max(capacity-a.cos1[i], 0))
+	}
+	worst := 1.0
+	for g := range requested {
+		ratio := 1.0
+		if requested[g] > 1e-9 {
+			ratio = served[g] / requested[g]
+		}
+		if ratio < worst {
+			worst, week, slot = ratio, g/t, g%t
+		}
+	}
+	return week, slot
+}
+
+// TestDiagnoseKernelProperty ties Diagnose to the kernel over random
+// traces: at every lane capacity its θ is Replay's bit for bit, and the
+// group it reports is the dense argmin, although it only looks at the
+// hot groups the kernel's pass left behind.
+func TestDiagnoseKernelProperty(t *testing.T) {
+	trials := 1500
+	if testing.Short() {
+		trials = 200
+	}
+	r := rand.New(rand.NewSource(29))
+	for trial := 0; trial < trials; trial++ {
+		c := randSparseCase(r)
+		if c.corrupt {
+			continue
+		}
+		for _, capacity := range c.caps {
+			cfg := c.cfg
+			cfg.Capacity = capacity
+			res, err := c.agg.Replay(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diag, err := c.agg.Diagnose(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(diag.Theta) != math.Float64bits(res.Theta) {
+				t.Fatalf("trial %d cap=%v: Diagnose theta %v, Replay theta %v", trial, capacity, diag.Theta, res.Theta)
+			}
+			week, slot := worstGroupDense(c.agg, capacity, cfg.SlotsPerDay)
+			if diag.WorstWeek != week || diag.WorstSlot != slot {
+				t.Fatalf("trial %d cap=%v (n=%d spd=%d): worst at (%d, %d), dense argmin (%d, %d)",
+					trial, capacity, c.agg.Slots(), cfg.SlotsPerDay, diag.WorstWeek, diag.WorstSlot, week, slot)
+			}
+		}
 	}
 }

@@ -11,10 +11,12 @@ import (
 // TestConcurrentReplayersNoRace stresses the documented concurrency
 // contract under the race detector: one Aggregate may be replayed from
 // many goroutines at once as long as each goroutine uses its own
-// Replayer / BatchReplayer (the aggregate itself is read-only during a
-// replay). Every goroutine checks its results against a precomputed
-// reference, so a data race that corrupts scratch instead of tripping
-// the detector still fails the test.
+// BatchReplayer (the aggregate itself is read-only during a replay);
+// Replay draws one from the shared pool per call, so the goroutines
+// that call it exercise the pool under the race detector too. Every
+// goroutine checks its results against a precomputed reference, so a
+// data race that corrupts scratch instead of tripping the detector
+// still fails the test.
 func TestConcurrentReplayersNoRace(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	a := randBatchAgg(r, 2, 12)
@@ -31,7 +33,7 @@ func TestConcurrentReplayersNoRace(t *testing.T) {
 	for j, c := range caps {
 		scfg := cfg
 		scfg.Capacity = c
-		res, err := a.ReplayWith(NewReplayer(), scfg)
+		res, err := a.replayScalar(scfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,16 +48,16 @@ func TestConcurrentReplayersNoRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sr := NewReplayer()
 			br := NewBatchReplayer()
 			out := make([]Result, len(caps))
 			for round := 0; round < rounds; round++ {
 				if g%2 == 0 {
-					// Scalar replays, one capacity per pass.
+					// One-lane replays on pooled scratch, one capacity
+					// per pass.
 					for j, c := range caps {
 						scfg := cfg
 						scfg.Capacity = c
-						res, err := a.ReplayWith(sr, scfg)
+						res, err := a.Replay(scfg)
 						if err != nil {
 							errs <- err
 							return

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,38 +34,72 @@ func replayFixture(t *testing.T) (*Aggregate, Config) {
 	return agg, cfg
 }
 
-func TestReplayWithMatchesReplay(t *testing.T) {
+// TestReplayMatchesScalar pins Replay, one lane of the pooled kernel,
+// to the scalar reference loop bit for bit, repeated so the later
+// replays run on scratch an earlier one left in the pool.
+func TestReplayMatchesScalar(t *testing.T) {
 	agg, cfg := replayFixture(t)
-	want, err := agg.Replay(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewReplayer()
-	for i := 0; i < 3; i++ { // reuse must not leak state across replays
-		got, err := agg.ReplayWith(r, cfg)
+	for _, capacity := range []float64{0, 1, 2.5, 4, 5.5, 8} {
+		c := cfg
+		c.Capacity = capacity
+		want, err := agg.replayScalar(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("replay %d through a reused Replayer diverged:\ngot  %+v\nwant %+v", i, got, want)
+		for i := 0; i < 3; i++ { // reuse must not leak state across replays
+			got, err := agg.Replay(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want || math.Float64bits(got.Theta) != math.Float64bits(want.Theta) {
+				t.Fatalf("capacity %v replay %d diverged from the scalar loop:\ngot  %+v\nwant %+v", capacity, i, got, want)
+			}
 		}
 	}
 }
 
-func TestReplayWithZeroAllocsSteadyState(t *testing.T) {
+// TestReplayZeroAllocsSteadyState: a warm one-lane pass allocates
+// nothing, on a held BatchReplayer and through Replay's pool. The pool
+// half is skipped where sync.Pool discards Puts at random (the race
+// detector does), since a dropped replayer is refilled from scratch.
+func TestReplayZeroAllocsSteadyState(t *testing.T) {
 	agg, cfg := replayFixture(t)
-	r := NewReplayer()
-	if _, err := agg.ReplayWith(r, cfg); err != nil { // warm the buffers
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := agg.ReplayWith(r, cfg); err != nil {
+	br := NewBatchReplayer()
+	steady := func(name string, replay func() (Result, error)) {
+		if _, err := replay(); err != nil { // warm the scratch
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("warm ReplayWith allocates %.1f objects per run, want 0", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := replay(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("warm %s allocates %.1f objects per run, want 0", name, allocs)
+		}
 	}
+	steady("one-lane pass", func() (Result, error) { return agg.replayOne(br, cfg, cfg.Capacity) })
+	if poolDropsPuts() {
+		t.Log("sync.Pool drops Puts here; skipping the pooled half")
+		return
+	}
+	steady("Replay", func() (Result, error) { return agg.Replay(cfg) })
+}
+
+// poolDropsPuts reports whether sync.Pool discards Puts at random: under
+// the race detector a Put is dropped one time in four, so 64 Put/Get
+// round trips all coming back is a one-in-10^8 event there, and the norm
+// everywhere else.
+func poolDropsPuts() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		p.Put(x)
+		if p.Get() != x {
+			return true
+		}
+	}
+	return false
 }
 
 func TestSearchMatchesRequiredCapacity(t *testing.T) {

@@ -8,12 +8,10 @@ import (
 	"ropus/internal/telemetry"
 )
 
-// searchBisect is the scalar reference bisection: one replay per probe.
-// It is the reference the batched-search parity suites, the golden
-// corpus and the benchmarks pin Search against.
+// searchBisect is the scalar reference bisection: one replayScalar per
+// probe. It is the reference the batched-search parity suites, the
+// golden corpus and the benchmarks pin Search against.
 func (a *Aggregate) searchBisect(ctx context.Context, cfg Config, limit, tol float64) (SearchOutcome, error) {
-	r := replayerPool.Get().(*Replayer)
-	defer replayerPool.Put(r)
 	h := telemetry.OrNop(cfg.Hooks)
 	h.Counter("sim_searches_total").Inc()
 	iterations := h.Counter("sim_search_iterations_total")
@@ -21,7 +19,7 @@ func (a *Aggregate) searchBisect(ctx context.Context, cfg Config, limit, tol flo
 	// guaranteed class alone exceeds it.
 	if a.cos1Peak > limit {
 		cfg.Capacity = limit
-		res, err := a.ReplayWith(r, cfg)
+		res, err := a.replayScalar(cfg)
 		h.Counter("sim_search_infeasible_total").Inc()
 		return SearchOutcome{Capacity: limit, Result: res}, err
 	}
@@ -35,7 +33,7 @@ func (a *Aggregate) searchBisect(ctx context.Context, cfg Config, limit, tol flo
 		hi = tol // all-zero workloads: any positive capacity fits
 	}
 	cfg.Capacity = hi
-	hiRes, err := a.ReplayWith(r, cfg)
+	hiRes, err := a.replayScalar(cfg)
 	if err != nil {
 		return SearchOutcome{}, err
 	}
@@ -45,7 +43,7 @@ func (a *Aggregate) searchBisect(ctx context.Context, cfg Config, limit, tol flo
 		unclamped = false
 		if hi < limit {
 			cfg.Capacity = limit
-			hiRes, err = a.ReplayWith(r, cfg)
+			hiRes, err = a.replayScalar(cfg)
 			if err != nil {
 				return SearchOutcome{}, err
 			}
@@ -65,7 +63,7 @@ func (a *Aggregate) searchBisect(ctx context.Context, cfg Config, limit, tol flo
 		iterations.Inc()
 		mid := (lo + hi) / 2
 		cfg.Capacity = mid
-		midRes, err := a.ReplayWith(r, cfg)
+		midRes, err := a.replayScalar(cfg)
 		if err != nil {
 			return SearchOutcome{}, err
 		}

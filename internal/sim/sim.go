@@ -201,173 +201,14 @@ type backlogEntry struct {
 	amount float64
 }
 
-// groupSums accumulates the per-(week, time-of-day-slot) requested and
-// served totals behind the θ statistic.
-type groupSums struct{ requested, served float64 }
-
-// Replayer carries the scratch buffers one replay needs (the θ group
-// sums and the CoS2 backlog queue), so a capacity search or a batch of
-// evaluations can reuse them instead of re-allocating per probe. A
-// Replayer is not safe for concurrent use; use one per goroutine (or
-// let Replay draw from the internal pool).
-type Replayer struct {
-	groups  []groupSums
-	backlog []backlogEntry
-}
-
-// NewReplayer returns an empty Replayer; buffers grow on first use and
-// are retained across replays.
-func NewReplayer() *Replayer { return &Replayer{} }
-
-// replayerPool recycles scratch buffers for the plain Replay entry
-// point, which keeps its allocation-free hot path without an API
-// change.
-var replayerPool = sync.Pool{New: func() any { return NewReplayer() }}
-
 // Replay replays the aggregate against cfg.Capacity and computes the
-// resource access CoS statistics (Figure 4's simulator loop). Scratch
-// buffers come from an internal pool; use ReplayWith to manage them
-// explicitly.
+// resource access CoS statistics (Figure 4's simulator loop). It is one
+// lane of the batched kernel (ReplayBatch) on a pooled BatchReplayer, so
+// a warm replay allocates nothing and sums θ over the hot groups only.
 func (a *Aggregate) Replay(cfg Config) (Result, error) {
-	r := replayerPool.Get().(*Replayer)
-	res, err := a.ReplayWith(r, cfg)
-	replayerPool.Put(r)
-	return res, err
-}
-
-// ReplayWith is Replay using the caller's scratch buffers.
-func (a *Aggregate) ReplayWith(r *Replayer, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	corrupted := false
-	if cfg.Inject != nil {
-		o := cfg.Inject.Hit("sim.replay", cfg.InjectKey)
-		if o.Delay > 0 {
-			time.Sleep(o.Delay)
-		}
-		if o.Err != nil {
-			return Result{}, fmt.Errorf("sim: replay %q: %w", cfg.InjectKey, o.Err)
-		}
-		// A corruption fault poisons the first slot's CoS2 request with
-		// NaN, modelling a corrupted trace slot reaching the replay; the
-		// NaN propagates into θ and trips the guard below.
-		corrupted = o.Corrupt
-	}
-	const eps = 1e-9
-	res := Result{
-		CoS1Peak:      a.cos1Peak,
-		CoS1OK:        a.cos1Peak <= cfg.Capacity+eps,
-		DeadlineOK:    true,
-		PeakAggregate: a.totalPeak,
-	}
-
-	t := cfg.SlotsPerDay
-	n := a.Slots()
-
-	// Per (week, slot) sums for the θ statistic.
-	weeks := n / (7 * t)
-	if weeks == 0 {
-		weeks = 1 // partial trace: treat everything as week 0
-	}
-	need := weeks * t
-	if cap(r.groups) < need {
-		r.groups = make([]groupSums, need)
-	} else {
-		r.groups = r.groups[:need]
-		for i := range r.groups {
-			r.groups[i] = groupSums{}
-		}
-	}
-	groups := r.groups
-
-	backlog := r.backlog[:0]
-	head := 0 // index of the first live backlog entry
-	deadlineMisses := int64(0)
-
-	for i := 0; i < n; i++ {
-		avail := cfg.Capacity - a.cos1[i]
-		if avail < 0 {
-			avail = 0
-		}
-		requested := a.cos2[i]
-		if corrupted && i == 0 {
-			requested = math.NaN()
-		}
-		served := math.Min(requested, avail)
-		avail -= served
-
-		// Serve backlogged deficits oldest-first with leftover capacity.
-		for head < len(backlog) && avail > eps {
-			take := math.Min(backlog[head].amount, avail)
-			backlog[head].amount -= take
-			avail -= take
-			if backlog[head].amount <= eps {
-				head++
-			}
-		}
-		// Entries due this slot that still carry demand have missed the
-		// deadline.
-		for head < len(backlog) && backlog[head].due <= i {
-			if backlog[head].amount > eps {
-				res.DeadlineOK = false
-				res.UnservedTotal += backlog[head].amount
-				deadlineMisses++
-			}
-			head++
-		}
-		if deficit := requested - served; deficit > eps {
-			if cfg.DeadlineSlots == 0 {
-				res.DeadlineOK = false
-				res.UnservedTotal += deficit
-				deadlineMisses++
-			} else {
-				backlog = append(backlog, backlogEntry{due: i + cfg.DeadlineSlots, amount: deficit})
-			}
-		}
-
-		// θ bookkeeping grouped by (week, time-of-day slot).
-		w := i / (7 * t)
-		if w >= weeks {
-			w = weeks - 1
-		}
-		g := w*t + i%t
-		groups[g].requested += requested
-		groups[g].served += served
-	}
-	// Deficits still pending at the end of the trace are not counted as
-	// violations: their deadlines lie beyond the observation window.
-
-	// Keep whatever capacity the backlog queue grew to for the next
-	// replay through this Replayer.
-	r.backlog = backlog[:0]
-
-	res.Theta = 1
-	for _, g := range groups {
-		if math.IsNaN(g.requested) || math.IsNaN(g.served) {
-			// Corrupted (NaN) slots would otherwise make the θ
-			// comparisons silently false; surface them as an error the
-			// callers' skip-and-continue paths can record.
-			return Result{}, errors.New("sim: replay produced NaN statistics (corrupted trace slot?)")
-		}
-		ratio := 1.0
-		if g.requested > eps {
-			ratio = g.served / g.requested
-		}
-		if ratio < res.Theta {
-			res.Theta = ratio
-		}
-	}
-
-	h := telemetry.OrNop(cfg.Hooks)
-	h.Counter("sim_replays_total").Inc()
-	h.Counter("sim_replay_slots_total").Add(int64(n))
-	h.Counter("sim_deadline_misses_total").Add(deadlineMisses)
-	if !res.DeadlineOK {
-		h.Counter("sim_deadline_violation_replays_total").Inc()
-	}
-	h.Histogram("sim_probe_theta", telemetry.RatioBuckets).Observe(res.Theta)
-	return res, nil
+	br := batchPool.Get().(*BatchReplayer)
+	defer batchPool.Put(br)
+	return a.replayOne(br, cfg, cfg.Capacity)
 }
 
 // SearchOutcome is the detailed result of a required-capacity search.

@@ -23,8 +23,8 @@ import (
 // a real scraper ever sees it.
 func LintPrometheusText(r io.Reader) error {
 	var errs []error
-	types := map[string]string{}  // base metric name -> declared type
-	sampled := map[string]bool{}  // base names that have emitted samples
+	types := map[string]string{} // base metric name -> declared type
+	sampled := map[string]bool{} // base names that have emitted samples
 	type histState struct {
 		lastBucket float64
 		lastLe     float64
