@@ -171,7 +171,9 @@ func (f *Framework) CacheStats() placement.CacheStats {
 }
 
 // Translation is the output of the QoS translation stage: normal- and
-// failure-mode partitions for every application, in trace order.
+// failure-mode partitions for every application, in trace order. An
+// application whose two modes share one QoS has one partition:
+// Failure[i] is Normal[i].
 type Translation struct {
 	Traces  trace.Set
 	Normal  []*portfolio.Partition
@@ -234,19 +236,32 @@ func (f *Framework) Translate(ctx context.Context, traces trace.Set, reqs Requir
 		if err != nil {
 			return nil, fmt.Errorf("core: translate %q (normal): %w", tr.AppID, err)
 		}
+		out.Normal[i] = normal
+		if req.Failure == req.Normal {
+			// Translation is a function of (trace, QoS, θ): the failure
+			// mode's partition is the normal one.
+			out.Failure[i] = normal
+			continue
+		}
 		fail, err := portfolio.TranslateCtx(ctx, tr, req.Failure, theta, f.cfg.Hooks)
 		if err != nil {
 			return nil, fmt.Errorf("core: translate %q (failure): %w", tr.AppID, err)
 		}
-		out.Normal[i] = normal
 		out.Failure[i] = fail
 	}
 	var err error
 	if out.normalApps, err = partitionApps(out.Normal); err != nil {
 		return nil, err
 	}
-	if out.failureApps, err = partitionApps(out.Failure); err != nil {
-		return nil, err
+	out.failureApps = make([]placement.App, len(out.Failure))
+	for i, p := range out.Failure {
+		if p == out.Normal[i] {
+			out.failureApps[i] = out.normalApps[i] // prepared and digested once
+			continue
+		}
+		if out.failureApps[i], err = partitionApp(p); err != nil {
+			return nil, err
+		}
 	}
 	obslog.From(ctx).InfoContext(ctx, "core.translate",
 		slog.Int("apps", len(traces)),
@@ -493,17 +508,25 @@ func (f *Framework) problemFor(t *Translation) (*placement.Problem, error) {
 func partitionApps(parts []*portfolio.Partition) ([]placement.App, error) {
 	apps := make([]placement.App, len(parts))
 	for i, p := range parts {
-		apps[i] = placement.App{
-			ID: p.AppID,
-			Workload: sim.Workload{
-				AppID: p.AppID,
-				CoS1:  p.CoS1.Samples,
-				CoS2:  p.CoS2.Samples,
-			},
-		}
-		if err := apps[i].Prepare(); err != nil {
-			return nil, fmt.Errorf("core: translated workload: %w", err)
+		var err error
+		if apps[i], err = partitionApp(p); err != nil {
+			return nil, err
 		}
 	}
 	return apps, nil
+}
+
+func partitionApp(p *portfolio.Partition) (placement.App, error) {
+	app := placement.App{
+		ID: p.AppID,
+		Workload: sim.Workload{
+			AppID: p.AppID,
+			CoS1:  p.CoS1.Samples,
+			CoS2:  p.CoS2.Samples,
+		},
+	}
+	if err := app.Prepare(); err != nil {
+		return placement.App{}, fmt.Errorf("core: translated workload: %w", err)
+	}
+	return app, nil
 }

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 
 	"ropus/internal/placement"
+	"ropus/internal/portfolio"
 	"ropus/internal/qos"
+	"ropus/internal/telemetry"
 	"ropus/internal/trace"
 	"ropus/internal/workload"
 )
@@ -392,5 +396,68 @@ func TestTranslationPreparesAppsOnce(t *testing.T) {
 	}
 	if _, err := f.PlanForFailures(ctx, byHand, consByHand); err != nil {
 		t.Errorf("a hand-built Translation cannot be swept: %v", err)
+	}
+}
+
+// TestTranslateSharesEqualModes: an app whose failure-mode QoS equals its
+// normal one is translated and digested once, and the plan is the one
+// separately translated failure partitions give, byte for byte.
+func TestTranslateSharesEqualModes(t *testing.T) {
+	ctx := context.Background()
+	reg := telemetry.NewRegistry()
+	cfg := testConfig()
+	cfg.Hooks = telemetry.New(reg, nil)
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := smallFleet(t)
+	translations := func() int64 { return reg.Snapshot().Counters["portfolio_translations_total"] }
+
+	normal := caseStudyRequirement().Normal
+	same := Requirements{Default: qos.Requirement{Normal: normal, Failure: normal}}
+	tr, err := f.Translate(ctx, set, same)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := translations(); got != int64(len(set)) {
+		t.Errorf("equal modes: %d translations for %d apps, want one each", got, len(set))
+	}
+	for i := range set {
+		if tr.Failure[i] != tr.Normal[i] {
+			t.Errorf("app %s: failure partition is a second copy of the normal one", set[i].AppID)
+		}
+	}
+	before := translations()
+	if _, err := f.Translate(ctx, set, Requirements{Default: caseStudyRequirement()}); err != nil {
+		t.Fatal(err)
+	}
+	if got := translations() - before; got != int64(2*len(set)) {
+		t.Errorf("distinct modes: %d translations for %d apps, want two each", got, len(set))
+	}
+
+	separate := &Translation{Traces: set, Normal: tr.Normal, Failure: make([]*portfolio.Partition, len(set))}
+	for i, trc := range set {
+		if separate.Failure[i], err = portfolio.Translate(trc, normal, cfg.Commitment.Theta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan := func(t0 *Translation) []byte {
+		cons, err := f.Consolidate(ctx, t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fails, err := f.PlanForFailures(ctx, t0, cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal([]any{cons.Plan, fails})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if shared, apart := plan(tr), plan(separate); !bytes.Equal(shared, apart) {
+		t.Errorf("sharing the normal partition changed the plan:\nshared %s\n apart %s", shared, apart)
 	}
 }

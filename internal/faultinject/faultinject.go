@@ -26,6 +26,8 @@
 //	                        staging multi-instance steal races
 //	lease.renew             key = lease name; Err makes the holder observe
 //	                        a lost lease on its next heartbeat
+//	serve.result.write      key = job ID; Err fails the result write (the
+//	                        job table pins the result), Delay slows it
 //
 // The package is dependency-free (stdlib plus the repo's resilience
 // classification) and safe for concurrent use.

@@ -134,8 +134,9 @@ type Config struct {
 	// connections to finish. <= 0 selects 30s.
 	DrainTimeout time.Duration
 	// Inject is the test-only fault injector threaded into every job's
-	// framework and into the lease keeper (lease.acquire, lease.expire,
-	// lease.steal, lease.renew points); nil injects nothing.
+	// framework, into the lease keeper (lease.acquire, lease.expire,
+	// lease.steal, lease.renew points) and into the result write
+	// (serve.result.write); nil injects nothing.
 	Inject faultinject.Injector
 	// Logger receives the service's structured log records (job
 	// lifecycle, pipeline stages via the jobs' contexts); nil discards
@@ -210,10 +211,14 @@ func (c Config) withDefaults() Config {
 }
 
 // Job is one admitted planning job. Fields are guarded by the owning
-// Manager's mutex; JobStatus snapshots them for handlers.
+// Manager's mutex; JobStatus snapshots them for handlers. A terminal job
+// is a fixed-size header: its spec and result document live in the
+// state directory (results are served through the manager's result
+// cache), its registry is collapsed into progress, and its spans move
+// under the server-wide trace budget.
 type Job struct {
 	ID     string
-	Spec   JobSpec
+	Kind   string
 	Tenant string
 	State  string
 	Err    string
@@ -227,13 +232,18 @@ type Job struct {
 	Resumed bool
 	// Stolen marks a job this instance took over from an expired peer
 	// lease.
-	Stolen bool
-	// Result holds the finished job's JSON result document.
-	Result     json.RawMessage
+	Stolen     bool
 	ResultHash string
 	Submitted  time.Time
 	Started    time.Time
 	Finished   time.Time
+	// spec is the submitted spec, held while the job can still run.
+	spec *JobSpec
+	// progress is a terminal job's final counter snapshot.
+	progress []counterValue
+	// result pins the result document of a job whose result file could
+	// not be written, so status queries still serve it; nil otherwise.
+	result json.RawMessage
 	// epoch is the lease epoch of the current local run; checkpoint
 	// journals are written per epoch so a zombie writer can never
 	// interleave with the thief's journal.
@@ -244,12 +254,36 @@ type Job struct {
 	// queuedLocal marks a job sitting in this instance's tenant queues.
 	queuedLocal bool
 	// reg collects the job's own telemetry while it runs; its counters
-	// become the status endpoint's progress block.
+	// are the status endpoint's progress block until the job finishes.
 	reg *telemetry.Registry
-	// tracer collects the job's spans (trace ID = job ID); it backs
-	// GET /v1/jobs/{id}/trace. Jobs recovered from disk have none.
+	// tracer collects the job's spans (trace ID = job ID) while it runs;
+	// it backs GET /v1/jobs/{id}/trace. Jobs recovered from disk have none.
 	tracer *telemetry.Tracer
 }
+
+// counterValue is one entry of a terminal job's progress block.
+type counterValue struct {
+	name  string
+	value int64
+}
+
+// Budgets of what a finished job may keep beyond its header. Measured
+// on jobs shaped like the benchmark's serve sessions (12 apps x 336
+// slots, translate/place/failover; post-GC heap over 90 jobs, 2-vCPU
+// host, go1.24): the header with its progress counters is ≈1 KB, a
+// result document 2.1 / 2.9 / 3.3 KB, and a job's 25–33 spans ≈350 B
+// each, ≈10 KB a job. (Before headers, a finished job held ≈98 KB, most
+// of it its spec's trace CSV.) 8 MiB keeps the last ≈3 000 results
+// resident — far more than a status poller or a dedup resubmission
+// usually reaches back — and 8 MiB the last ≈800 jobs' spans; older
+// results are re-read from the state directory, older traces answer 404.
+const (
+	resultCacheBytes = 8 << 20
+	traceBudgetBytes = 8 << 20
+	// spanBytes is the resident cost of one completed span: its record,
+	// attribute slice and boxed values, and the buffer's growth slack.
+	spanBytes = 350
+)
 
 // JobStatus is the API view of a job.
 type JobStatus struct {
@@ -310,8 +344,15 @@ type Manager struct {
 	wg     sync.WaitGroup
 	notify chan struct{}
 
+	// results holds recent finished jobs' result documents; a miss
+	// re-reads results/<id>.json. traces holds finished jobs' spans.
+	results *byteLRU[json.RawMessage]
+	traces  *byteLRU[*telemetry.Tracer]
+
 	mu   sync.Mutex
 	jobs map[string]*Job
+	// names interns progress counter names across terminal jobs.
+	names map[string]string
 	// order is submission/adoption order, for listing.
 	order []string
 	// Admission is tenant-major: one FIFO per tenant, dequeued by
@@ -400,7 +441,10 @@ func NewManager(cfg Config, hooks telemetry.Hooks) (*Manager, error) {
 		retryAfterG:  h.Gauge("serve_retry_after_seconds"),
 		jobSeconds:   h.Histogram("serve_job_seconds", nil),
 		notify:       make(chan struct{}, 1),
+		results:      newByteLRU[json.RawMessage](resultCacheBytes),
+		traces:       newByteLRU[*telemetry.Tracer](traceBudgetBytes),
 		jobs:         make(map[string]*Job),
+		names:        make(map[string]string),
 		queues:       make(map[string][]string),
 		ringMember:   make(map[string]bool),
 		deficit:      make(map[string]float64),
@@ -431,16 +475,23 @@ func (m *Manager) Flight() *flight.Recorder { return m.flight }
 // handlers and tests).
 func (m *Manager) SLO() *slo.Tracker { return m.slo }
 
-// Tracer returns the span tracer of a job that ran in this process
-// (nil for unknown jobs and for finished jobs recovered from disk,
-// whose spans died with the previous process).
+// Tracer returns the span tracer of a job that ran in this process: a
+// running job's own, a finished job's from the trace budget. It is nil
+// for unknown jobs, for finished jobs whose spans the budget evicted,
+// and for finished jobs recovered from disk, whose spans died with the
+// previous process.
 func (m *Manager) Tracer(id string) *telemetry.Tracer {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if job, ok := m.jobs[id]; ok {
-		return job.tracer
+	job, ok := m.jobs[id]
+	var tracer *telemetry.Tracer
+	if ok {
+		tracer = job.tracer
 	}
-	return nil
+	m.mu.Unlock()
+	if ok && tracer == nil {
+		tracer, _ = m.traces.get(id)
+	}
+	return tracer
 }
 
 // Start launches the scheduler and the fleet scanner; ctx cancellation
@@ -582,7 +633,7 @@ func (m *Manager) removeTenantLocked(t string) {
 // queue whose class has a free slot, or -1.
 func (m *Manager) dispatchableLocked(t string) int {
 	for i, id := range m.queues[t] {
-		kind := m.jobs[id].Spec.Kind
+		kind := m.jobs[id].Kind
 		if limit := m.cfg.ClassLimits[kind]; limit > 0 && m.classRunning[kind] >= limit {
 			continue
 		}
@@ -643,9 +694,19 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, bool, error) {
 	if err != nil {
 		return JobStatus{}, false, err
 	}
-	id := jobID(spec.Key(set))
-	tenant := spec.Tenant
+	st, created, err := m.admit(jobID(spec.Key(set)), spec, start)
+	if err != nil {
+		return JobStatus{}, false, err
+	}
+	// A known finished job answers with its result, which may need a
+	// file read: that happens here, outside the table lock.
+	return m.withResult(st), created, nil
+}
 
+// admit is Submit's decision under the table lock: answer a known job,
+// shed, or persist and enqueue a new one.
+func (m *Manager) admit(id string, spec JobSpec, start time.Time) (JobStatus, bool, error) {
+	tenant := spec.Tenant
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if job, ok := m.jobs[id]; ok {
@@ -685,7 +746,7 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, bool, error) {
 	if err := m.persistSpec(id, spec); err != nil {
 		return JobStatus{}, false, err
 	}
-	job := &Job{ID: id, Spec: spec, Tenant: tenant, State: StateQueued, Submitted: time.Now()}
+	job := &Job{ID: id, Kind: spec.Kind, spec: &spec, Tenant: tenant, State: StateQueued, Submitted: time.Now()}
 	m.jobs[id] = job
 	m.order = append(m.order, id)
 	m.enqueueLocked(job)
@@ -731,8 +792,17 @@ func (m *Manager) retryAfterLocked() time.Duration {
 	return est
 }
 
-// Job returns a status snapshot by ID.
+// Job returns a status snapshot by ID, with a finished job's result.
 func (m *Manager) Job(id string) (JobStatus, bool) {
+	st, ok := m.status(id)
+	if !ok {
+		return JobStatus{}, false
+	}
+	return m.withResult(st), true
+}
+
+// status is Job without the result document; it never reads the disk.
+func (m *Manager) status(id string) (JobStatus, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	job, ok := m.jobs[id]
@@ -742,13 +812,34 @@ func (m *Manager) Job(id string) (JobStatus, bool) {
 	return m.statusLocked(job), true
 }
 
-// Jobs lists every known job in submission order.
+// withResult fills a finished job's result document into its status:
+// from the result cache, or re-read from the state directory on a miss.
+// Callers must not hold m.mu.
+func (m *Manager) withResult(st JobStatus) JobStatus {
+	if st.State != StateDone || st.Result != nil {
+		return st
+	}
+	if result, ok := m.results.get(st.ID); ok {
+		st.Result = result
+		return st
+	}
+	if doc, ok := m.loadResult(st.ID); ok && doc.ResultHash == st.ResultHash {
+		m.results.put(st.ID, doc.Result, int64(len(doc.Result)))
+		st.Result = doc.Result
+	}
+	return st
+}
+
+// Jobs lists every known job in submission order, without result
+// documents or progress counters (a job's own status carries those).
 func (m *Manager) Jobs() []JobStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]JobStatus, 0, len(m.order))
 	for _, id := range m.order {
-		out = append(out, m.statusLocked(m.jobs[id]))
+		st := m.statusLocked(m.jobs[id])
+		st.Result, st.Progress = nil, nil
+		out = append(out, st)
 	}
 	return out
 }
@@ -763,14 +854,14 @@ func (m *Manager) QueueDepths() (queued, running int) {
 func (m *Manager) statusLocked(job *Job) JobStatus {
 	st := JobStatus{
 		ID:         job.ID,
-		Kind:       job.Spec.Kind,
+		Kind:       job.Kind,
 		Tenant:     job.Tenant,
 		State:      job.State,
 		Error:      job.Err,
 		Resumed:    job.Resumed,
 		Stolen:     job.Stolen,
 		Instance:   job.Instance,
-		Result:     job.Result,
+		Result:     job.result,
 		ResultHash: job.ResultHash,
 		Submitted:  job.Submitted,
 	}
@@ -787,8 +878,32 @@ func (m *Manager) statusLocked(job *Job) JobStatus {
 		if len(snap.Counters) > 0 {
 			st.Progress = snap.Counters
 		}
+	} else if len(job.progress) > 0 {
+		st.Progress = make(map[string]int64, len(job.progress))
+		for _, c := range job.progress {
+			st.Progress[c.name] = c.value
+		}
 	}
 	return st
+}
+
+// progressLocked collapses a counter snapshot into a terminal job's
+// progress block, interning the names so every finished job shares one
+// copy of each.
+func (m *Manager) progressLocked(counters map[string]int64) []counterValue {
+	if len(counters) == 0 {
+		return nil
+	}
+	out := make([]counterValue, 0, len(counters))
+	for name, v := range counters {
+		interned, ok := m.names[name]
+		if !ok {
+			interned = name
+			m.names[name] = name
+		}
+		out = append(out, counterValue{interned, v})
+	}
+	return out
 }
 
 // dispatchOne starts the next DRR-selected job this instance can win
@@ -847,6 +962,15 @@ func (m *Manager) dispatchOne() bool {
 	}
 
 	m.mu.Lock()
+	spec := job.spec
+	if spec == nil {
+		// A peer's result was adopted while we took the lease: the job
+		// is finished and its spec is gone from the table.
+		m.mu.Unlock()
+		l.Release()
+		m.limiter.Release()
+		return true
+	}
 	job.State = StateRunning
 	job.Started = time.Now()
 	job.Instance = m.cfg.Instance
@@ -855,7 +979,7 @@ func (m *Manager) dispatchOne() bool {
 	job.remote = false
 	job.reg = telemetry.NewRegistry()
 	job.tracer = telemetry.NewTracer()
-	m.classRunning[job.Spec.Kind]++
+	m.classRunning[job.Kind]++
 	m.running++
 	m.runningSince[id] = job.Started
 	m.runningG.Set(float64(m.running))
@@ -872,9 +996,9 @@ func (m *Manager) dispatchOne() bool {
 	go func() {
 		defer m.wg.Done()
 		defer m.limiter.Release()
-		m.execute(job, l)
+		m.execute(job, *spec, l)
 		m.mu.Lock()
-		m.classRunning[job.Spec.Kind]--
+		m.classRunning[job.Kind]--
 		m.running--
 		delete(m.runningSince, job.ID)
 		m.runningG.Set(float64(m.running))
@@ -917,7 +1041,7 @@ func (m *Manager) heartbeat(job *Job, l *lease.Lease, cancel context.CancelFunc,
 // outcome. Interrupted jobs keep their checkpoint journal and are
 // re-queued by the next recover (or stolen by a peer); they never
 // persist a result.
-func (m *Manager) execute(job *Job, l *lease.Lease) {
+func (m *Manager) execute(job *Job, spec JobSpec, l *lease.Lease) {
 	runCtx, cancel := context.WithCancel(m.ctx)
 	defer cancel()
 	stopBeat := make(chan struct{})
@@ -928,7 +1052,7 @@ func (m *Manager) execute(job *Job, l *lease.Lease) {
 	}()
 
 	start := time.Now()
-	result, err := m.runJob(runCtx, job)
+	result, err := m.runJob(runCtx, job, spec)
 	close(stopBeat)
 	<-beatDone
 	elapsed := time.Since(start).Seconds()
@@ -945,6 +1069,29 @@ func (m *Manager) execute(job *Job, l *lease.Lease) {
 	leaseLost := !draining && runCtx.Err() != nil && errors.Is(l.Renew(), lease.ErrLost)
 	m.logJobOutcome(job, err, elapsed, draining || leaseLost)
 
+	// A terminal outcome is written to the state directory before the
+	// table says so, and outside the table lock: a status poll never
+	// waits behind the fsync, and one that reads a terminal state finds
+	// results/<id>.json in place.
+	terminal := !draining && !leaseLost
+	var doc resultDoc
+	persisted := false
+	if terminal {
+		doc = resultDoc{ID: job.ID, Kind: job.Kind, State: StateDone, Instance: m.cfg.Instance,
+			Progress: job.reg.Snapshot().Counters}
+		if err != nil {
+			doc.State, doc.Error = StateFailed, err.Error()
+		} else {
+			doc.Result, doc.ResultHash = result, jobID(checkpoint.HashBytes(result))
+		}
+		persisted = m.persistResult(doc)
+		if err != nil {
+			// A failed job's flight tail is the diagnosis artifact: dump it
+			// before the ring forgets what led up to the failure.
+			m.dumpFlight(job.ID, "job_failed", job.ID)
+		}
+	}
+
 	m.mu.Lock()
 	// EWMA with a 0.3 step: recent jobs dominate, one outlier does not.
 	m.avgSeconds += 0.3 * (elapsed - m.avgSeconds)
@@ -960,24 +1107,15 @@ func (m *Manager) execute(job *Job, l *lease.Lease) {
 		job.Err = "lease lost; a peer instance stole the job"
 		job.remote = true // the scanner adopts the thief's result
 		m.interruptedC.Inc()
-	case err != nil:
-		job.State = StateFailed
-		job.Err = err.Error()
-		m.failedC.Inc()
-		m.persistResultLocked(job)
-		m.slo.Observe(SeriesSubmitComplete, job.Finished.Sub(job.Submitted).Seconds())
-		// A failed job's flight tail is the diagnosis artifact: dump it
-		// before the ring forgets what led up to the failure.
-		m.dumpFlight(job.ID, "job_failed", job.ID)
 	default:
-		job.State = StateDone
-		job.Result = result
-		job.ResultHash = jobID(checkpoint.HashBytes(result))
-		m.completedC.Inc()
-		m.persistResultLocked(job)
+		if err != nil {
+			m.failedC.Inc()
+		} else {
+			m.completedC.Inc()
+		}
+		m.finishLocked(job, doc, persisted)
 		m.slo.Observe(SeriesSubmitComplete, job.Finished.Sub(job.Submitted).Seconds())
 	}
-	terminal := job.State == StateDone || job.State == StateFailed
 	m.mu.Unlock()
 
 	// Lease finalization happens outside the lock: it fsyncs. A finished
@@ -992,6 +1130,31 @@ func (m *Manager) execute(job *Job, l *lease.Lease) {
 	}
 }
 
+// finishLocked reduces a job to its terminal header: state, error, hash,
+// instance and final counters stay in the table; the spec and registry
+// leave it, the spans move under the trace budget, and a result document
+// goes to the result cache — or, when persisted is false and there is no
+// file to re-read it from, stays pinned to the header. Callers adopting
+// a document from disk pass it without its result: headers only.
+func (m *Manager) finishLocked(job *Job, doc resultDoc, persisted bool) {
+	job.State, job.Err, job.ResultHash = doc.State, doc.Error, doc.ResultHash
+	if doc.Instance != "" {
+		job.Instance = doc.Instance
+	}
+	job.progress = m.progressLocked(doc.Progress)
+	if doc.Result != nil {
+		if persisted {
+			m.results.put(job.ID, doc.Result, int64(len(doc.Result)))
+		} else {
+			job.result = doc.Result
+		}
+	}
+	if job.tracer != nil {
+		m.traces.put(job.ID, job.tracer, int64(job.tracer.Len())*spanBytes)
+	}
+	job.spec, job.reg, job.tracer = nil, nil, nil
+}
+
 // logJobOutcome emits the job's lifecycle record and flight event.
 func (m *Manager) logJobOutcome(job *Job, err error, elapsed float64, interrupted bool) {
 	state := StateDone
@@ -1003,7 +1166,7 @@ func (m *Manager) logJobOutcome(job *Job, err error, elapsed float64, interrupte
 		state = StateFailed
 		errText = err.Error()
 	}
-	attrs := map[string]any{"kind": job.Spec.Kind, "state": state, "elapsed_seconds": elapsed}
+	attrs := map[string]any{"kind": job.Kind, "state": state, "elapsed_seconds": elapsed}
 	if errText != "" {
 		attrs["error"] = errText
 	}
@@ -1011,7 +1174,7 @@ func (m *Manager) logJobOutcome(job *Job, err error, elapsed float64, interrupte
 	logAttrs := []slog.Attr{
 		slog.String("trace_id", job.ID),
 		slog.String("job_id", job.ID),
-		slog.String("kind", job.Spec.Kind),
+		slog.String("kind", job.Kind),
 		slog.String("state", state),
 		slog.Any("elapsed_seconds", obslog.Volatile{Value: elapsed}),
 	}
@@ -1085,10 +1248,15 @@ func (m *Manager) sweepParked() {
 // local job table, so any instance can answer status queries for any
 // job in the fleet.
 func (m *Manager) finalizeRemote(job *Job, doc resultDoc) {
+	finished := modTime(m.resultPath(job.ID))
+	doc.Result = nil // headers only: the file keeps the result
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if job.State == StateDone || job.State == StateFailed {
 		return
+	}
+	if _, runningHere := m.runningSince[job.ID]; runningHere {
+		return // dispatched since the sweep listed it; the local run finishes it
 	}
 	if job.queuedLocal {
 		// Raced a local dispatch decision: drop it from our queues, the
@@ -1105,15 +1273,9 @@ func (m *Manager) finalizeRemote(job *Job, doc resultDoc) {
 		job.queuedLocal = false
 		m.removeTenantLocked(t)
 	}
-	job.State = doc.State
-	job.Err = doc.Error
-	job.Result = doc.Result
-	job.ResultHash = doc.ResultHash
-	if doc.Instance != "" {
-		job.Instance = doc.Instance
-	}
+	m.finishLocked(job, doc, false)
 	job.remote = true
-	job.Finished = modTime(m.resultPath(job.ID))
+	job.Finished = finished
 	m.remoteDoneC.Inc()
 	m.flight.Record("event", "serve.job.remote_completed", job.ID,
 		map[string]any{"instance": job.Instance, "state": doc.State})

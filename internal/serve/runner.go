@@ -24,8 +24,7 @@ import (
 // over the byte-identical pipeline outputs, so an interrupted-and-
 // resumed job hashes the same as an uninterrupted one. The caller
 // discards the result when ctx was cancelled during the run.
-func (m *Manager) runJob(ctx context.Context, job *Job) (json.RawMessage, error) {
-	spec := job.Spec
+func (m *Manager) runJob(ctx context.Context, job *Job, spec JobSpec) (json.RawMessage, error) {
 	set, err := spec.parse()
 	if err != nil {
 		return nil, err

@@ -165,14 +165,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	jobs := s.mgr.Jobs()
-	// The list view drops result payloads: a job's full result (which
-	// can embed the entire report) is served by its own endpoint.
-	for i := range jobs {
-		jobs[i].Result = nil
-		jobs[i].Progress = nil
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
+	// The list view carries no result payloads or progress blocks: a
+	// job's full result (which can embed the entire report) is served by
+	// its own endpoint.
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.mgr.Jobs()})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -192,7 +188,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // because the scanner folds remote completions into the local table.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	status, ok := s.mgr.Job(id)
+	status, ok := s.mgr.status(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
@@ -211,7 +207,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	defer ticker.Stop()
 	var last []byte
 	for {
-		status.Result = nil // results can be huge; the job endpoint serves them
+		status.Result = nil // a result pinned by a failed write; the job endpoint serves it
 		data, err := json.Marshal(status)
 		if err == nil && string(data) != string(last) {
 			last = data
@@ -228,7 +224,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-ticker.C:
 		}
-		status, ok = s.mgr.Job(id)
+		status, ok = s.mgr.status(id)
 		if !ok {
 			return
 		}
@@ -237,14 +233,14 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.mgr.Job(id); !ok {
+	if _, ok := s.mgr.status(id); !ok {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	tracer := s.mgr.Tracer(id)
 	if tracer == nil {
-		// Recovered-from-disk jobs ran in a previous process; their spans
-		// are gone.
+		// Recovered-from-disk jobs ran in a previous process, and the
+		// trace budget evicts the oldest finished jobs' spans.
 		writeError(w, http.StatusNotFound, "no trace recorded for this job")
 		return
 	}

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -362,4 +364,39 @@ func TestServerRejectsBadConfig(t *testing.T) {
 	if _, err := New("127.0.0.1:0", Config{}); err == nil {
 		t.Fatal("server accepted empty StateDir")
 	}
+}
+
+// TestServingDocJobSpec posts the job spec docs/SERVING.md shows, so the
+// example cannot drift from what admission accepts.
+func TestServingDocJobSpec(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "SERVING.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body string
+	for _, block := range strings.Split(string(doc), "```json\n")[1:] {
+		block, _, _ = strings.Cut(block, "```")
+		if strings.Contains(block, `"tracesCsv"`) {
+			body = block
+			break
+		}
+	}
+	if body == "" {
+		t.Fatal("docs/SERVING.md shows no JSON job spec")
+	}
+	_, base, _ := startServer(t, Config{StateDir: t.TempDir(), Workers: 1})
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	answer, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("the documented job spec answered %d: %s", resp.StatusCode, answer)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(answer, &st); err != nil {
+		t.Fatal(err)
+	}
+	waitHTTPState(t, base, st.ID, StateDone)
 }

@@ -107,6 +107,9 @@ type resultDoc struct {
 	Error      string          `json:"error,omitempty"`
 	Result     json.RawMessage `json:"result,omitempty"`
 	ResultHash string          `json:"resultHash,omitempty"`
+	// Progress is the run's final telemetry counters: the status
+	// endpoint's progress block, whoever answers and whenever.
+	Progress map[string]int64 `json:"progress,omitempty"`
 }
 
 // writeAtomic lands data at path via a temp file, fsync and rename, so
@@ -149,34 +152,34 @@ func (m *Manager) persistSpec(id string, spec JobSpec) error {
 	return nil
 }
 
-// persistResultLocked records a finished job. A write failure is
-// counted, not fatal: the in-memory result still serves status queries,
-// and a restart simply re-runs the job. Concurrent writers (a zombie
-// racing the thief) are harmless: results are deterministic functions
-// of the spec, so both write the same bytes, and writeAtomic's rename
-// makes each replacement whole.
-func (m *Manager) persistResultLocked(job *Job) {
-	doc := resultDoc{
-		ID:         job.ID,
-		Kind:       job.Spec.Kind,
-		State:      job.State,
-		Instance:   job.Instance,
-		Error:      job.Err,
-		Result:     job.Result,
-		ResultHash: job.ResultHash,
-	}
+// persistResult records a finished job's document and reports whether
+// it landed. A write failure is counted, not fatal: the job table pins
+// the result for status queries instead, and a restart simply re-runs
+// the job. Concurrent writers (a zombie racing the thief) are harmless:
+// results are deterministic functions of the spec, so both write the
+// same result bytes, and writeAtomic's rename makes each replacement
+// whole. It does file I/O, so callers must not hold m.mu.
+func (m *Manager) persistResult(doc resultDoc) bool {
 	data, err := json.Marshal(doc)
+	if m.cfg.Inject != nil && err == nil {
+		o := m.cfg.Inject.Hit("serve.result.write", doc.ID)
+		if o.Delay > 0 {
+			time.Sleep(o.Delay)
+		}
+		err = o.Err
+	}
 	if err == nil {
-		err = writeAtomic(m.resultPath(job.ID), data)
+		err = writeAtomic(m.resultPath(doc.ID), data)
 	}
 	if err != nil {
 		m.hooks.Counter("serve_state_write_errors_total").Inc()
-		return
+		return false
 	}
 	// The finished journals have served their purpose; drop every
 	// epoch's file so the state directory does not accumulate one
 	// journal per historical job attempt.
-	m.removeCkpts(job.ID)
+	m.removeCkpts(doc.ID)
+	return true
 }
 
 // scanDisk reconciles the job table with the shared state directory.
@@ -230,16 +233,17 @@ func (m *Manager) scanDisk(initial bool) error {
 			m.quarantine(id)
 			continue
 		}
-		job := &Job{ID: id, Spec: spec, Tenant: spec.Tenant, Submitted: modTime(m.specPath(id))}
-		if doc, ok := m.loadResult(id); ok && (doc.State == StateDone || doc.State == StateFailed) {
-			job.State = doc.State
-			job.Err = doc.Error
-			job.Result = doc.Result
-			job.ResultHash = doc.ResultHash
-			job.Instance = doc.Instance
+		job := &Job{ID: id, Kind: spec.Kind, Tenant: spec.Tenant, Submitted: modTime(m.specPath(id))}
+		doc, finished := m.loadResult(id)
+		finished = finished && (doc.State == StateDone || doc.State == StateFailed)
+		if finished {
+			// Headers only: the state directory keeps the spec and the
+			// result, and a status query re-reads the result on demand.
+			doc.Result = nil
 			job.remote = doc.Instance != "" && doc.Instance != m.cfg.Instance
 			job.Finished = modTime(m.resultPath(id))
 		} else {
+			job.spec = &spec
 			job.State = StateQueued
 			job.Resumed = initial
 		}
@@ -249,6 +253,9 @@ func (m *Manager) scanDisk(initial bool) error {
 			// entry from Submit wins.
 			m.mu.Unlock()
 			continue
+		}
+		if finished {
+			m.finishLocked(job, doc, false)
 		}
 		m.jobs[id] = job
 		m.order = append(m.order, id)

@@ -92,6 +92,18 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped.Load()
 }
 
+// Len returns the number of completed spans the tracer holds.
+func (t *Tracer) Len() int {
+	if t == nil {
+		return 0
+	}
+	t.exportMu.Lock()
+	defer t.exportMu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.spans)
+}
+
 // OnEnd registers a sink called (outside the tracer's locks) with every
 // span as it completes — the seam the flight recorder taps. Set it
 // before spans flow; a nil fn disables the sink.
