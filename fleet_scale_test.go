@@ -38,8 +38,9 @@ func fleetScaleSet(t testing.TB) trace.Set {
 }
 
 // fleetScalePlan runs translate + hierarchical consolidate over the
-// fleet at the given worker count and returns the consolidation.
-func fleetScalePlan(t testing.TB, set trace.Set, workers int) *core.Consolidation {
+// fleet at the given worker count and evaluation-store budget (0: the
+// default) and returns the consolidation and the store's counters.
+func fleetScalePlan(t testing.TB, set trace.Set, workers int, cacheBytes int64) (*core.Consolidation, placement.CacheStats) {
 	t.Helper()
 	f, err := core.New(core.Config{
 		Commitment:           qos.PoolCommitment{Theta: 0.6, Deadline: time.Hour},
@@ -48,6 +49,7 @@ func fleetScalePlan(t testing.TB, set trace.Set, workers int) *core.Consolidatio
 		GA:                   placement.DefaultGAConfig(42),
 		Tolerance:            0.1,
 		Workers:              workers,
+		CacheBytes:           cacheBytes,
 		PartitionApps:        fleetScalePartitionApps,
 	})
 	if err != nil {
@@ -63,7 +65,7 @@ func fleetScalePlan(t testing.TB, set trace.Set, workers int) *core.Consolidatio
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cons
+	return cons, f.CacheStats()
 }
 
 // fleetPlanBytes fingerprints a consolidation: the full plan document
@@ -82,14 +84,16 @@ func fleetPlanBytes(t testing.TB, cons *core.Consolidation) []byte {
 }
 
 // TestFleetScaleHierarchicalDeterminism: the 1000-app hierarchical
-// plan is byte-identical at 1 and 8 workers, splits into the expected
-// sub-pool count, and places every application.
+// plan splits into the expected sub-pool count, places every
+// application, and is byte-identical at 1 and 8 workers and on a 1 MiB
+// evaluation store, small enough that the partitions evict records they
+// scored and compute them again.
 func TestFleetScaleHierarchicalDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet-scale plan skipped in -short mode")
 	}
 	set := fleetScaleSet(t)
-	base := fleetScalePlan(t, set, 1)
+	base, _ := fleetScalePlan(t, set, 1, 0)
 	if base.Hier == nil {
 		t.Fatal("PartitionApps set but consolidation is not hierarchical")
 	}
@@ -107,8 +111,16 @@ func TestFleetScaleHierarchicalDeterminism(t *testing.T) {
 		t.Errorf("plan places %d of %d apps", placed, fleetScaleApps)
 	}
 	want := fleetPlanBytes(t, base)
-	got := fleetPlanBytes(t, fleetScalePlan(t, set, 8))
-	if !bytes.Equal(want, got) {
+	wide, _ := fleetScalePlan(t, set, 8, 0)
+	if !bytes.Equal(want, fleetPlanBytes(t, wide)) {
 		t.Error("hierarchical plan differs between 1 and 8 workers")
+	}
+	small, stats := fleetScalePlan(t, set, 2, 1<<20)
+	t.Logf("1 MiB store: %+v", stats)
+	if stats.Evictions == 0 {
+		t.Errorf("a 1 MiB store evicted nothing: %+v", stats)
+	}
+	if !bytes.Equal(want, fleetPlanBytes(t, small)) {
+		t.Error("hierarchical plan differs on an evicting store")
 	}
 }

@@ -9,7 +9,7 @@ import (
 // TestConsolidateAllocBudget is the allocation gate for the
 // consolidation path: a small search must stay within a fixed
 // allocation budget. The ceilings sit ~2x above the measured counts
-// (~1.2k with one island, ~1.9k with four), so GA trajectory noise
+// (~1.0k with one island, ~1.7k with four), so GA trajectory noise
 // passes but an accidental per-server or per-miss allocation in the
 // scoring loop — candidates are scored without per-server detail, and
 // only the returned plan is materialised — fails.
@@ -29,10 +29,10 @@ func TestConsolidateAllocBudget(t *testing.T) {
 		{4, 3_500},
 	} {
 		p := binPackProblem(sizes, 7, 10)
-		// AllocsPerRun's warm-up run fills the shared cache, so the
-		// measured runs count the search's own bookkeeping — per-run cache
-		// misses included — and not the simulator's pooled scratch, which
-		// the race detector makes sync.Pool drop at random.
+		// AllocsPerRun's warm-up run fills the store, so the measured runs
+		// count the search's own bookkeeping and not the simulator's
+		// pooled scratch, which the race detector makes sync.Pool drop at
+		// random.
 		p.Cache = NewSimCache(0)
 		cfg := islandGA(11, tc.islands)
 		allocs := testing.AllocsPerRun(3, func() {

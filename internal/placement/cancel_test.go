@@ -107,7 +107,8 @@ func TestCancelGreedyExactAndCorrelation(t *testing.T) {
 }
 
 // TestChaosEvaluatorConcurrent drives many goroutines through the
-// evaluator's singleflight cache (run under -race by the CI chaos job).
+// evaluator's store and its singleflight tables (run under -race by the
+// CI chaos job).
 func TestChaosEvaluatorConcurrent(t *testing.T) {
 	p := cancelProblem()
 	ev := newEvaluator(p)
@@ -137,8 +138,8 @@ func TestChaosEvaluatorConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	for i := range ev.shards {
-		sh := &ev.shards[i]
+	for i := range ev.store.shards {
+		sh := &ev.store.shards[i]
 		sh.mu.Lock()
 		if len(sh.inflight) != 0 {
 			t.Errorf("shard %d: %d in-flight entries leaked", i, len(sh.inflight))
@@ -171,24 +172,10 @@ func TestChaosPanicReleasesWaiters(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := newEvaluator(p)
-	waiting := func() bool {
-		for i := range ev.shards {
-			sh := &ev.shards[i]
-			sh.mu.Lock()
-			for _, fl := range sh.inflight {
-				if fl != nil {
-					sh.mu.Unlock()
-					return true
-				}
-			}
-			sh.mu.Unlock()
-		}
-		return false
-	}
 	var calls atomic.Int64
 	p.Inject = faultinject.Func(func(point, key string) faultinject.Outcome {
 		if calls.Add(1) == 1 {
-			for !waiting() {
+			for !hasWaiter(ev.store) {
 				runtime.Gosched()
 			}
 			panic("injected panic")

@@ -3,7 +3,6 @@ package placement
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"ropus/internal/stats"
 )
@@ -34,26 +33,15 @@ func LeastCorrelatedFit(ctx context.Context, p *Problem) (*Plan, error) {
 
 	// Total per-slot allocation per app, reused for correlations.
 	totals := make([][]float64, len(p.Apps))
-	peaks := make([]float64, len(p.Apps))
 	for i, a := range p.Apps {
 		tot := make([]float64, len(a.Workload.CoS1))
-		peak := 0.0
 		for j := range tot {
 			tot[j] = a.Workload.CoS1[j] + a.Workload.CoS2[j]
-			if tot[j] > peak {
-				peak = tot[j]
-			}
 		}
 		totals[i] = tot
-		peaks[i] = peak
 	}
 
-	order := make([]int, len(p.Apps))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool { return peaks[order[i]] > peaks[order[j]] })
-
+	order := byDecreasingPeak(p)
 	groups := make([][]int, len(p.Servers))
 	serverTotals := make([][]float64, len(p.Servers))
 	assignment := make(Assignment, len(p.Apps))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Exact consolidation by branch and bound. The authors' earlier work
@@ -53,27 +52,12 @@ func Exact(ctx context.Context, p *Problem, maxNodes int) (*Plan, error) {
 	sc := ev.acquire()
 	defer ev.release(sc)
 
-	// Decreasing peak order tightens the search: big items first.
-	order := make([]int, len(p.Apps))
-	for i := range order {
-		order[i] = i
-	}
-	peaks := make([]float64, len(p.Apps))
-	for i, a := range p.Apps {
-		for j := range a.Workload.CoS1 {
-			if t := a.Workload.CoS1[j] + a.Workload.CoS2[j]; t > peaks[i] {
-				peaks[i] = t
-			}
-		}
-	}
-	sort.SliceStable(order, func(i, j int) bool { return peaks[order[i]] > peaks[order[j]] })
-
 	s := &exactSearch{
 		ctx:      ctx,
 		p:        p,
 		ev:       ev,
 		sc:       sc,
-		order:    order,
+		order:    byDecreasingPeak(p), // big items first tighten the search
 		groups:   make([][]int, 0, len(p.Servers)),
 		best:     len(p.Servers) + 1,
 		maxNodes: maxNodes,

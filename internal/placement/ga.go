@@ -215,7 +215,11 @@ func Consolidate(ctx context.Context, p *Problem, initial Assignment, cfg GAConf
 		}
 		return nil, fmt.Errorf("%w after %d generations", ErrNoFeasible, cfg.MaxGenerations)
 	}
-	plan = ev.materialise(sc, best)
+	// A record evicted since scoring is computed again, so a truncated
+	// search expands its best plan detached from the cancel.
+	if plan, err = ev.materialise(context.WithoutCancel(ctx), sc, best); err != nil {
+		return nil, err
+	}
 	if truncated {
 		telemetry.OrNop(p.Hooks).Counter("ga_truncated_total").Inc()
 		plan.Truncated = true

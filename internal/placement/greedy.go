@@ -65,23 +65,7 @@ func greedy(ctx context.Context, p *Problem, pick func([]candidate) candidate) (
 	sc := ev.acquire()
 	defer ev.release(sc)
 
-	// Order applications by decreasing peak total allocation.
-	order := make([]int, len(p.Apps))
-	for i := range order {
-		order[i] = i
-	}
-	peaks := make([]float64, len(p.Apps))
-	for i, a := range p.Apps {
-		peak := 0.0
-		for j := range a.Workload.CoS1 {
-			if t := a.Workload.CoS1[j] + a.Workload.CoS2[j]; t > peak {
-				peak = t
-			}
-		}
-		peaks[i] = peak
-	}
-	sort.SliceStable(order, func(i, j int) bool { return peaks[order[i]] > peaks[order[j]] })
-
+	order := byDecreasingPeak(p)
 	groups := make([][]int, len(p.Servers))
 	assignment := make(Assignment, len(p.Apps))
 	var trial []int // the candidate group, rebuilt per (app, server)
@@ -114,6 +98,24 @@ func greedy(ctx context.Context, p *Problem, pick func([]candidate) candidate) (
 		assignment[app] = chosen.server
 	}
 	return ev.evaluate(ctx, assignment)
+}
+
+// byDecreasingPeak orders the applications by decreasing peak total
+// (CoS1+CoS2) allocation, ties in problem order: the packers and the
+// exact search place the big items first.
+func byDecreasingPeak(p *Problem) []int {
+	order := make([]int, len(p.Apps))
+	peaks := make([]float64, len(p.Apps))
+	for i, a := range p.Apps {
+		order[i] = i
+		for j := range a.Workload.CoS1 {
+			if t := a.Workload.CoS1[j] + a.Workload.CoS2[j]; t > peaks[i] {
+				peaks[i] = t
+			}
+		}
+	}
+	sort.SliceStable(order, func(i, j int) bool { return peaks[order[i]] > peaks[order[j]] })
+	return order
 }
 
 // withApp writes the sorted group with app inserted in order into buf

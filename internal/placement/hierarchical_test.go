@@ -261,13 +261,16 @@ func TestCancelHierarchicalResume(t *testing.T) {
 			t.Errorf("partition %d was re-solved, want replay", sub.Index)
 		}
 	}
-	want := baseline
+	// A copy: baseline itself stays the fresh run's plan (nothing
+	// replayed) for the comparison with an uncancelled torn run below.
+	want := *baseline
+	want.Partitions = append([]SubPool(nil), baseline.Partitions...)
 	for i := range want.Partitions {
 		want.Partitions[i].Replayed = true
 	}
-	if !reflect.DeepEqual(want, resumed) {
+	if !reflect.DeepEqual(&want, resumed) {
 		t.Errorf("resumed plan diverged:\n got %s\nwant %s",
-			hierFingerprint(resumed), hierFingerprint(want))
+			hierFingerprint(resumed), hierFingerprint(&want))
 	}
 
 	// Interrupted run: cancel concurrently so the run dies at an

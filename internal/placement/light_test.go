@@ -173,7 +173,11 @@ func TestLightScoreMatchesMaterialisedPlan(t *testing.T) {
 				t.Fatalf("cached=%v %v: light score %+v, reference score %v feasible %v servers %d required %v",
 					cached, a, *c, want.Score, want.Feasible, want.ServersUsed, want.RequiredTotal)
 			}
-			if got := ev.materialise(sc, c); !reflect.DeepEqual(got, want) {
+			got, err := ev.materialise(context.Background(), sc, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("cached=%v %v: materialised plan\n%+v\nreference\n%+v", cached, a, got, want)
 			}
 			if i%50 == 0 { // a fresh evaluator: answers come from the shared cache, if any
@@ -341,8 +345,8 @@ func TestSimCacheBytesHonest(t *testing.T) {
 	before := heap()
 	cache := NewSimCache(1 << 40)
 	for i := 0; i < n; i++ {
-		k := cacheKey{cfg: 1, server: 2, group: fnvInt(fnvOffset64, i), warm: i%2 == 1}
-		cache.put(k, groupEval{required: float64(i), feasible: true})
+		k := cacheKey{cfg: 1, server: uint64(i % 2), group: fnvInt(fnvOffset64, i)} // usage and warm keys
+		cache.put(k, 0, groupEval{required: float64(i), feasible: true})
 	}
 	grown := float64(heap() - before)
 	s := cache.Stats()

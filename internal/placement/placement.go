@@ -169,13 +169,14 @@ type Problem struct {
 	// (points "sim.required_capacity" and "sim.replay", keyed by server
 	// ID); nil (the production default) injects nothing.
 	Inject faultinject.Injector
-	// Cache is an optional shared cross-run simulation cache (see
+	// Cache is an optional evaluation store shared across runs (see
 	// NewSimCache): per-(server-shape, app-group) results persist across
 	// Consolidate/Evaluate calls and across Problems, keyed by content,
 	// so the failure sweep and the planner stop re-solving groups the
-	// base plan already solved. Cached reuse is bit-exact, so
-	// plans are identical with or without it. Ignored while Inject is
-	// set: fault-injection points must fire per evaluation.
+	// base plan already solved. Cached reuse is bit-exact, so plans are
+	// identical with or without it. Without one, or while Inject is set
+	// (no injected outcome may reach another run), each evaluation run
+	// gets a private store.
 	Cache *SimCache
 
 	// attrs caches the sorted union of extra attributes; set by
@@ -348,8 +349,8 @@ func serverValue(u float64, z, nApps int, feasible bool, model ScoreModel) float
 
 // groupEval is the compact outcome of simulating one app group on one
 // server shape: what a ServerUsage holds minus the server and the app
-// IDs, which whoever asks already knows. It is the record both the
-// per-run cache and the shared SimCache store.
+// IDs, which whoever asks already knows. It is the record the
+// evaluation store (SimCache) holds.
 type groupEval struct {
 	required float64
 	value    float64
@@ -358,31 +359,8 @@ type groupEval struct {
 	extra    map[Attribute]float64
 }
 
-// inflightEval lets goroutines that need a (server, app-group) another
-// goroutine is already simulating wait for that single computation
-// instead of racing to duplicate it.
-type inflightEval struct {
-	done chan struct{}
-	eval groupEval
-	err  error
-}
-
-// evalShards is the number of independent lock+map shards the
-// evaluator's per-run cache is split across. The GA's offspring
-// evaluations — and with the island model, whole islands — hammer the
-// cache from many goroutines at once; sharding by key keeps them off a
-// single mutex. Must be a power of two (keys are FNV hashes, so the low
-// bits are well mixed).
-const evalShards = 16
-
-// evalShard is one lock's worth of the per-run evaluation cache plus
-// its in-flight (singleflight) table. A key being computed maps to nil
-// in inflight until a second goroutine actually has to wait for it.
-type evalShard struct {
-	mu       sync.Mutex
-	cache    map[uint64]groupEval
-	inflight map[uint64]*inflightEval
-}
+// emptyEval is the record of a server that hosts nothing.
+var emptyEval = groupEval{feasible: true, value: 1}
 
 // scratch is one goroutine's working memory for scoring assignments:
 // the per-server grouping of the assignment at hand, and the aggregate
@@ -395,31 +373,32 @@ type scratch struct {
 	workloads []sim.Workload
 }
 
-// evaluator evaluates assignments against a problem, caching per-server
-// simulations: the GA revisits the same app groupings constantly, so the
-// cache turns most evaluations into lookups. It is safe for concurrent
-// use; simulations run outside the locks and are deduplicated through a
-// per-shard in-flight table (singleflight style), so each (server,
-// group) pair is computed exactly once no matter how many goroutines ask
-// for it.
+// evaluator evaluates assignments against a problem through one
+// evaluation store: the GA revisits the same app groupings constantly,
+// so most evaluations are lookups. It is safe for concurrent use;
+// simulations run outside the store's locks and are deduplicated through
+// its per-shard in-flight tables (singleflight style), so each group is
+// computed once no matter how many goroutines — of this run, or of any
+// other run on the same store — ask for it.
 type evaluator struct {
 	p *Problem
 
-	// shared is the cross-run cache (nil when the problem has none or
-	// carries a fault injector); the signatures below are precomputed
-	// once per evaluator so hot-path keys are a few integer folds.
-	shared      *SimCache
-	cfgSig      uint64
-	serverSigs  []uint64
-	sharedHitC  *telemetry.Counter
-	sharedMissC *telemetry.Counter
-	warmHitC    *telemetry.Counter
-	evictC      *telemetry.Counter
+	// store is Problem.Cache or a private store, and run, numbered by
+	// the store, tags the records this evaluator computes or reuses. The key lanes are precomputed so a key is
+	// a few integer folds: cfgSig for the problem, and per server the
+	// server lane of its usage keys and of its warm keys.
+	store     *SimCache
+	run       uint64
+	cfgSig    uint64
+	usageSigs []uint64
+	warmSigs  []uint64
 
-	shards [evalShards]evalShard
-	// hitC/missC count per-run cache lookups; a singleflight waiter is a
-	// hit.
-	hitC, missC *telemetry.Counter
+	// hitC/missC count this run's lookups against its store (a
+	// singleflight waiter is a hit); sharedHitC/sharedMissC count the
+	// lookups answered by another run's record, and the computations.
+	hitC, missC             *telemetry.Counter
+	sharedHitC, sharedMissC *telemetry.Counter
+	warmHitC, evictC        *telemetry.Counter
 
 	// free holds the scratch not in use; see acquire.
 	freeMu sync.Mutex
@@ -429,25 +408,31 @@ type evaluator struct {
 func newEvaluator(p *Problem) *evaluator {
 	h := telemetry.OrNop(p.Hooks)
 	e := &evaluator{
-		p:     p,
-		hitC:  h.Counter("placement_eval_cache_hits_total"),
-		missC: h.Counter("placement_eval_cache_misses_total"),
+		p:           p,
+		store:       p.Cache,
+		cfgSig:      hashConfig(p),
+		usageSigs:   make([]uint64, len(p.Servers)),
+		warmSigs:    make([]uint64, len(p.Servers)),
+		hitC:        h.Counter("placement_eval_cache_hits_total"),
+		missC:       h.Counter("placement_eval_cache_misses_total"),
+		sharedHitC:  h.Counter("placement_shared_cache_hits_total"),
+		sharedMissC: h.Counter("placement_shared_cache_misses_total"),
+		warmHitC:    h.Counter("placement_shared_cache_warm_hits_total"),
+		evictC:      h.Counter("placement_shared_cache_evictions_total"),
 	}
-	for i := range e.shards {
-		e.shards[i].cache = make(map[uint64]groupEval)
-		e.shards[i].inflight = make(map[uint64]*inflightEval)
+	if e.store == nil || p.Inject != nil {
+		e.store = NewSimCache(0)
 	}
-	if p.Cache != nil && p.Inject == nil {
-		e.shared = p.Cache
-		e.cfgSig = hashConfig(p)
-		e.serverSigs = make([]uint64, len(p.Servers))
-		for i, s := range p.Servers {
-			e.serverSigs[i] = hashServerShape(s, p.attrs)
+	e.run = e.store.runs.Add(1)
+	for i, s := range p.Servers {
+		e.usageSigs[i] = hashServerShape(s, p.attrs)
+		if p.Inject != nil {
+			// Injection points are keyed by server ID (sim.Config.InjectKey),
+			// so each record of an injecting run, warm ones included,
+			// belongs to one server.
+			e.usageSigs[i] = max(fnvString(e.usageSigs[i], s.ID), 1)
+			e.warmSigs[i] = fnvString(fnvOffset64, s.ID)
 		}
-		e.sharedHitC = h.Counter("placement_shared_cache_hits_total")
-		e.sharedMissC = h.Counter("placement_shared_cache_misses_total")
-		e.warmHitC = h.Counter("placement_shared_cache_warm_hits_total")
-		e.evictC = h.Counter("placement_shared_cache_evictions_total")
 	}
 	return e
 }
@@ -471,60 +456,63 @@ func (e *evaluator) release(sc *scratch) {
 	e.freeMu.Unlock()
 }
 
-// key builds the per-run cache key for a server and a sorted app-index
-// group: an FNV-1a fold of the indexes, replacing the string key whose
-// strconv/Builder allocations dominated hot lookups.
-func (e *evaluator) key(server int, apps []int) uint64 {
-	h := uint64(fnvOffset64)
-	h = fnvInt(h, server)
-	for _, a := range apps {
-		h = fnvInt(h, a)
-	}
-	return h
-}
-
-// evalServer simulates the given apps on the given server. The apps
-// slice must be sorted ascending. Concurrent calls for the same group
-// share one computation; waiters give up when ctx is cancelled.
-func (e *evaluator) evalServer(ctx context.Context, sc *scratch, server int, apps []int) (groupEval, error) {
+// evalServer returns the record of the given apps on the given server,
+// read from the store or simulated. The apps slice must be sorted
+// ascending. Concurrent calls for the same group, from any run on the
+// store, share one computation; waiters give up when ctx is cancelled.
+func (e *evaluator) evalServer(ctx context.Context, sc *scratch, server int, apps []int) (*groupEval, error) {
 	if len(apps) == 0 {
-		return groupEval{feasible: true, value: 1}, nil
+		return &emptyEval, nil
 	}
-	k := e.key(server, apps)
-	sh := &e.shards[k&(evalShards-1)]
+	k := cacheKey{cfg: e.cfgSig, server: e.usageSigs[server], group: hashGroup(e.p.Apps, apps)}
+	sh := e.store.shard(k)
 	for {
 		sh.mu.Lock()
-		if ev, ok := sh.cache[k]; ok {
+		if en, ok := sh.entries[k]; ok {
+			sh.touch(en)
+			reused := en.run != e.run
+			en.run = e.run
 			sh.mu.Unlock()
-			e.hitC.Inc()
-			return ev, nil
+			e.hit(reused)
+			return &en.eval, nil
 		}
-		if fl, computing := sh.inflight[k]; computing {
-			if fl == nil {
-				fl = &inflightEval{done: make(chan struct{})}
-				sh.inflight[k] = fl
-			}
+		fl, computing := sh.inflight[k]
+		if !computing {
+			sh.inflight[k] = nil
 			sh.mu.Unlock()
-			select {
-			case <-fl.done:
-			case <-ctx.Done():
-				return groupEval{}, fmt.Errorf("placement: evaluate server %q: %w", e.p.Servers[server].ID, ctx.Err())
+			return e.lead(ctx, sc, sh, k, server, apps)
+		}
+		if fl == nil {
+			fl = &inflightEval{done: make(chan struct{})}
+			sh.inflight[k] = fl
+		}
+		sh.mu.Unlock()
+		select {
+		case <-fl.done:
+			if fl.err == nil {
+				e.hit(fl.run != e.run)
+				return fl.eval, nil
 			}
-			if fl.err != nil {
-				// The leader failed; nothing was cached, so loop around and
-				// recompute (the failure may have been ctx-specific).
-				if ctx.Err() != nil {
-					return groupEval{}, fl.err
-				}
+			// The leader failed and stored nothing. Its error may be its own
+			// ctx's, so a waiter does not inherit it: it computes the group
+			// under its own ctx, unless that is done too.
+			if ctx.Err() == nil {
 				continue
 			}
-			e.hitC.Inc()
-			return fl.eval, nil
+		case <-ctx.Done():
 		}
-		sh.inflight[k] = nil
-		sh.mu.Unlock()
-		e.missC.Inc()
-		return e.lead(ctx, sc, sh, k, server, apps)
+		return nil, fmt.Errorf("placement: evaluate server %q: %w", e.p.Servers[server].ID, ctx.Err())
+	}
+}
+
+// hit counts a lookup answered without computing; reused marks this
+// run's first use of a record another run computed or used last, which
+// is also reuse across runs.
+func (e *evaluator) hit(reused bool) {
+	e.hitC.Inc()
+	if reused {
+		e.store.hits.Add(1)
+		e.sharedHitC.Inc()
 	}
 }
 
@@ -533,57 +521,40 @@ func (e *evaluator) evalServer(ctx context.Context, sc *scratch, server int, app
 var errLeaderPanicked = errors.New("placement: group evaluation panicked")
 
 // lead computes the group the calling goroutine claimed under key k,
-// caches it on success and hands the outcome to any waiters. The
+// stores it on success and hands the outcome to any waiters. The
 // hand-off is deferred so that it also runs when the computation panics:
 // the worker pool re-raises that panic only after every in-flight
 // evaluation returns, and a waiter left blocked would stall it forever.
-func (e *evaluator) lead(ctx context.Context, sc *scratch, sh *evalShard, k uint64, server int, apps []int) (ev groupEval, err error) {
+func (e *evaluator) lead(ctx context.Context, sc *scratch, sh *cacheShard, k cacheKey, server int, apps []int) (ev *groupEval, err error) {
+	e.missC.Inc()
+	e.sharedMissC.Inc()
+	e.store.misses.Add(1)
+	en := &cacheEntry{key: k, run: e.run}
 	err = errLeaderPanicked
 	defer func() {
 		sh.mu.Lock()
 		fl := sh.inflight[k]
-		if err == nil {
-			sh.cache[k] = ev
-		}
 		delete(sh.inflight, k)
+		if err == nil {
+			e.evictC.Add(int64(e.store.insert(sh, en)))
+		}
 		sh.mu.Unlock()
 		if fl != nil {
-			fl.eval, fl.err = ev, err
+			fl.run, fl.eval, fl.err = e.run, ev, err
 			close(fl.done)
 		}
 	}()
-	return e.loadOrCompute(ctx, sc, server, apps)
-}
-
-// loadOrCompute checks the shared cross-run cache for the full
-// (server-shape, group) result before falling back to a fresh
-// computation, which it then publishes for every later run.
-func (e *evaluator) loadOrCompute(ctx context.Context, sc *scratch, server int, apps []int) (groupEval, error) {
-	srv := e.p.Servers[server]
-	if e.shared == nil {
-		return e.computeServer(ctx, sc, srv, apps, 0)
+	if en.eval, err = e.computeServer(ctx, sc, server, apps, k.group); err != nil {
+		return nil, err
 	}
-	group := hashGroup(e.p.Apps, apps)
-	k := cacheKey{cfg: e.cfgSig, server: e.serverSigs[server], group: group}
-	if ev, ok := e.shared.getUsage(k); ok {
-		e.sharedHitC.Inc()
-		return ev, nil
-	}
-	e.sharedMissC.Inc()
-	ev, err := e.computeServer(ctx, sc, srv, apps, group)
-	if err != nil {
-		return ev, err
-	}
-	if n := e.shared.put(k, ev); n > 0 {
-		e.evictC.Add(int64(n))
-	}
-	return ev, nil
+	return &en.eval, nil
 }
 
 // computeServer runs the simulator for one (server, app-group) pair;
-// group is the group's content hash when a shared cache is in use.
-func (e *evaluator) computeServer(ctx context.Context, sc *scratch, srv Server, apps []int, group uint64) (groupEval, error) {
-	required, res, ok, err := e.searchPrimary(ctx, sc, srv, apps, group)
+// group is the group's content hash.
+func (e *evaluator) computeServer(ctx context.Context, sc *scratch, server int, apps []int, group uint64) (groupEval, error) {
+	srv := e.p.Servers[server]
+	required, res, ok, err := e.searchPrimary(ctx, sc, server, apps, group)
 	if err != nil {
 		return groupEval{}, err
 	}
@@ -615,13 +586,12 @@ func (e *evaluator) simConfig(srv Server) sim.Config {
 // Unclamped, its interval [CoS1Peak, TotalPeak] is limit-independent,
 // so any server with capacity >= the group's TotalPeak would reproduce
 // it bit for bit — the gate getWarm enforces.
-func (e *evaluator) searchPrimary(ctx context.Context, sc *scratch, srv Server, apps []int, group uint64) (float64, sim.Result, bool, error) {
-	wk := cacheKey{cfg: e.cfgSig, group: group, warm: true}
-	if e.shared != nil {
-		if w, ok := e.shared.getWarm(wk, srv.Capacity()); ok {
-			e.warmHitC.Inc()
-			return w.required, w.result, true, nil
-		}
+func (e *evaluator) searchPrimary(ctx context.Context, sc *scratch, server int, apps []int, group uint64) (float64, sim.Result, bool, error) {
+	srv := e.p.Servers[server]
+	wk := cacheKey{cfg: e.cfgSig, server: e.warmSigs[server], group: group}
+	if w, ok := e.store.getWarm(wk, srv.Capacity()); ok {
+		e.warmHitC.Inc()
+		return w.required, w.result, true, nil
 	}
 	// The traces were validated when their App was prepared; the sum goes
 	// into this goroutine's slot buffers, in ascending app order.
@@ -636,11 +606,9 @@ func (e *evaluator) searchPrimary(ctx context.Context, sc *scratch, srv Server, 
 	if err != nil {
 		return 0, sim.Result{}, false, err
 	}
-	if e.shared != nil && out.Feasible && out.Unclamped {
+	if out.Feasible && out.Unclamped {
 		// out.Result.PeakAggregate is the group's TotalPeak, the gate.
-		if n := e.shared.put(wk, groupEval{required: out.Capacity, feasible: true, result: out.Result}); n > 0 {
-			e.evictC.Add(int64(n))
-		}
+		e.evictC.Add(int64(e.store.put(wk, e.run, groupEval{required: out.Capacity, feasible: true, result: out.Result})))
 	}
 	return out.Capacity, out.Result, out.Feasible, nil
 }
@@ -658,7 +626,7 @@ type scored struct {
 
 // score evaluates the objective of a full assignment, which it keeps
 // (callers hand over a slice nobody mutates afterwards): with every
-// group cached, one grouping pass and one map read per used server.
+// group stored, one grouping pass and one store read per used server.
 func (e *evaluator) score(ctx context.Context, sc *scratch, a Assignment) (*scored, error) {
 	if err := a.Validate(e.p); err != nil {
 		return nil, err
@@ -684,10 +652,10 @@ func (e *evaluator) score(ctx context.Context, sc *scratch, a Assignment) (*scor
 }
 
 // materialise expands a candidate this evaluator scored into the full
-// Plan with per-server usages and app IDs. Every group was simulated
-// when the candidate was scored, so the records are read straight from
-// the per-run cache, outside the hit/miss accounting of the search.
-func (e *evaluator) materialise(sc *scratch, c *scored) *Plan {
+// Plan with per-server usages and app IDs. The records come from the
+// store; one evicted since the candidate was scored is computed again,
+// to the same bytes.
+func (e *evaluator) materialise(ctx context.Context, sc *scratch, c *scored) (*Plan, error) {
 	groupByServer(c.assignment, len(e.p.Servers), &sc.groups)
 	plan := &Plan{
 		Assignment:    c.assignment,
@@ -703,13 +671,9 @@ func (e *evaluator) materialise(sc *scratch, c *scored) *Plan {
 			plan.Usages[s] = ServerUsage{Server: srv, Feasible: true, Value: 1}
 			continue
 		}
-		k := e.key(s, group)
-		sh := &e.shards[k&(evalShards-1)]
-		sh.mu.Lock()
-		ev, ok := sh.cache[k]
-		sh.mu.Unlock()
-		if !ok {
-			panic(fmt.Sprintf("placement: no cached evaluation for the scored group on server %q", srv.ID))
+		ev, err := e.evalServer(ctx, sc, s, group)
+		if err != nil {
+			return nil, err
 		}
 		ids := make([]string, len(group))
 		for i, a := range group {
@@ -725,7 +689,7 @@ func (e *evaluator) materialise(sc *scratch, c *scored) *Plan {
 			ExtraRequired: ev.extra,
 		}
 	}
-	return plan
+	return plan, nil
 }
 
 // evaluate scores a full assignment and expands it into a Plan.
@@ -736,7 +700,7 @@ func (e *evaluator) evaluate(ctx context.Context, a Assignment) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.materialise(sc, c), nil
+	return e.materialise(ctx, sc, c)
 }
 
 // grouping is the reusable inverse of an assignment: server s hosts

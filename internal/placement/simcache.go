@@ -3,21 +3,22 @@ package placement
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
-// The shared cross-run simulation cache. A consolidation exercise's
-// expensive unit of work is the (server-capacity, app-group) simulation:
-// one bisection search over replays of the aggregated traces. The GA
-// re-creates its per-run evaluator for every Consolidate call, so the
-// base-plan search, the N failure-scenario searches, the greedy seeds
-// and the capacity planner all keep re-simulating groups the pipeline
-// has already solved. A SimCache hoists those
-// results out of the run: entries are keyed by content (a hash of the
-// traces in the group, the commitment/tolerance configuration, and the
-// server's capacity signature — not its identity), so a result computed
-// for the base plan is valid verbatim in every failure scenario where
-// the same group lands on a server of the same shape. A failed server
-// changes which groups are legal, not what a group costs on a survivor.
+// The evaluation store. A consolidation exercise's expensive unit of
+// work is the (server-capacity, app-group) simulation: one bisection
+// search over replays of the aggregated traces. Every evaluator scores
+// against one SimCache — Problem.Cache, or a private one — so a group is
+// simulated once and stored once, and the base plan, the failure
+// scenarios, the greedy seeds and the capacity planner stop
+// re-simulating groups the pipeline has already solved. Entries are
+// keyed by content (the traces in the group, the commitment/tolerance
+// configuration and the server's capacity signature — not its
+// identity), so a result computed for the base plan is valid verbatim in
+// every failure scenario where the same group lands on a server of the
+// same shape. A failed server changes which groups are legal, not what a
+// group costs on a survivor.
 //
 // Two entry kinds live in one LRU, both holding the same compact
 // groupEval record (no server, no app IDs: a hit is told about a group
@@ -32,35 +33,71 @@ import (
 //     TotalPeak — including capacities never simulated before.
 //
 // Both reuse paths reproduce exactly what a cold computation would
-// produce, so cached and uncached runs yield byte-identical plans; that
-// property is what lets the parallel sweeps stay deterministic.
-//
-// The cache is bypassed when a Problem carries a fault injector:
-// injection points must keep firing per evaluation.
+// produce, so plans are byte-identical whatever the store holds: the
+// parallel sweeps stay deterministic, and a run that loses a record to
+// eviction computes it again.
 
 // DefaultSimCacheBytes is the byte bound used when NewSimCache is given
 // a non-positive size.
 const DefaultSimCacheBytes = 256 << 20
 
+// cacheShardBits sets how many lock+map+LRU shards a store is split
+// across: a GA's offspring, a hierarchical plan's partitions and a
+// sweep's scenarios ask it from many goroutines at once.
+const (
+	cacheShardBits = 4
+	cacheShards    = 1 << cacheShardBits
+)
+
 // cacheKey identifies an entry by three independent FNV-1a lanes
-// (configuration, server shape, group content), an effective key width
-// of 192 bits. A warm entry belongs to no server: server is zero and
-// warm is set.
+// (configuration, server, group content), an effective key width of 192
+// bits. A usage entry's server lane is the server's shape signature,
+// which is never zero; a warm entry belongs to no server and its server
+// lane is zero (in an injecting run, a digest of the server ID).
 type cacheKey struct {
 	cfg, server, group uint64
-	warm               bool
 }
 
-// cacheEntry is one cached record and its own LRU node.
+// cacheEntry is one cached record and its own LRU node. run names the
+// evaluator that used it last (computed it, or reused it since), so
+// that a run's first use of another run's record counts as reuse
+// across runs. The record never changes once stored, so a hit hands out
+// a pointer to it.
 type cacheEntry struct {
 	prev, next *cacheEntry
 	key        cacheKey
+	run        uint64
 	eval       groupEval
+}
+
+// inflightEval lets goroutines that need a group another goroutine — of
+// this run or of another one on the same store — is already simulating
+// wait for that single computation instead of racing to duplicate it.
+// The leader fills in the outcome and its run before closing done.
+type inflightEval struct {
+	done chan struct{}
+	run  uint64
+	eval *groupEval
+	err  error
+}
+
+// cacheShard is one lock's worth of the store: its part of the byte
+// budget, an LRU ring, the index and the in-flight (singleflight) table.
+// A key being computed maps to nil in inflight until a second goroutine
+// actually has to wait for it.
+type cacheShard struct {
+	mu       sync.Mutex
+	max      int64
+	bytes    int64
+	lru      cacheEntry // ring sentinel: lru.next is most recently used
+	entries  map[cacheKey]*cacheEntry
+	inflight map[cacheKey]*inflightEval
 }
 
 // CacheStats is a point-in-time snapshot of a SimCache's counters.
 type CacheStats struct {
-	// Hits and Misses count full-usage lookups.
+	// Hits counts reuse across runs: a run's first use of a record
+	// another run computed or used last. Misses counts computations.
 	Hits, Misses int64
 	// WarmHits counts cross-capacity warm-start reuses of a search.
 	WarmHits int64
@@ -71,136 +108,140 @@ type CacheStats struct {
 	Bytes   int64
 }
 
-// HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
-// SimCache is a size-bounded (LRU, byte-accounted) concurrent cache of
+// SimCache is a size-bounded (LRU, byte-accounted) concurrent store of
 // per-(server-shape, app-group) simulation results, shared across
 // consolidation runs via Problem.Cache. The zero value is not usable;
 // construct with NewSimCache.
 type SimCache struct {
-	mu      sync.Mutex
-	max     int64
-	bytes   int64
-	lru     cacheEntry // ring sentinel: lru.next is most recently used
-	entries map[cacheKey]*cacheEntry
-
-	hits, misses, warmHits, evictions int64
+	shards                            [cacheShards]cacheShard
+	hits, misses, warmHits, evictions atomic.Int64
+	// runs numbers the evaluators using the store (see cacheEntry.run).
+	runs atomic.Uint64
 }
 
-// NewSimCache builds a cache bounded to maxBytes of accounted entry
-// payload (estimated, not exact); maxBytes <= 0 selects
-// DefaultSimCacheBytes.
+// NewSimCache builds a store bounded to maxBytes of accounted entry
+// payload (estimated, not exact), split evenly over its shards;
+// maxBytes <= 0 selects DefaultSimCacheBytes.
 func NewSimCache(maxBytes int64) *SimCache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultSimCacheBytes
 	}
-	c := &SimCache{max: maxBytes, entries: make(map[cacheKey]*cacheEntry)}
-	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	c := new(SimCache)
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.max = maxBytes / cacheShards
+		if int64(i) < maxBytes%cacheShards {
+			sh.max++
+		}
+		sh.entries = make(map[cacheKey]*cacheEntry)
+		sh.inflight = make(map[cacheKey]*inflightEval)
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
+	}
 	return c
 }
 
-// Stats snapshots the cache counters.
+// shard returns the shard holding k, picked by the top bits of a
+// multiplicative mix of its lanes.
+func (c *SimCache) shard(k cacheKey) *cacheShard {
+	return &c.shards[(k.cfg^k.server^k.group)*0x9e3779b97f4a7c15>>(64-cacheShardBits)]
+}
+
+// Stats snapshots the store's counters.
 func (c *SimCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		WarmHits:  c.warmHits,
-		Evictions: c.evictions,
-		Entries:   len(c.entries),
-		Bytes:     c.bytes,
+	s := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), WarmHits: c.warmHits.Load(), Evictions: c.evictions.Load()}
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		s.Entries += len(sh.entries)
+		s.Bytes += sh.bytes
+		sh.mu.Unlock()
 	}
+	return s
 }
 
 // unlink removes e from the LRU ring, if it is on it.
 func (e *cacheEntry) unlink() {
 	if e.prev != nil {
 		e.prev.next, e.next.prev = e.next, e.prev
+		e.prev, e.next = nil, nil
 	}
 }
 
 // touch makes e the most recently used entry, linking it in if new.
-func (c *SimCache) touch(e *cacheEntry) {
+func (sh *cacheShard) touch(e *cacheEntry) {
+	if sh.lru.next == e {
+		return
+	}
 	e.unlink()
-	e.prev, e.next = &c.lru, c.lru.next
+	e.prev, e.next = &sh.lru, sh.lru.next
 	e.prev.next, e.next.prev = e, e
 }
 
-// getUsage looks up a full usage entry.
-func (c *SimCache) getUsage(k cacheKey) (groupEval, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	if !ok {
-		c.misses++
-		return groupEval{}, false
+// insert stores e in sh, which the caller has locked, as the most
+// recently used entry — unless its key is already there (two runs may
+// publish one warm outcome) — and evicts least recently used entries
+// until sh is within its budget, returning how many it evicted.
+func (c *SimCache) insert(sh *cacheShard, e *cacheEntry) int {
+	if old, ok := sh.entries[e.key]; ok {
+		sh.touch(old)
+		return 0
 	}
-	c.hits++
-	c.touch(e)
-	return e.eval, true
+	sh.entries[e.key] = e
+	sh.touch(e)
+	sh.bytes += entryBytes(&e.eval)
+	n := 0
+	for sh.bytes > sh.max && len(sh.entries) > 0 {
+		last := sh.lru.prev
+		last.unlink()
+		delete(sh.entries, last.key)
+		sh.bytes -= entryBytes(&last.eval)
+		n++
+	}
+	c.evictions.Add(int64(n))
+	return n
 }
 
 // getWarm looks up a warm search outcome reusable at capacity: the
 // cached search must gate (the group's TotalPeak, which every replay
 // reports as Result.PeakAggregate) at or below it.
-func (c *SimCache) getWarm(k cacheKey, capacity float64) (groupEval, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
+func (c *SimCache) getWarm(k cacheKey, capacity float64) (*groupEval, bool) {
+	sh := c.shard(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, ok := sh.entries[k]
 	if !ok || capacity < e.eval.result.PeakAggregate {
-		return groupEval{}, false
+		return nil, false
 	}
-	c.warmHits++
-	c.touch(e)
-	return e.eval, true
+	c.warmHits.Add(1)
+	sh.touch(e)
+	return &e.eval, true
 }
 
-// put stores an entry — a full usage, or under a warm key an Unclamped
-// primary-attribute search outcome — and returns how many entries were
-// evicted to make room.
-func (c *SimCache) put(k cacheKey, ev groupEval) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[k]; ok { // concurrent computations of one key race benignly
-		c.touch(e)
-		return 0
-	}
-	e := &cacheEntry{key: k, eval: ev}
-	c.entries[k] = e
-	c.touch(e)
-	c.bytes += entryBytes(ev)
-	n := 0
-	for c.bytes > c.max && len(c.entries) > 0 {
-		last := c.lru.prev
-		last.unlink()
-		delete(c.entries, last.key)
-		c.bytes -= entryBytes(last.eval)
-		n++
-	}
-	c.evictions += int64(n)
-	return n
+// put stores a record run computed outside the singleflight — under a
+// warm key, an Unclamped primary-attribute search outcome — and returns
+// how many entries were evicted to make room.
+func (c *SimCache) put(k cacheKey, run uint64, ev groupEval) int {
+	e := &cacheEntry{key: k, run: run, eval: ev}
+	sh := c.shard(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return c.insert(sh, e)
 }
 
 // entryBytes is the accounted heap cost of one entry: the 128-byte
-// cacheEntry, its share of the index map (a 32-byte key, a pointer and
-// the tables' slack: 63 to 100 bytes as the map grows, measured on
-// go1.24), and the per-attribute map a multi-attribute record points
-// at. TestSimCacheBytesHonest holds it to the measured heap.
-func entryBytes(ev groupEval) int64 {
-	return 208 + int64(len(ev.extra))*64
+// cacheEntry, its share of the index map (a 24-byte key, a pointer and
+// the tables' slack as the map grows, measured on go1.24), and the
+// per-attribute map a multi-attribute record points at.
+// TestSimCacheBytesHonest holds it to the measured heap.
+func entryBytes(ev *groupEval) int64 {
+	return 192 + int64(len(ev.extra))*64
 }
 
 // ---------------------------------------------------------------------
 // Content hashing (FNV-1a, 64-bit). The cache keys must identify the
 // simulation inputs by value: trace contents, commitment parameters and
-// server capacities, never slice identities or server IDs.
+// server capacities, never slice identities or (outside an injecting
+// run) server IDs.
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -245,7 +286,9 @@ func fnvSamples(h uint64, s []float64) uint64 {
 // hashConfig digests every Problem field that parameterizes a
 // simulation outcome (the commitment, slot geometry, bisection
 // tolerance and score model). New simulation-relevant Problem fields
-// must be folded in here, or stale shared-cache hits will alias them.
+// must be folded in here (or, per server, in hashServerShape), or the
+// store will alias them; TestHashConfigCoversProblem fails until they
+// are, or are excluded by name.
 func hashConfig(p *Problem) uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvF64(h, p.Commitment.Theta)
@@ -259,7 +302,7 @@ func hashConfig(p *Problem) uint64 {
 
 // hashServerShape digests a server's capacity signature — everything a
 // simulation reads except its identity, so same-shape servers share
-// entries.
+// entries. It is never zero, the server lane of a warm key.
 func hashServerShape(s Server, attrs []Attribute) uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvInt(h, s.CPUs)
@@ -268,7 +311,7 @@ func hashServerShape(s Server, attrs []Attribute) uint64 {
 		h = fnvString(h, string(attr))
 		h = fnvF64(h, s.Extra[attr])
 	}
-	return h
+	return max(h, 1)
 }
 
 // hashGroup digests a sorted app-index group through the apps' content

@@ -2,39 +2,51 @@ package placement
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
-	"strconv"
-	"strings"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ropus/internal/faultinject"
 	"ropus/internal/qos"
 	"ropus/internal/sim"
+	"ropus/internal/telemetry"
 )
 
-// legacyKey is the strings.Builder key the FNV key replaced; the
-// collision test checks the new key is injective wherever the old one
-// was.
-func legacyKey(server int, apps []int) string {
-	var b strings.Builder
-	b.WriteString(strconv.Itoa(server))
-	for _, a := range apps {
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(a))
+// TestCacheKeyCollisionFree enumerates every group a mid-sized exercise
+// can produce — all subsets of 12 apps — on three server shapes, under
+// the warm key, and in an injecting run on three server IDs (usage and
+// warm keys), and checks no two distinct (server lane, group) pairs
+// share a store key.
+func TestCacheKeyCollisionFree(t *testing.T) {
+	const apps = 12
+	sizes := make([]float64, apps)
+	for i := range sizes {
+		sizes[i] = float64(i + 1)
 	}
-	return b.String()
-}
-
-// TestEvaluatorKeyCollisionFree enumerates every (server, group) pair a
-// mid-sized exercise can produce — all subsets of 12 apps on 12 servers
-// — and checks the 64-bit key never collides where the legacy string
-// key distinguished.
-func TestEvaluatorKeyCollisionFree(t *testing.T) {
-	e := &evaluator{}
-	const apps, servers = 12, 12
-	seen := make(map[uint64]string, servers<<apps)
+	p := cacheProblem(sizes, 3, 16, nil)
+	p.Servers[1].CPUs = 32
+	p.Servers[2].CPUCapacity = 0.5
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	injecting := *p
+	injecting.Inject = faultinject.Func(func(string, string) faultinject.Outcome { return faultinject.Outcome{} })
+	plain, inj := newEvaluator(p), newEvaluator(&injecting)
+	lanes := map[string]uint64{"warm": plain.warmSigs[0]}
+	for i, s := range p.Servers {
+		lanes["shape of "+s.ID] = plain.usageSigs[i]
+		lanes["inject "+s.ID] = inj.usageSigs[i]
+		lanes["inject warm "+s.ID] = inj.warmSigs[i]
+	}
+	if len(lanes) != 10 {
+		t.Fatalf("%d distinct lane names, want 10", len(lanes))
+	}
+	seen := make(map[cacheKey]string, len(lanes)<<apps)
 	group := make([]int, 0, apps)
 	for mask := 0; mask < 1<<apps; mask++ {
 		group = group[:0]
@@ -43,15 +55,100 @@ func TestEvaluatorKeyCollisionFree(t *testing.T) {
 				group = append(group, a)
 			}
 		}
-		for s := 0; s < servers; s++ {
-			k := e.key(s, group)
-			legacy := legacyKey(s, group)
-			if prev, ok := seen[k]; ok && prev != legacy {
-				t.Fatalf("key collision: %q and %q both hash to %#x", prev, legacy, k)
+		g := hashGroup(p.Apps, group)
+		for name, lane := range lanes {
+			k := cacheKey{cfg: plain.cfgSig, server: lane, group: g}
+			id := fmt.Sprintf("%s %v", name, group)
+			if prev, ok := seen[k]; ok {
+				t.Fatalf("key collision: %q and %q both key %+v", prev, id, k)
 			}
-			seen[k] = legacy
+			seen[k] = id
 		}
 	}
+}
+
+// TestHashConfigCoversProblem walks Problem's fields (and Server's) by
+// reflection: each must move the store key when it changes — folded by
+// hashConfig, or per server by hashServerShape — or be excluded by name
+// with the reason. The content key is the only key, so a simulation
+// input left out of it would alias silently.
+func TestHashConfigCoversProblem(t *testing.T) {
+	problemExcluded := map[string]string{
+		"Apps":    "keyed by hashGroup through each app's content digest",
+		"Servers": "keyed per server by hashServerShape, walked below",
+		"Hooks":   "telemetry, not a simulation input",
+		"Inject":  "an injecting run gets a private store keyed by server ID",
+		"Cache":   "the store itself",
+		"attrs":   "derived from Apps by Validate, folded by hashServerShape",
+	}
+	serverExcluded := map[string]string{
+		"ID": "identity, not shape; folded only in an injecting run",
+	}
+	p := cacheProblem([]float64{2, 3}, 1, 10, nil)
+	p.Apps[0].Extra = map[Attribute]sim.Workload{AttrMemory: flatWorkload(p.Apps[0].ID, 1, 28)}
+	p.Servers[0].Extra = map[Attribute]float64{AttrMemory: 4}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	checkFolded(t, p, problemExcluded, func() uint64 { return hashConfig(p) })
+	srv := &p.Servers[0]
+	checkFolded(t, srv, serverExcluded, func() uint64 { return hashServerShape(*srv, p.attrs) })
+}
+
+// checkFolded changes every field of *ptr in turn, descending into
+// nested structs, and fails for each one that is not excluded and
+// leaves hash unmoved.
+func checkFolded(t *testing.T, ptr any, excluded map[string]string, hash func() uint64) {
+	t.Helper()
+	want := hash()
+	var walk func(v reflect.Value, prefix string)
+	walk = func(v reflect.Value, prefix string) {
+		for i := 0; i < v.NumField(); i++ {
+			f, fv := v.Type().Field(i), v.Field(i)
+			name := prefix + f.Name
+			if _, ok := excluded[name]; ok {
+				continue
+			}
+			if fv.Kind() == reflect.Struct {
+				walk(fv, name+".")
+				continue
+			}
+			saved := reflect.New(fv.Type()).Elem()
+			if !f.IsExported() || !perturb(fv, saved) {
+				t.Errorf("%s (%s) is neither folded into the store key nor excluded", name, fv.Kind())
+				continue
+			}
+			if hash() == want {
+				t.Errorf("changing %s leaves the store key unmoved: fold it or exclude it", name)
+			}
+			fv.Set(saved)
+		}
+	}
+	walk(reflect.ValueOf(ptr).Elem(), "")
+}
+
+// perturb saves v into saved and changes it, reporting whether it knows
+// how to change a value of v's kind.
+func perturb(v, saved reflect.Value) bool {
+	saved.Set(v)
+	switch v.Kind() {
+	case reflect.Float64:
+		v.SetFloat(v.Float()*2 + 1)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Map:
+		if v.Type().Elem().Kind() != reflect.Float64 {
+			return false
+		}
+		m := reflect.MakeMap(v.Type())
+		for it := v.MapRange(); it.Next(); {
+			m.SetMapIndex(it.Key(), reflect.ValueOf(it.Value().Float()*2+1).Convert(v.Type().Elem()))
+		}
+		v.Set(m)
+	default:
+		return false
+	}
+	return true
 }
 
 // cacheProblem builds a small CPU-only problem with per-app flat CoS2
@@ -83,8 +180,10 @@ func cacheProblem(sizes []float64, nServers, cpus int, cache *SimCache) *Problem
 }
 
 // TestSharedCacheBitExact verifies the exactness contract behind the
-// whole design: plans computed with no cache, a fresh cache, and a
-// pre-warmed cache are identical in every field.
+// whole design: plans computed with no cache, a fresh cache, a
+// pre-warmed cache and a store that evicts on every insert (so scored
+// records are gone by the time the plan is materialised) are identical
+// in every field.
 func TestSharedCacheBitExact(t *testing.T) {
 	ctx := context.Background()
 	ga := DefaultGAConfig(7)
@@ -110,8 +209,13 @@ func TestSharedCacheBitExact(t *testing.T) {
 	if s := cache.Stats(); s.Hits == 0 {
 		t.Fatal("second run over a populated cache scored no hits")
 	}
+	tiny := NewSimCache(1)
+	evicting := run(tiny)
+	if s := tiny.Stats(); s.Evictions == 0 || s.Entries != 0 {
+		t.Fatalf("a 1-byte store must evict every insert, stats %+v", s)
+	}
 
-	for name, plan := range map[string]*Plan{"fresh-cache": fresh, "warmed-cache": warmed} {
+	for name, plan := range map[string]*Plan{"fresh-cache": fresh, "warmed-cache": warmed, "evicting-cache": evicting} {
 		if !reflect.DeepEqual(plan, cold) {
 			t.Errorf("%s plan diverges from the uncached plan:\ngot  %+v\nwant %+v", name, plan, cold)
 		}
@@ -163,7 +267,7 @@ func TestSharedCacheServerShapeCollapses(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1 := cache.Stats()
-	if s1.Hits <= s0.Hits {
+	if s1.Hits <= s0.Hits || s1.Misses != s0.Misses {
 		t.Fatalf("same group on a same-shape server should hit, stats %+v -> %+v", s0, s1)
 	}
 	u0, u1 := onSrv0.Usages[0], onSrv1.Usages[1]
@@ -208,13 +312,23 @@ func TestWarmStartAcrossCapacities(t *testing.T) {
 	}
 }
 
-// TestSimCacheEviction checks the byte bound: a tiny cache evicts
-// least-recently-used entries instead of growing.
+// TestSimCacheEviction checks the byte bound: the shards split the one
+// budget exactly, and a tiny store evicts least-recently-used entries
+// instead of growing.
 func TestSimCacheEviction(t *testing.T) {
-	cache := NewSimCache(1) // effectively: evict after every insert
-	if cache.max != 1 {
-		t.Fatalf("max = %d, want the 1-byte bound to stand", cache.max)
+	for _, budget := range []int64{1, 1000, DefaultSimCacheBytes} {
+		cache, sum := NewSimCache(budget), int64(0)
+		for i := range cache.shards {
+			if m := cache.shards[i].max; m < budget/cacheShards || m > budget/cacheShards+1 {
+				t.Fatalf("budget %d: shard %d holds %d, not an equal part", budget, i, m)
+			}
+			sum += cache.shards[i].max
+		}
+		if sum != budget {
+			t.Fatalf("shard budgets sum to %d, want the %d-byte bound to stand", sum, budget)
+		}
 	}
+	cache := NewSimCache(1) // effectively: evict after every insert
 	p := cacheProblem([]float64{2, 3, 4}, 3, 10, cache)
 	if _, err := Evaluate(p, Assignment{0, 1, 2}); err != nil {
 		t.Fatal(err)
@@ -223,14 +337,15 @@ func TestSimCacheEviction(t *testing.T) {
 	if s.Evictions == 0 {
 		t.Fatalf("a 1-byte cache must evict, stats %+v", s)
 	}
-	if s.Bytes > entryBytes(groupEval{})+512 || s.Entries > 1 {
+	if s.Bytes > entryBytes(&groupEval{})+512 || s.Entries > 1 {
 		t.Fatalf("cache grew past its bound: %+v", s)
 	}
 }
 
 // TestSimCacheBypassedUnderInjection checks the injector rule: fault
-// injection points must fire per evaluation, so an injecting Problem
-// never touches the shared cache.
+// injection points must fire per evaluation and no injected outcome may
+// reach another run, so an injecting Problem evaluates against a private
+// store and never touches the shared one.
 func TestSimCacheBypassedUnderInjection(t *testing.T) {
 	cache := NewSimCache(0)
 	hits := 0
@@ -247,5 +362,167 @@ func TestSimCacheBypassedUnderInjection(t *testing.T) {
 	}
 	if s := cache.Stats(); s.Hits+s.Misses+int64(s.Entries) != 0 {
 		t.Fatalf("injecting problem must bypass the shared cache, stats %+v", s)
+	}
+}
+
+// gatedHooks holds the first simulation search it sees until release
+// is closed, after closing entered: the goroutine running that search
+// is then a singleflight leader that others have to wait for.
+type gatedHooks struct {
+	telemetry.Hooks
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func newGatedHooks(reg *telemetry.Registry) *gatedHooks {
+	return &gatedHooks{Hooks: telemetry.New(reg, nil), entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gatedHooks) Counter(name string) *telemetry.Counter {
+	if name == "sim_searches_total" {
+		g.once.Do(func() {
+			close(g.entered)
+			<-g.release
+		})
+	}
+	return g.Hooks.Counter(name)
+}
+
+// hasWaiter reports whether a goroutine waits on a group being computed
+// in c.
+func hasWaiter(c *SimCache) bool {
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for _, fl := range sh.inflight {
+			if fl != nil {
+				sh.mu.Unlock()
+				return true
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return false
+}
+
+// TestSingleflightAcrossRuns: two evaluators on one store and 16
+// goroutines ask for the same group, on three same-shape servers, while
+// the first asker's search is held. The store computes it once and the
+// other 15 asks are hits.
+func TestSingleflightAcrossRuns(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	hooks := newGatedHooks(reg)
+	p := cacheProblem([]float64{2, 3, 4}, 3, 10, NewSimCache(0))
+	p.Hooks = hooks
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	evs := []*evaluator{newEvaluator(p), newEvaluator(p)}
+	const goroutines = 16
+	var wg sync.WaitGroup
+	var arrived atomic.Int64
+	errs := make(chan error, goroutines)
+	ask := func(g int) {
+		defer wg.Done()
+		ev := evs[g%2]
+		sc := ev.acquire()
+		defer ev.release(sc)
+		arrived.Add(1)
+		if _, err := ev.evalServer(context.Background(), sc, g%3, []int{0, 1, 2}); err != nil {
+			errs <- err
+		}
+	}
+	wg.Add(goroutines)
+	go ask(0)
+	<-hooks.entered
+	for g := 1; g < goroutines; g++ {
+		go ask(g)
+	}
+	for arrived.Load() < goroutines || !hasWaiter(p.Cache) {
+		runtime.Gosched()
+	}
+	close(hooks.release)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{
+		"sim_searches_total":                  1,
+		"placement_eval_cache_misses_total":   1,
+		"placement_eval_cache_hits_total":     goroutines - 1,
+		"placement_shared_cache_misses_total": 1,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	// How often the record changed hands between the runs depends on the
+	// order the hits took; the second run's first use always counts.
+	reused := reg.Counter("placement_shared_cache_hits_total").Value()
+	if s := p.Cache.Stats(); reused < 1 || reused >= goroutines || s.Hits != reused || s.Misses != 1 || s.Entries != 2 {
+		t.Errorf("store stats %+v and %d reuses, want 1 to 15 reuses, 1 computation, a usage and a warm entry", s, reused)
+	}
+	if hasWaiter(p.Cache) {
+		t.Error("in-flight entries leaked")
+	}
+}
+
+// TestSingleflightLeaderCancelled: a leader whose ctx is cancelled
+// fails alone. The other run's waiter does not inherit the error: it
+// computes the group under its own ctx and gets the record a cold
+// evaluation gets.
+func TestSingleflightLeaderCancelled(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	hooks := newGatedHooks(reg)
+	p := cacheProblem([]float64{2, 3, 4}, 3, 10, NewSimCache(0))
+	p.Hooks = hooks
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	leader, waiter := newEvaluator(p), newEvaluator(p)
+	group := []int{0, 1, 2}
+	ctx, cancel := context.WithCancel(context.Background())
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := leader.evalServer(ctx, leader.acquire(), 0, group)
+		leaderErr <- err
+	}()
+	<-hooks.entered
+	type outcome struct {
+		ev  *groupEval
+		err error
+	}
+	waited := make(chan outcome, 1)
+	go func() {
+		ev, err := waiter.evalServer(context.Background(), waiter.acquire(), 1, group)
+		waited <- outcome{ev, err}
+	}()
+	for !hasWaiter(p.Cache) {
+		runtime.Gosched()
+	}
+	cancel()
+	close(hooks.release)
+
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader: want its own cancellation, got %v", err)
+	}
+	got := <-waited
+	if got.err != nil {
+		t.Fatalf("waiter inherited the leader's failure: %v", got.err)
+	}
+	cold, err := Evaluate(cacheProblem([]float64{2, 3, 4}, 3, 10, nil), Assignment{0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := cold.Usages[0]
+	if !sameBits(got.ev.required, u.Required) || got.ev.feasible != u.Feasible || got.ev.result != u.Result {
+		t.Errorf("waiter's record %+v, cold usage %+v", *got.ev, u)
+	}
+	if n := reg.Counter("sim_searches_total").Value(); n != 2 {
+		t.Errorf("sim_searches_total = %d, want the cancelled search and the waiter's", n)
+	}
+	if hasWaiter(p.Cache) {
+		t.Error("in-flight entries leaked")
 	}
 }
