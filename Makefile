@@ -57,9 +57,13 @@ fuzz:
 	$(GO) test -fuzz FuzzFleetGen -fuzztime 30s ./internal/workload/
 	$(GO) test -fuzz FuzzReplayBatchParity -fuzztime 30s ./internal/sim/
 
-# Regenerate the golden corpus after a deliberate behavioural change.
+# The one golden list: regenerate every -update golden after a
+# deliberate behavioural change.
 golden:
 	$(GO) test ./cmd/ropus -run Golden -update
+	$(GO) test ./internal/placement -run GoldenGAPlans -update
+	$(GO) test ./internal/failure -run AnalyzeMultiGolden -update
+	$(GO) test ./internal/telemetry -run Golden -update
 
 # Drain/resume contract of `ropus serve` against a real process.
 serve-e2e: build

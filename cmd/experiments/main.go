@@ -37,7 +37,6 @@ func main() {
 		quick   = flag.Bool("quick", false, "reduced search budget for smoke runs")
 		timeout = flag.Duration("timeout", 0, "cancel the run after this duration (0 = unlimited); telemetry files are still flushed")
 		workers = flag.Int("workers", 0, "parallel workers for table1/failover/mix (0 = GOMAXPROCS, 1 = sequential; results are identical)")
-		islands = flag.Int("islands", 0, "island count for each genetic search (0/1 = classic single population; deterministic per seed and island count at any worker count)")
 		partApp = flag.Int("partition-apps", 0, "hierarchical consolidation: max applications per sub-pool (0 = flat placement)")
 		ckpt    = flag.String("checkpoint", "", "crash-safe journal file for table1/failover/mix; completed units are fsync'd as they finish")
 		resume  = flag.Bool("resume", false, "replay completed units from the -checkpoint journal instead of recomputing them")
@@ -63,7 +62,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	heal := healOpts{path: *ckpt, resume: *resume, retries: *retries, deadline: *sdl, islands: *islands, partitionApps: *partApp}
+	heal := healOpts{path: *ckpt, resume: *resume, retries: *retries, deadline: *sdl, partitionApps: *partApp}
 	if err := realMain(ctx, *run, *out, *seed, *quick, *workers, heal, logger); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
@@ -77,7 +76,6 @@ type healOpts struct {
 	resume        bool
 	retries       int
 	deadline      time.Duration
-	islands       int
 	partitionApps int
 }
 
@@ -96,11 +94,10 @@ func (o healOpts) policy(h telemetry.Hooks) resilience.Policy {
 }
 
 // journal opens the checkpoint journal, binding it to the knobs that
-// determine results (experiment selection, seed, quick, islands) but
-// not to the worker count, so a journal resumes at any parallelism.
-// The island count is folded in only when it changes results (> 1),
-// and the hierarchical partition bound only when set (> 0), so
-// journals written before the knobs existed keep replaying. Status is
+// determine results (experiment selection, seed, quick) but not to the
+// worker count, so a journal resumes at any parallelism. The
+// hierarchical partition bound is folded in only when set (> 0), so
+// journals written before the knob existed keep replaying. Status is
 // logged to stderr to keep stdout byte-identical across
 // interrupted/resumed runs.
 func (o healOpts) journal(run string, seed int64, quick bool, h telemetry.Hooks, logger *slog.Logger) (*checkpoint.Journal, error) {
@@ -111,9 +108,6 @@ func (o healOpts) journal(run string, seed int64, quick bool, h telemetry.Hooks,
 		return nil, nil
 	}
 	hasher := checkpoint.NewHasher().String("experiments").String(run).Int(seed).Bool(quick)
-	if o.islands > 1 {
-		hasher = hasher.Int(int64(o.islands))
-	}
 	if o.partitionApps > 0 {
 		hasher = hasher.String("hier").Int(int64(o.partitionApps))
 	}
@@ -159,7 +153,7 @@ func realMain(ctx context.Context, run, out string, seed int64, quick bool, work
 	}
 	defer journal.Close()
 	cfg := experiments.Table1Config{
-		GASeed: 42, Quick: quick, Islands: heal.islands, PartitionApps: heal.partitionApps,
+		GASeed: 42, Quick: quick, PartitionApps: heal.partitionApps,
 		Hooks: hooks, Workers: workers,
 		Retry: heal.policy(hooks), Journal: journal,
 	}

@@ -217,16 +217,15 @@ func cmdTranslate(ctx context.Context, args []string) error {
 }
 
 // frameworkOpts holds the parsed pool/framework flags. The knobs that
-// determine results (theta, deadline, cpus, ga-seed, islands,
-// hierarchical partitioning) feed the checkpoint run hash via fold;
-// workers and cache size deliberately do not, so a journal can be
-// resumed at any parallelism.
+// determine results (theta, deadline, cpus, ga-seed, hierarchical
+// partitioning) feed the checkpoint run hash via fold; workers and
+// cache size deliberately do not, so a journal can be resumed at any
+// parallelism.
 type frameworkOpts struct {
 	theta    *float64
 	deadline *time.Duration
 	cpus     *int
 	seed     *int64
-	islands  *int
 	hier     *bool
 	partApps *int
 	workers  *int
@@ -244,7 +243,6 @@ func frameworkFlags(fs *flag.FlagSet) *frameworkOpts {
 		deadline: fs.Duration("deadline", time.Hour, "CoS2 make-up deadline"),
 		cpus:     fs.Int("cpus", 16, "CPUs per server"),
 		seed:     fs.Int64("ga-seed", 42, "genetic search seed"),
-		islands:  fs.Int("islands", 0, "genetic search islands (0/1 = single population; >1 splits the population into deterministic islands with ring migration)"),
 		hier:     fs.Bool("hierarchical", false, "consolidate hierarchically: cluster the fleet into sub-pools by demand correlation, solve each independently, stitch the sub-plans"),
 		partApps: fs.Int("partition-apps", 64, "max applications per sub-pool with -hierarchical"),
 		workers:  fs.Int("workers", 0, "parallel failure-sweep (and sub-pool solve) workers (0 = GOMAXPROCS, 1 = sequential; results are identical)"),
@@ -263,7 +261,7 @@ func (o *frameworkOpts) build(h telemetry.Hooks, retry resilience.Policy, journa
 		Commitment:           qos.PoolCommitment{Theta: *o.theta, Deadline: *o.deadline},
 		ServerCPUs:           *o.cpus,
 		ServerCapacityPerCPU: 1,
-		GA:                   o.gaConfig(),
+		GA:                   placement.DefaultGAConfig(*o.seed),
 		Tolerance:            0.1,
 		Hooks:                h,
 		Workers:              *o.workers,
@@ -284,23 +282,11 @@ func (o *frameworkOpts) partitionApps() int {
 	return 0
 }
 
-// gaConfig builds the genetic search configuration from the flags.
-func (o *frameworkOpts) gaConfig() placement.GAConfig {
-	ga := placement.DefaultGAConfig(*o.seed)
-	ga.Islands = *o.islands
-	return ga
-}
-
 // fold mixes the result-determining framework knobs into a run hash.
-// The island count changes results only when > 1, and hierarchical
-// partitioning only when enabled; each is folded in only then, so
-// journals recorded before the knobs existed keep replaying under the
-// defaults.
+// Hierarchical partitioning is folded in only when enabled, so journals
+// recorded before the knob existed keep replaying under the defaults.
 func (o *frameworkOpts) fold(hash *checkpoint.Hasher) {
 	hash.Float(*o.theta).Int(int64(*o.deadline)).Int(int64(*o.cpus)).Int(*o.seed)
-	if *o.islands > 1 {
-		hash.Int(int64(*o.islands))
-	}
 	if *o.hier {
 		hash.String("hier").Int(int64(*o.partApps))
 	}

@@ -56,6 +56,28 @@ func TestCmdFailoverCheckpointResume(t *testing.T) {
 	}
 }
 
+// failoverRunHash is the run hash of a default-flag failover journal
+// over writeFleet's traces. It is pinned so that deleting or adding a
+// flag cannot silently orphan journals recorded by earlier builds.
+const failoverRunHash = 0x1ab4a62f9a061b2c
+
+// TestCmdFailoverRunHashPinned: a default-flag failover journal still
+// carries the pinned run hash, so it resumes under this build.
+func TestCmdFailoverRunHashPinned(t *testing.T) {
+	path := writeFleet(t)
+	ckpt := filepath.Join(t.TempDir(), "failover.ckpt")
+	if _, err := captureStdout(t, func() error {
+		return run([]string{"failover", "-traces", path, "-json", "-checkpoint", ckpt})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	j, err := checkpoint.Open(ckpt, failoverRunHash, true, nil)
+	if err != nil {
+		t.Fatalf("journal does not carry the pinned run hash %016x: %v", uint64(failoverRunHash), err)
+	}
+	j.Close()
+}
+
 // TestCmdFailoverResumeRequiresCheckpoint: -resume without -checkpoint
 // is a usage error, not a silent no-op.
 func TestCmdFailoverResumeRequiresCheckpoint(t *testing.T) {

@@ -218,12 +218,6 @@ type Table1Config struct {
 	GASeed int64
 	// Quick trades search quality for speed (used by benchmarks).
 	Quick bool
-	// Islands runs each consolidation's genetic search as this many
-	// deterministic islands (placement.GAConfig.Islands); 0 or 1 keeps
-	// the classic single-population search. Results are deterministic
-	// per (GASeed, Islands) at any worker count, but differ between
-	// island counts.
-	Islands int
 	// Hooks receives run telemetry (nil disables it).
 	Hooks telemetry.Hooks
 	// Workers bounds how many cases (and, inside each framework, failure
@@ -241,7 +235,7 @@ type Table1Config struct {
 	// PartitionApps, when > 0, consolidates each case with the
 	// hierarchical pool-of-pools search capped at this many applications
 	// per sub-pool (core.Config.PartitionApps); 0 keeps the flat search.
-	// Results are deterministic per (GASeed, Islands, PartitionApps) but
+	// Results are deterministic per (GASeed, PartitionApps) but
 	// differ between partition caps.
 	PartitionApps int
 }
@@ -316,7 +310,6 @@ func Table1(ctx context.Context, set trace.Set, cfg Table1Config) ([]Table1Row, 
 // frameworkFor builds the case-study framework for a θ commitment.
 func frameworkFor(theta float64, cfg Table1Config) (*core.Framework, error) {
 	ga := placement.DefaultGAConfig(cfg.GASeed)
-	ga.Islands = cfg.Islands
 	tolerance := 0.1
 	if cfg.Quick {
 		ga.MaxGenerations = 40

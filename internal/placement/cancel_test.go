@@ -167,6 +167,8 @@ func TestChaosInjectedSolverError(t *testing.T) {
 // worker pool re-raises a panic only once every running job returns, so
 // a waiter left blocked would hang the search instead.
 func TestChaosPanicReleasesWaiters(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2) // the two assignments are scored concurrently
+	defer runtime.GOMAXPROCS(prev)
 	p := cancelProblem()
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
@@ -190,30 +192,26 @@ func TestChaosPanicReleasesWaiters(t *testing.T) {
 	// Both assignments are one group on server 0: the first scorer
 	// computes it, the second waits for it.
 	a := make(Assignment, len(p.Apps))
-	_, _ = scoreAll(context.Background(), ev, []Assignment{a, a.Clone()}, 2)
+	_, _ = scoreAll(context.Background(), ev, []Assignment{a, a.Clone()})
 	t.Error("scoreAll returned instead of re-raising the panic")
 }
 
 // TestChaosConsolidatePanicRecovered checks that a panic inside a search
 // comes back from Consolidate as an error wrapping robust.ErrPanic: on
 // the first evaluation of seeding, and after seeding, inside offspring
-// evaluations running on worker goroutines — with one island, and with
-// four, where the panic also crosses the island dispatch.
+// evaluations running on worker goroutines.
 func TestChaosConsolidatePanicRecovered(t *testing.T) {
 	prev := runtime.GOMAXPROCS(2) // offspring are scored on two workers
 	defer runtime.GOMAXPROCS(prev)
 	for _, tc := range []struct {
-		name    string
-		islands int
-		late    bool
+		name string
+		late bool
 	}{
-		{"seeding", 0, false},
-		{"offspring", 0, true},
-		{"offspring/islands=4", 4, true},
+		{"seeding", false},
+		{"offspring", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultGAConfig(7)
-			cfg.Islands = tc.islands
 			var calls, after atomic.Int64
 			run := func(ctx context.Context) (*Plan, error) {
 				p := cancelProblem()

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
+	"time"
 
 	"ropus/internal/parallel"
 	"ropus/internal/robust"
@@ -42,17 +42,6 @@ type GAConfig struct {
 	SeedGreedy bool
 	// Seed makes the search deterministic.
 	Seed int64
-	// Islands splits the population into this many subpopulations that
-	// evolve independently (each on its own deterministically derived
-	// RNG) and exchange their best member around a ring every
-	// MigrationInterval generations. 0 or 1 runs a ring of one island
-	// drawing from Seed itself: the classic single-population search.
-	// Any value is byte-deterministic per (Seed, Islands) regardless of
-	// how many worker goroutines evaluate offspring.
-	Islands int
-	// MigrationInterval is the number of generations between ring
-	// migrations when Islands > 1; 0 selects DefaultMigrationInterval.
-	MigrationInterval int
 }
 
 // DefaultGAConfig returns the configuration used for the case study.
@@ -87,23 +76,6 @@ func (c GAConfig) Validate() error {
 	// Negated-range form so that a NaN rate is rejected too.
 	case !(c.MutationRate >= 0 && c.MutationRate <= 1):
 		return fmt.Errorf("placement: MutationRate %v outside [0,1]", c.MutationRate)
-	case c.Islands < 0:
-		return fmt.Errorf("placement: Islands %d < 0", c.Islands)
-	case c.MigrationInterval < 0:
-		return fmt.Errorf("placement: MigrationInterval %d < 0", c.MigrationInterval)
-	}
-	if c.Islands > 1 {
-		// Every island must be able to run the same tournament/elite
-		// machinery on its share of the population.
-		smallest := c.PopulationSize / c.Islands
-		switch {
-		case smallest < 2:
-			return fmt.Errorf("placement: PopulationSize %d splits below 2 members across %d islands", c.PopulationSize, c.Islands)
-		case c.Elite >= smallest:
-			return fmt.Errorf("placement: Elite %d >= island population %d", c.Elite, smallest)
-		case c.TournamentK > smallest:
-			return fmt.Errorf("placement: TournamentK %d > island population %d", c.TournamentK, smallest)
-		}
 	}
 	return nil
 }
@@ -112,10 +84,9 @@ func (c GAConfig) Validate() error {
 // and returns the best feasible plan found. It returns an error if no
 // feasible assignment is discovered (including the initial one).
 //
-// The search runs as a ring of n = max(cfg.Islands, 1) islands (see
-// islands.go): subpopulations that evolve independently and trade their
-// best member around the ring every MigrationInterval generations. A
-// ring of one is the classic single-population search of Figure 5.
+// The search is the single population of Figure 5. Offspring are bred
+// serially on an RNG seeded with cfg.Seed and only scored in parallel,
+// so the plan is byte-deterministic per seed at any GOMAXPROCS.
 //
 // Cancellation degrades gracefully: ctx is checked at every generation
 // boundary (and by the parallel offspring evaluations), and a cancelled
@@ -136,79 +107,49 @@ func Consolidate(ctx context.Context, p *Problem, initial Assignment, cfg GAConf
 	if err := initial.Validate(p); err != nil {
 		return nil, err
 	}
-	n := max(cfg.Islands, 1)
-	attrs := []telemetry.Attr{telemetry.Int("apps", len(p.Apps)),
+	ctx, span := telemetry.StartSpanCtx(ctx, p.Hooks, "placement.consolidate",
+		telemetry.Int("apps", len(p.Apps)),
 		telemetry.Int("servers", len(p.Servers)),
-		telemetry.Int("population", cfg.PopulationSize)}
-	if n > 1 {
-		attrs = append(attrs, telemetry.Int("islands", n))
-	}
-	ctx, span := telemetry.StartSpanCtx(ctx, p.Hooks, "placement.consolidate", attrs...)
+		telemetry.Int("population", cfg.PopulationSize))
 	defer span.End()
-	tel := newGATelemetry(telemetry.OrNop(p.Hooks), n)
+	tel := newGATelemetry(telemetry.OrNop(p.Hooks))
 
 	ev := newEvaluator(p)
 	sc := ev.acquire()
 	defer ev.release(sc)
-	islands, err := seedRing(ctx, ev, sc, initial, cfg, n)
+	pop, err := seedPopulation(ctx, ev, sc, initial, cfg)
 	if err != nil {
 		return nil, err
 	}
 
-	// Each epoch runs every unparked island MigrationInterval further
-	// generations in parallel, then migrates at the barrier. Workers are
-	// split so each island's offspring evaluations get an even share of
-	// the cores.
-	workers := max(runtime.GOMAXPROCS(0)/n, 1)
-	gens, epochs, truncated := 0, 0, false
-	for gens < cfg.MaxGenerations && !truncated {
-		step := min(cfg.migrationInterval(), cfg.MaxGenerations-gens)
-		active := 0
-		for _, isl := range islands {
-			if !isl.parked(cfg) {
-				active++
-			}
-		}
-		if active == 0 {
+	ran, truncated := 0, false
+	for ran < cfg.MaxGenerations && pop.stale < cfg.Stagnation {
+		// Cheap per-generation degradation check: a cancelled context
+		// stops the search at this boundary with whatever has been found
+		// so far.
+		if ctx.Err() != nil {
+			truncated = true
 			break
 		}
-		// Dispatch with a detached context: every island must enter the
-		// epoch (its own loop observes ctx and stops at a generation
-		// boundary), otherwise cancellation timing could strand islands
-		// at different epochs.
-		parallel.ForEach(context.WithoutCancel(ctx), min(n, runtime.GOMAXPROCS(0)), n, func(i int) {
-			islands[i].runEpoch(ctx, ev, cfg, step, workers, tel)
-		})
-		epochs++
-		for _, isl := range islands {
-			if isl.err != nil {
-				return nil, isl.err
+		start := time.Now()
+		children, err := pop.evolve(ctx, ev, cfg, tel)
+		if err != nil {
+			if ctx.Err() != nil {
+				// Cancellation mid-generation: discard the partial
+				// generation and fall back to the best completed one.
+				truncated = true
+				break
 			}
-			truncated = truncated || isl.truncated
+			return nil, err
 		}
-		gens += step
-		if !truncated {
-			migrate(islands, cfg, tel)
-		}
+		ran++
+		tel.generation(pop, children, time.Since(start))
 	}
 
-	// The global best is collected deterministically in island order
-	// with the per-island improvement threshold, so ties go to the lowest
-	// island index.
-	var best *scored
-	ran := 0
-	for _, isl := range islands {
-		if isl.best != nil && (best == nil || isl.best.score > best.score+1e-12) {
-			best = isl.best
-		}
-		ran = max(ran, isl.ran)
-	}
+	best := pop.best
 	span.SetAttr(telemetry.Int("generations", ran),
 		telemetry.Bool("feasible", best != nil),
 		telemetry.Bool("truncated", truncated))
-	if n > 1 {
-		span.SetAttr(telemetry.Int("epochs", epochs))
-	}
 	if best == nil {
 		if truncated {
 			return nil, fmt.Errorf("placement: consolidation cancelled after %d generations with no feasible plan: %w", ran, ctx.Err())
@@ -228,6 +169,145 @@ func Consolidate(ctx context.Context, p *Problem, initial Assignment, cfg GAConf
 	return plan, nil
 }
 
+// population is the search's state between generations: its members
+// best-first, the RNG that breeds them, and the best/stale tracker
+// behind Figure 5's "little improvement" stop.
+type population struct {
+	rng     *rand.Rand
+	members []*scored
+	// breed is the mutation operators' scratch.
+	breed grouping
+	// best is the best feasible candidate so far; stale counts
+	// generations since it improved.
+	best  *scored
+	stale int
+}
+
+// seedPopulation builds the initial population: the initial assignment
+// and, while there is room, the greedy warm starts, then mutated copies
+// of the initial assignment bred serially on the seeded RNG and scored
+// in one parallel batch. Seeding is detached from ctx's cancellation:
+// it is the floor every truncated search can still return, and keeping
+// it complete makes best-so-far deterministic per seed.
+func seedPopulation(ctx context.Context, ev *evaluator, sc *scratch, initial Assignment, cfg GAConfig) (*population, error) {
+	p := ev.p
+	seedCtx := context.WithoutCancel(ctx)
+	first, err := ev.score(seedCtx, sc, initial.Clone())
+	if err != nil {
+		return nil, err
+	}
+	pop := &population{rng: rand.New(rand.NewSource(cfg.Seed)), members: []*scored{first}}
+	if cfg.SeedGreedy {
+		for _, greedyFn := range []func(context.Context, *Problem) (*Plan, error){FirstFitDecreasing, BestFitDecreasing} {
+			plan, err := greedyFn(seedCtx, p)
+			if err != nil {
+				continue // a greedy failure just means no warm start
+			}
+			// Re-evaluate through this run's evaluator so the plan
+			// shares its cache and tolerance.
+			seeded, err := ev.score(seedCtx, sc, plan.Assignment)
+			if err != nil {
+				return nil, err
+			}
+			if len(pop.members) < cfg.PopulationSize {
+				pop.members = append(pop.members, seeded)
+			}
+		}
+	}
+	var fill []Assignment
+	for want := cfg.PopulationSize - len(pop.members); want > 0; want-- {
+		a := initial.Clone()
+		mutate(a, p, pop.rng, &pop.breed)
+		fill = append(fill, a)
+	}
+	filled, err := scoreAll(seedCtx, ev, fill)
+	if err != nil {
+		return nil, err
+	}
+	pop.members = append(pop.members, filled...)
+	sortPopulation(pop.members)
+	pop.observeBest()
+	pop.stale = 0 // seeding is generation zero, not a stagnation tick
+	return pop, nil
+}
+
+// evolve runs one generation and returns the number of offspring it
+// scored. The elite carry over; the rest are bred serially on the
+// population's RNG (the stream the determinism contract pins) and then
+// scored in parallel, since the simulator replays are the expensive
+// part and independent of each other.
+func (pop *population) evolve(ctx context.Context, ev *evaluator, cfg GAConfig, tel *gaTelemetry) (int, error) {
+	size := cfg.PopulationSize
+	next := make([]*scored, 0, size)
+	for i := 0; i < cfg.Elite && i < len(pop.members); i++ {
+		next = append(next, pop.members[i])
+	}
+	offspring := make([]Assignment, 0, size-len(next))
+	for len(next)+len(offspring) < size {
+		a := crossover(tournament(pop.members, cfg.TournamentK, pop.rng).assignment,
+			tournament(pop.members, cfg.TournamentK, pop.rng).assignment, pop.rng)
+		tel.crossovers.Inc()
+		if pop.rng.Float64() < cfg.MutationRate {
+			mutate(a, ev.p, pop.rng, &pop.breed)
+			tel.mutations.Inc()
+		}
+		offspring = append(offspring, a)
+	}
+	children, err := scoreAll(ctx, ev, offspring)
+	if err != nil {
+		return 0, err
+	}
+	pop.members = append(next, children...)
+	sortPopulation(pop.members)
+	pop.observeBest()
+	return len(children), nil
+}
+
+// observeBest folds the current members into the best/stale tracking:
+// an improvement must beat the best by more than 1e-12.
+func (pop *population) observeBest() {
+	if cand := bestFeasible(pop.members); cand != nil && (pop.best == nil || cand.score > pop.best.score+1e-12) {
+		pop.best = cand
+		pop.stale = 0
+	} else {
+		pop.stale++
+	}
+}
+
+// gaTelemetry holds the search's metric handles.
+type gaTelemetry struct {
+	generations, crossovers, mutations, offspring *telemetry.Counter
+	bestScore, meanScore, bestServers, stale      *telemetry.Gauge
+	genSeconds                                    *telemetry.Histogram
+}
+
+func newGATelemetry(h telemetry.Hooks) *gaTelemetry {
+	return &gaTelemetry{
+		generations: h.Counter("ga_generations_total"),
+		crossovers:  h.Counter("ga_crossovers_total"),
+		mutations:   h.Counter("ga_mutations_total"),
+		offspring:   h.Counter("ga_offspring_evaluated_total"),
+		bestScore:   h.Gauge("ga_best_score"),
+		meanScore:   h.Gauge("ga_mean_score"),
+		bestServers: h.Gauge("ga_best_feasible_servers"),
+		stale:       h.Gauge("ga_stagnation_generations"),
+		genSeconds:  h.Histogram("ga_generation_seconds", nil),
+	}
+}
+
+// generation records one generation pop finished in took.
+func (tel *gaTelemetry) generation(pop *population, children int, took time.Duration) {
+	tel.generations.Inc()
+	tel.offspring.Add(int64(children))
+	tel.stale.Set(float64(pop.stale))
+	tel.meanScore.Set(meanScoreOf(pop.members))
+	if pop.best != nil {
+		tel.bestScore.Set(pop.best.score)
+		tel.bestServers.Set(float64(pop.best.serversUsed))
+	}
+	tel.genSeconds.Observe(took.Seconds())
+}
+
 // meanScoreOf returns the population's mean consolidation score.
 func meanScoreOf(pop []*scored) float64 {
 	if len(pop) == 0 {
@@ -240,16 +320,16 @@ func meanScoreOf(pop []*scored) float64 {
 	return sum / float64(len(pop))
 }
 
-// scoreAll scores assignments on at most workers goroutines (<= 0
-// selects GOMAXPROCS), writing each result at its index. The evaluator's
-// cache is shared and every evaluation is a pure content-keyed function,
-// so the results are identical at any worker count. A dispatch cut short
+// scoreAll scores assignments on up to GOMAXPROCS goroutines, writing
+// each result at its index. The evaluator's cache is shared and every
+// evaluation is a pure content-keyed function, so the results are
+// identical at any worker count. A dispatch cut short
 // by ctx returns ctx's error; a panic in an evaluation is re-raised on
 // the caller's goroutine.
-func scoreAll(ctx context.Context, ev *evaluator, assignments []Assignment, workers int) ([]*scored, error) {
+func scoreAll(ctx context.Context, ev *evaluator, assignments []Assignment) ([]*scored, error) {
 	out := make([]*scored, len(assignments))
 	errs := make([]error, len(assignments))
-	done := parallel.ForEach(ctx, workers, len(assignments), func(i int) {
+	done := parallel.ForEach(ctx, 0, len(assignments), func(i int) {
 		sc := ev.acquire()
 		defer ev.release(sc)
 		out[i], errs[i] = ev.score(ctx, sc, assignments[i])

@@ -147,7 +147,7 @@ func SplitProblem(p *Problem, cfg HierConfig) (*partition.Result, error) {
 
 // partitionSeed derives partition k's GA seed from the search seed with
 // an FNV-1a fold, so per-partition searches are decorrelated but fixed
-// by (seed, partitions, k) — the same scheme the island model uses.
+// by (seed, partitions, k).
 func partitionSeed(seed int64, parts, k int) int64 {
 	h := uint64(fnvOffset64)
 	h = fnvString(h, "partition")

@@ -25,13 +25,11 @@ func hierProblem() *Problem {
 	return binPackProblem(hierSizes, len(hierSizes), 10)
 }
 
-// hierGA is a fast configuration valid for every island count the suite
-// uses.
-func hierGA(seed int64, islands int) GAConfig {
+// hierGA is a fast configuration for the hierarchical suite.
+func hierGA(seed int64) GAConfig {
 	cfg := DefaultGAConfig(seed)
 	cfg.MaxGenerations = 25
 	cfg.Stagnation = 10
-	cfg.Islands = islands
 	return cfg
 }
 
@@ -57,7 +55,7 @@ func hierFingerprint(h *HierPlan) string {
 // search delegates to Consolidate and the wrapped plan is byte-identical
 // to the flat plan from the same seed.
 func TestPropertyHierarchicalSinglePartitionFlat(t *testing.T) {
-	ga := hierGA(2006, 1)
+	ga := hierGA(2006)
 	p1 := hierProblem()
 	initial, err := OneAppPerServer(p1)
 	if err != nil {
@@ -87,7 +85,7 @@ func TestPropertyHierarchicalSinglePartitionFlat(t *testing.T) {
 // the flat problem (apps may not co-locate across sub-pools), so it can
 // never use fewer servers than the flat search from the same seed.
 func TestPropertyHierarchicalNeverBeatsFlat(t *testing.T) {
-	ga := hierGA(7, 1)
+	ga := hierGA(7)
 	p1 := hierProblem()
 	initial, err := OneAppPerServer(p1)
 	if err != nil {
@@ -115,36 +113,34 @@ func TestPropertyHierarchicalNeverBeatsFlat(t *testing.T) {
 
 // TestChaosHierarchicalDeterminism pins the tentpole contract: the
 // stitched plan is byte-identical across every combination of stitch
-// workers, island counts and GOMAXPROCS.
+// workers and GOMAXPROCS.
 func TestChaosHierarchicalDeterminism(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
-	for _, islands := range []int{1, 4} {
-		var want string
-		for _, workers := range []int{1, 4, 8} {
-			for _, procs := range []int{1, 4} {
-				runtime.GOMAXPROCS(procs)
-				p := hierProblem()
-				initial, err := OneAppPerServer(p)
-				if err != nil {
-					runtime.GOMAXPROCS(prev)
-					t.Fatal(err)
-				}
-				hier, err := ConsolidateHierarchical(context.Background(), p, initial,
-					hierGA(2006, islands), HierConfig{MaxApps: 4, Workers: workers})
+	var want string
+	for _, workers := range []int{1, 4, 8} {
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			p := hierProblem()
+			initial, err := OneAppPerServer(p)
+			if err != nil {
 				runtime.GOMAXPROCS(prev)
-				if err != nil {
-					t.Fatalf("islands=%d workers=%d procs=%d: %v", islands, workers, procs, err)
-				}
-				got := hierFingerprint(hier)
-				if want == "" {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Errorf("islands=%d workers=%d procs=%d diverged:\n got %s\nwant %s",
-						islands, workers, procs, got, want)
-				}
+				t.Fatal(err)
+			}
+			hier, err := ConsolidateHierarchical(context.Background(), p, initial,
+				hierGA(2006), HierConfig{MaxApps: 4, Workers: workers})
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("workers=%d procs=%d: %v", workers, procs, err)
+			}
+			got := hierFingerprint(hier)
+			if want == "" {
+				want = got
+				continue
+			}
+			if got != want {
+				t.Errorf("workers=%d procs=%d diverged:\n got %s\nwant %s",
+					workers, procs, got, want)
 			}
 		}
 	}
@@ -168,7 +164,7 @@ func TestChaosHierarchicalTopologyStitch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hier, err := ConsolidateHierarchical(context.Background(), p, initial, hierGA(2006, 1),
+		hier, err := ConsolidateHierarchical(context.Background(), p, initial, hierGA(2006),
 			HierConfig{MaxApps: 4, Topology: topo})
 		if err != nil {
 			t.Fatal(err)
@@ -217,7 +213,7 @@ func TestChaosHierarchicalTopologyStitch(t *testing.T) {
 // boundary, resumes into a plan byte-identical to an uninterrupted run.
 func TestCancelHierarchicalResume(t *testing.T) {
 	dir := t.TempDir()
-	ga := hierGA(2006, 1)
+	ga := hierGA(2006)
 	cfg := HierConfig{MaxApps: 4, Workers: 2}
 	run := func(journal *checkpoint.Journal, ctx context.Context) (*HierPlan, error) {
 		p := hierProblem()
@@ -315,7 +311,7 @@ func TestCancelHierarchicalResume(t *testing.T) {
 // recomputed and a failed append costs a counter — neither changes the
 // plan.
 func TestHierarchicalJournalBestEffort(t *testing.T) {
-	ga := hierGA(2006, 1)
+	ga := hierGA(2006)
 	cfg := HierConfig{MaxApps: 4, Workers: 2}
 	run := func(journal *checkpoint.Journal) (*HierPlan, map[string]int64) {
 		t.Helper()
@@ -383,7 +379,7 @@ func TestHierarchicalJournalBestEffort(t *testing.T) {
 // TestHierarchicalValidation covers the hierarchical-specific input
 // checks.
 func TestHierarchicalValidation(t *testing.T) {
-	ga := hierGA(1, 1)
+	ga := hierGA(1)
 	p := hierProblem()
 	initial, err := OneAppPerServer(p)
 	if err != nil {
@@ -410,7 +406,7 @@ func TestHierarchicalValidation(t *testing.T) {
 // byte-identical (the cache is keyed by content, and sub-pool servers
 // share the pool's shape).
 func TestHierarchicalSharedCacheIdentical(t *testing.T) {
-	ga := hierGA(13, 1)
+	ga := hierGA(13)
 	cfg := HierConfig{MaxApps: 4}
 	var plans []*HierPlan
 	for _, cache := range []*SimCache{nil, NewSimCache(0)} {

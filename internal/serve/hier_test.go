@@ -38,13 +38,20 @@ func TestPartitionAppsKeyCompat(t *testing.T) {
 	}
 }
 
-// TestPartitionAppsValidation: a negative partition bound is rejected
-// at admission, not at run time.
+// TestPartitionAppsValidation: a negative partition bound, like a
+// negative pool size, is rejected at admission, not at run time.
 func TestPartitionAppsValidation(t *testing.T) {
 	m := newTestManager(t, nil)
-	spec := JobSpec{Kind: KindPlace, TracesCSV: fleetCSV(t, 3, 1, 5), PartitionApps: -1}
-	if _, _, err := m.Submit(spec); err == nil || !strings.Contains(err.Error(), "partitionApps") {
-		t.Errorf("negative partitionApps: got %v", err)
+	for _, tc := range []struct {
+		field string
+		spec  JobSpec
+	}{
+		{"partitionApps", JobSpec{Kind: KindPlace, TracesCSV: fleetCSV(t, 3, 1, 5), PartitionApps: -1}},
+		{"poolServers", JobSpec{Kind: KindPlan, TracesCSV: fleetCSV(t, 3, 2, 5), PoolServers: -1}},
+	} {
+		if _, _, err := m.Submit(tc.spec); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("negative %s: got %v", tc.field, err)
+		}
 	}
 }
 

@@ -187,13 +187,6 @@ func (m *Manager) openJournal(job *Job, key uint64, h telemetry.Hooks) (*checkpo
 	return checkpoint.OpenWith(own, key, false, h, checkpoint.Options{Epoch: job.epoch})
 }
 
-// specGA builds the job's genetic search configuration.
-func specGA(spec JobSpec) placement.GAConfig {
-	ga := placement.DefaultGAConfig(spec.GASeed)
-	ga.Islands = spec.Islands
-	return ga
-}
-
 // framework builds the per-job framework on the server's shared
 // simulation cache and executor-level worker bound.
 func (m *Manager) framework(spec JobSpec, h telemetry.Hooks, retry resilience.Policy, j *checkpoint.Journal) (*core.Framework, error) {
@@ -201,7 +194,7 @@ func (m *Manager) framework(spec JobSpec, h telemetry.Hooks, retry resilience.Po
 		Commitment:           qos.PoolCommitment{Theta: spec.Theta, Deadline: time.Duration(spec.Deadline)},
 		ServerCPUs:           spec.ServerCPUs,
 		ServerCapacityPerCPU: 1,
-		GA:                   specGA(spec),
+		GA:                   placement.DefaultGAConfig(spec.GASeed),
 		Tolerance:            0.1,
 		Hooks:                h,
 		Inject:               m.cfg.Inject,

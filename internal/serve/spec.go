@@ -114,12 +114,9 @@ type JobSpec struct {
 	Theta    float64  `json:"theta,omitempty"`
 	Deadline Duration `json:"deadline,omitempty"`
 	// ServerCPUs is the per-server CPU count; GASeed seeds the
-	// consolidation search. Islands > 1 runs the search as that many
-	// deterministic islands with ring migration (0/1 = classic single
-	// population).
+	// consolidation search.
 	ServerCPUs int   `json:"serverCpus,omitempty"`
 	GASeed     int64 `json:"gaSeed,omitempty"`
-	Islands    int   `json:"islands,omitempty"`
 	// PartitionApps > 0 consolidates with the hierarchical pool-of-pools
 	// search, capping each sub-pool at this many applications; 0 keeps
 	// the flat search (and the pre-hierarchical job keys).
@@ -208,11 +205,11 @@ func (s *JobSpec) parse() (trace.Set, error) {
 	if err := commit.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: bad commitment: %w", err)
 	}
-	if s.Islands < 0 {
-		return nil, fmt.Errorf("serve: islands %d < 0", s.Islands)
-	}
 	if s.PartitionApps < 0 {
 		return nil, fmt.Errorf("serve: partitionApps %d < 0", s.PartitionApps)
+	}
+	if s.PoolServers < 0 {
+		return nil, fmt.Errorf("serve: poolServers %d < 0", s.PoolServers)
 	}
 	if s.ServerCPUs <= 0 {
 		return nil, fmt.Errorf("serve: serverCpus %d <= 0", s.ServerCPUs)
@@ -267,14 +264,8 @@ func (s *JobSpec) Key(set trace.Set) uint64 {
 	foldQoS(h, *s.QoS)
 	foldQoS(h, *s.FailureQoS)
 	h.Float(s.Theta).Int(int64(s.Deadline)).Int(int64(s.ServerCPUs)).Int(s.GASeed)
-	// The island count changes results only when > 1; folding it in
-	// only then keeps keys from pre-island clients (and journals bound
-	// to them) stable.
-	if s.Islands > 1 {
-		h.Int(int64(s.Islands))
-	}
-	// Likewise the partition cap: folded only when the hierarchical
-	// search is actually on, so pre-hierarchical keys stay stable.
+	// The partition cap is folded only when the hierarchical search is
+	// actually on, so pre-hierarchical keys stay stable.
 	if s.PartitionApps > 0 {
 		h.String("partitions").Int(int64(s.PartitionApps))
 	}

@@ -81,7 +81,7 @@ func internalPackages(graph map[string][]string) []string {
 }
 
 // packageRow matches a docs/PACKAGES.md table row whose first column is
-// a bare package name; feature rows (`placement.GAConfig.Islands`)
+// a bare package name; feature rows (`placement.ConsolidateHierarchical`)
 // carry a dot and are skipped.
 var packageRow = regexp.MustCompile("(?m)^\\| `([a-z0-9_]+)` \\|")
 
