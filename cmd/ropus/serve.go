@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -46,19 +47,19 @@ func cmdServe(ctx context.Context, args []string) error {
 	if *stateDir == "" {
 		return fmt.Errorf("serve: -state-dir is required")
 	}
-	limits, err := parseClassLimits(*classes)
+	limits, err := parsePairs("-class-limits", *classes, positiveCount)
 	if err != nil {
 		return err
 	}
-	tenantWeights, err := parsePairs("-tenant-weights", *weights)
+	tenantWeights, err := parsePairs("-tenant-weights", *weights, positiveCount)
 	if err != nil {
 		return err
 	}
-	tenantQuotas, err := parsePairs("-tenant-quotas", *quotas)
+	tenantQuotas, err := parsePairs("-tenant-quotas", *quotas, positiveCount)
 	if err != nil {
 		return err
 	}
-	tenantValues, err := parseValuePairs("-tenant-values", *values)
+	tenantValues, err := parsePairs("-tenant-values", *values, positiveValue)
 	if err != nil {
 		return err
 	}
@@ -103,62 +104,43 @@ func cmdServe(ctx context.Context, args []string) error {
 	return s.Run(ctx)
 }
 
-// parsePairs parses "name=n,name=n" maps (tenant weights and quotas).
-func parsePairs(flagName, s string) (map[string]int, error) {
+// parsePairs parses a "name=n,name=n" flag (class limits, tenant
+// weights, quotas and values) into a map, each n through parse. An
+// empty flag is no map.
+func parsePairs[T any](flagName, s string, parse func(string) (T, error)) (map[string]T, error) {
 	if s == "" {
 		return nil, nil
 	}
-	out := make(map[string]int)
+	out := make(map[string]T)
 	for _, pair := range strings.Split(s, ",") {
 		name, n, ok := strings.Cut(strings.TrimSpace(pair), "=")
 		if !ok {
 			return nil, fmt.Errorf("serve: %s entry %q is not name=n", flagName, pair)
 		}
-		v, err := strconv.Atoi(n)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("serve: %s %q needs a positive count", flagName, pair)
+		v, err := parse(n)
+		if err != nil {
+			return nil, fmt.Errorf("serve: %s %q %w", flagName, pair, err)
 		}
 		out[name] = v
 	}
 	return out, nil
 }
 
-// parseValuePairs parses "name=v,name=v" float maps (tenant values).
-func parseValuePairs(flagName, s string) (map[string]float64, error) {
-	if s == "" {
-		return nil, nil
+// positiveCount parses an integer >= 1.
+func positiveCount(s string) (int, error) {
+	v, err := strconv.Atoi(s)
+	if err != nil || v < 1 {
+		return 0, errors.New("needs a positive count")
 	}
-	out := make(map[string]float64)
-	for _, pair := range strings.Split(s, ",") {
-		name, n, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok {
-			return nil, fmt.Errorf("serve: %s entry %q is not name=v", flagName, pair)
-		}
-		v, err := strconv.ParseFloat(n, 64)
-		if err != nil || v <= 0 || v > 1e18 {
-			return nil, fmt.Errorf("serve: %s %q needs a positive value", flagName, pair)
-		}
-		out[name] = v
-	}
-	return out, nil
+	return v, nil
 }
 
-// parseClassLimits parses "failover=2,plan=1" into per-kind caps.
-func parseClassLimits(s string) (map[string]int, error) {
-	if s == "" {
-		return nil, nil
+// positiveValue parses a number in (0, 1e18]; NaN and the infinities
+// fail the range test.
+func positiveValue(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(v > 0 && v <= 1e18) {
+		return 0, errors.New("needs a positive value")
 	}
-	limits := make(map[string]int)
-	for _, pair := range strings.Split(s, ",") {
-		kind, n, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok {
-			return nil, fmt.Errorf("serve: -class-limits entry %q is not kind=n", pair)
-		}
-		v, err := strconv.Atoi(n)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("serve: -class-limits %q needs a positive count", pair)
-		}
-		limits[kind] = v
-	}
-	return limits, nil
+	return v, nil
 }

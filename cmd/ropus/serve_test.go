@@ -1,0 +1,45 @@
+package main
+
+import (
+	"maps"
+	"testing"
+)
+
+// TestParsePairs pins the name=n flags of `ropus serve`: counts
+// (-class-limits, -tenant-weights, -tenant-quotas) are integers >= 1,
+// values (-tenant-values) are numbers in (0, 1e18], and NaN, the
+// infinities, zero, negatives and malformed pairs are rejected.
+func TestParsePairs(t *testing.T) {
+	for _, tc := range []struct {
+		in     string
+		counts map[string]int     // nil: rejected (or, for "", unset)
+		values map[string]float64 // nil: rejected (or, for "", unset)
+	}{
+		{in: ""},
+		{in: "gold=2,bronze=1", counts: map[string]int{"gold": 2, "bronze": 1}, values: map[string]float64{"gold": 2, "bronze": 1}},
+		{in: " gold=3 ", counts: map[string]int{"gold": 3}, values: map[string]float64{"gold": 3}},
+		{in: "gold=2.5", values: map[string]float64{"gold": 2.5}},
+		{in: "gold=1e18", values: map[string]float64{"gold": 1e18}},
+		{in: "gold"},
+		{in: "gold:2"},
+		{in: "gold=2,"},
+		{in: "gold="},
+		{in: "gold=0"},
+		{in: "gold=-1"},
+		{in: "gold=NaN"},
+		{in: "gold=nan"},
+		{in: "gold=Inf"},
+		{in: "gold=+Inf"},
+		{in: "gold=-Inf"},
+		{in: "gold=1e19"},
+	} {
+		counts, err := parsePairs("-tenant-weights", tc.in, positiveCount)
+		if (err == nil) != (tc.counts != nil || tc.in == "") || !maps.Equal(counts, tc.counts) {
+			t.Errorf("counts %q: got %v, %v; want %v", tc.in, counts, err, tc.counts)
+		}
+		values, err := parsePairs("-tenant-values", tc.in, positiveValue)
+		if (err == nil) != (tc.values != nil || tc.in == "") || !maps.Equal(values, tc.values) {
+			t.Errorf("values %q: got %v, %v; want %v", tc.in, values, err, tc.values)
+		}
+	}
+}

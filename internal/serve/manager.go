@@ -251,8 +251,6 @@ type Job struct {
 	// remote marks a job another instance holds the lease for (or
 	// finished); the scanner finalizes or reclaims it.
 	remote bool
-	// queuedLocal marks a job sitting in this instance's tenant queues.
-	queuedLocal bool
 	// reg collects the job's own telemetry while it runs; its counters
 	// are the status endpoint's progress block until the job finishes.
 	reg *telemetry.Registry
@@ -313,16 +311,14 @@ type JobStatus struct {
 // directly. In fleet mode N managers share one state directory and
 // arbitrate job ownership through leases.
 type Manager struct {
-	cfg       Config
-	cache     *placement.SimCache
-	limiter   *parallel.Limiter
-	hooks     telemetry.Hooks
-	logger    *slog.Logger
-	flight    *flight.Recorder
-	slo       *slo.Tracker
-	leases    *lease.Keeper
-	maxWeight int
-	maxValue  float64
+	cfg     Config
+	cache   *placement.SimCache
+	limiter *parallel.Limiter
+	hooks   telemetry.Hooks
+	logger  *slog.Logger
+	flight  *flight.Recorder
+	slo     *slo.Tracker
+	leases  *lease.Keeper
 
 	submittedC   *telemetry.Counter
 	dedupC       *telemetry.Counter
@@ -355,14 +351,8 @@ type Manager struct {
 	names map[string]string
 	// order is submission/adoption order, for listing.
 	order []string
-	// Admission is tenant-major: one FIFO per tenant, dequeued by
-	// deficit round robin over ring with per-tenant quantum = weight.
-	queues      map[string][]string
-	ring        []string
-	ringMember  map[string]bool
-	deficit     map[string]float64
-	rrPos       int
-	queuedTotal int
+	// queue holds this instance's queued jobs and decides admission.
+	queue *admissionQueue
 
 	classRunning map[string]int
 	running      int
@@ -397,18 +387,6 @@ func NewManager(cfg Config, hooks telemetry.Hooks) (*Manager, error) {
 	// and spans.
 	rec := flight.NewRecorder(cfg.FlightEvents)
 	logger = obslog.WithRecorder(logger, rec)
-	maxWeight := 1
-	for _, w := range cfg.TenantWeights {
-		if w > maxWeight {
-			maxWeight = w
-		}
-	}
-	maxValue := 1.0
-	for _, v := range cfg.TenantValues {
-		if v > maxValue {
-			maxValue = v
-		}
-	}
 	m := &Manager{
 		cfg:     cfg,
 		limiter: parallel.NewLimiter(cfg.MaxConcurrent),
@@ -423,8 +401,6 @@ func NewManager(cfg Config, hooks telemetry.Hooks) (*Manager, error) {
 			Inject:   cfg.Inject,
 			Hooks:    h,
 		},
-		maxWeight:    maxWeight,
-		maxValue:     maxValue,
 		submittedC:   h.Counter("serve_jobs_submitted_total"),
 		dedupC:       h.Counter("serve_jobs_deduplicated_total"),
 		shedC:        h.Counter("serve_jobs_shed_total"),
@@ -445,9 +421,7 @@ func NewManager(cfg Config, hooks telemetry.Hooks) (*Manager, error) {
 		traces:       newByteLRU[*telemetry.Tracer](traceBudgetBytes),
 		jobs:         make(map[string]*Job),
 		names:        make(map[string]string),
-		queues:       make(map[string][]string),
-		ringMember:   make(map[string]bool),
-		deficit:      make(map[string]float64),
+		queue:        newAdmissionQueue(cfg.QueueDepth, cfg.TenantWeights, cfg.TenantQuotas, cfg.TenantValues),
 		classRunning: make(map[string]int),
 		runningSince: make(map[string]time.Time),
 		avgSeconds:   1, // optimistic prior until real durations arrive
@@ -559,130 +533,6 @@ func (m *Manager) SetDraining() {
 	m.mu.Unlock()
 }
 
-// weight returns a tenant's admission weight (default 1).
-func (m *Manager) weight(tenant string) int {
-	if w := m.cfg.TenantWeights[tenant]; w > 0 {
-		return w
-	}
-	return 1
-}
-
-// value returns a tenant's business value (default 1).
-func (m *Manager) value(tenant string) float64 {
-	if v := m.cfg.TenantValues[tenant]; v > 0 {
-		return v
-	}
-	return 1
-}
-
-// shedThresholdLocked is the global queue occupancy at which tenant
-// submissions start shedding: full depth for the heaviest tenant,
-// proportionally earlier for lighter ones, so overload sheds the
-// bottom of the order first without ever evicting an accepted job.
-// When tenant values are configured they define the order (lowest
-// revenue sheds first); otherwise the admission weights do.
-func (m *Manager) shedThresholdLocked(tenant string) int {
-	var t int
-	if len(m.cfg.TenantValues) > 0 {
-		t = int(float64(m.cfg.QueueDepth) * m.value(tenant) / m.maxValue)
-	} else {
-		t = m.cfg.QueueDepth * m.weight(tenant) / m.maxWeight
-	}
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
-
-// enqueueLocked appends the job to its tenant's FIFO and keeps the DRR
-// ring in sync.
-func (m *Manager) enqueueLocked(job *Job) {
-	t := job.Tenant
-	m.queues[t] = append(m.queues[t], job.ID)
-	m.queuedTotal++
-	job.queuedLocal = true
-	job.remote = false
-	if !m.ringMember[t] {
-		m.ringMember[t] = true
-		m.ring = append(m.ring, t)
-	}
-	m.queuedG.Set(float64(m.queuedTotal))
-}
-
-// removeTenantLocked drops an emptied tenant from the DRR ring and
-// forfeits its credit, so an idle tenant cannot hoard deficit.
-func (m *Manager) removeTenantLocked(t string) {
-	if len(m.queues[t]) > 0 {
-		return
-	}
-	delete(m.queues, t)
-	delete(m.ringMember, t)
-	m.deficit[t] = 0
-	for i, name := range m.ring {
-		if name == t {
-			m.ring = append(m.ring[:i], m.ring[i+1:]...)
-			if m.rrPos > i {
-				m.rrPos--
-			}
-			break
-		}
-	}
-}
-
-// dispatchableLocked returns the index of the first job in tenant t's
-// queue whose class has a free slot, or -1.
-func (m *Manager) dispatchableLocked(t string) int {
-	for i, id := range m.queues[t] {
-		kind := m.jobs[id].Kind
-		if limit := m.cfg.ClassLimits[kind]; limit > 0 && m.classRunning[kind] >= limit {
-			continue
-		}
-		return i
-	}
-	return -1
-}
-
-// nextQueuedLocked picks the next job by deficit round robin: each
-// visit tops a tenant's deficit up by its weight, each dispatched job
-// costs 1, and the scheduler stays on a tenant until its deficit is
-// spent, so tenants drain in proportion to their weights. Tenants whose
-// head-of-queue jobs are class-blocked are skipped without charge. The
-// job is removed from its queue; "" means nothing is dispatchable.
-func (m *Manager) nextQueuedLocked() string {
-	for visited := 0; visited < len(m.ring); visited++ {
-		if len(m.ring) == 0 {
-			return ""
-		}
-		m.rrPos %= len(m.ring)
-		t := m.ring[m.rrPos]
-		idx := m.dispatchableLocked(t)
-		if idx < 0 {
-			m.rrPos++
-			continue
-		}
-		if m.deficit[t] < 1 {
-			m.deficit[t] += float64(m.weight(t))
-		}
-		if m.deficit[t] < 1 {
-			m.rrPos++
-			continue
-		}
-		m.deficit[t]--
-		id := m.queues[t][idx]
-		m.queues[t] = append(m.queues[t][:idx], m.queues[t][idx+1:]...)
-		m.queuedTotal--
-		m.jobs[id].queuedLocal = false
-		if len(m.queues[t]) == 0 {
-			m.removeTenantLocked(t)
-		} else if m.deficit[t] < 1 {
-			m.rrPos++ // visit exhausted; next tenant on the next pick
-		}
-		m.queuedG.Set(float64(m.queuedTotal))
-		return id
-	}
-	return ""
-}
-
 // Submit admits a job. It is idempotent: a spec hashing to a known job
 // returns that job with created=false. A full queue — or a tenant past
 // its weighted share or quota — sheds the submission with an
@@ -716,32 +566,10 @@ func (m *Manager) admit(id string, spec JobSpec, start time.Time) (JobStatus, bo
 	if m.draining {
 		return JobStatus{}, false, ErrDraining
 	}
-	if quota := m.cfg.TenantQuotas[tenant]; quota > 0 && len(m.queues[tenant]) >= quota {
+	if shed := m.queue.shed(tenant); shed != nil {
 		m.shedC.Inc()
-		return JobStatus{}, false, &OverloadedError{
-			Queued:     len(m.queues[tenant]),
-			QueueDepth: quota,
-			Tenant:     tenant,
-			Reason:     "tenant quota exhausted",
-			RetryAfter: m.retryAfterLocked(),
-		}
-	}
-	if threshold := m.shedThresholdLocked(tenant); m.queuedTotal >= threshold {
-		m.shedC.Inc()
-		reason := "queue full"
-		if threshold < m.cfg.QueueDepth {
-			reason = "queue past tenant's weighted share"
-			if len(m.cfg.TenantValues) > 0 {
-				reason = "queue past tenant's value share"
-			}
-		}
-		return JobStatus{}, false, &OverloadedError{
-			Queued:     m.queuedTotal,
-			QueueDepth: threshold,
-			Tenant:     tenant,
-			Reason:     reason,
-			RetryAfter: m.retryAfterLocked(),
-		}
+		shed.RetryAfter = m.retryAfterLocked()
+		return JobStatus{}, false, shed
 	}
 	if err := m.persistSpec(id, spec); err != nil {
 		return JobStatus{}, false, err
@@ -749,7 +577,8 @@ func (m *Manager) admit(id string, spec JobSpec, start time.Time) (JobStatus, bo
 	job := &Job{ID: id, Kind: spec.Kind, spec: &spec, Tenant: tenant, State: StateQueued, Submitted: time.Now()}
 	m.jobs[id] = job
 	m.order = append(m.order, id)
-	m.enqueueLocked(job)
+	m.queue.push(tenant, id)
+	m.publishQueuedLocked()
 	m.submittedC.Inc()
 	m.retryAfterLocked()
 	m.slo.Observe(SeriesSubmitAccept, time.Since(start).Seconds())
@@ -777,7 +606,7 @@ func (m *Manager) retryAfterLocked() time.Duration {
 			per = e
 		}
 	}
-	waves := float64(m.queuedTotal+m.running)/float64(m.cfg.MaxConcurrent) + 1
+	waves := float64(m.queue.len()+m.running)/float64(m.cfg.MaxConcurrent) + 1
 	est := time.Duration(per * waves * float64(time.Second))
 	if est < time.Second {
 		est = time.Second
@@ -848,7 +677,7 @@ func (m *Manager) Jobs() []JobStatus {
 func (m *Manager) QueueDepths() (queued, running int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.queuedTotal, m.running
+	return m.queue.len(), m.running
 }
 
 func (m *Manager) statusLocked(job *Job) JobStatus {
@@ -914,26 +743,20 @@ func (m *Manager) dispatchOne() bool {
 	if m.ctx.Err() != nil {
 		return false
 	}
+	// The executor slot is taken before the queue picks: an attempt that
+	// finds every executor busy must not spend a tenant's DRR credit.
+	if !m.limiter.TryAcquire() {
+		return false
+	}
 	m.mu.Lock()
-	id := m.nextQueuedLocked()
+	id := m.queue.next(m.classBlockedLocked)
 	if id == "" {
 		m.mu.Unlock()
+		m.limiter.Release()
 		return false
 	}
+	m.publishQueuedLocked()
 	job := m.jobs[id]
-	if !m.limiter.TryAcquire() {
-		// No executor free: put the job back at the head of its queue.
-		m.queues[job.Tenant] = append([]string{id}, m.queues[job.Tenant]...)
-		m.queuedTotal++
-		job.queuedLocal = true
-		if !m.ringMember[job.Tenant] {
-			m.ringMember[job.Tenant] = true
-			m.ring = append(m.ring, job.Tenant)
-		}
-		m.queuedG.Set(float64(m.queuedTotal))
-		m.mu.Unlock()
-		return false
-	}
 	m.mu.Unlock()
 
 	// Lease arbitration happens outside the table lock: it fsyncs.
@@ -957,7 +780,8 @@ func (m *Manager) dispatchOne() bool {
 		m.hooks.Counter("serve_lease_errors_total").Inc()
 		m.logger.LogAttrs(context.Background(), slog.LevelWarn, "serve.lease.error",
 			slog.String("job_id", id), slog.String("error", err.Error()))
-		m.enqueueLocked(job)
+		m.queue.push(job.Tenant, id)
+		m.publishQueuedLocked()
 		return false
 	}
 
@@ -995,7 +819,6 @@ func (m *Manager) dispatchOne() bool {
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		defer m.limiter.Release()
 		m.execute(job, *spec, l)
 		m.mu.Lock()
 		m.classRunning[job.Kind]--
@@ -1003,10 +826,24 @@ func (m *Manager) dispatchOne() bool {
 		delete(m.runningSince, job.ID)
 		m.runningG.Set(float64(m.running))
 		m.mu.Unlock()
+		// Free the slot first: the attempt the kick wakes must find it.
+		m.limiter.Release()
 		m.kick()
 	}()
 	return true
 }
+
+// classBlockedLocked reports whether a queued job's kind is at its
+// class concurrency limit.
+func (m *Manager) classBlockedLocked(id string) bool {
+	kind := m.jobs[id].Kind
+	limit := m.cfg.ClassLimits[kind]
+	return limit > 0 && m.classRunning[kind] >= limit
+}
+
+// publishQueuedLocked republishes serve_jobs_queued after the admission
+// queue changed.
+func (m *Manager) publishQueuedLocked() { m.queuedG.Set(float64(m.queue.len())) }
 
 // heartbeat renews the job's lease until stop closes. A failed renewal
 // means a peer stole the job: the run context is cancelled so the
@@ -1197,21 +1034,14 @@ func (m *Manager) sweepParked() {
 	m.mu.Lock()
 	var parked []*Job
 	for _, job := range m.jobs {
-		if job.State == StateDone || job.State == StateFailed {
-			continue
+		if m.parkedLocked(job) {
+			parked = append(parked, job)
 		}
-		if job.queuedLocal {
-			continue
-		}
-		if _, runningHere := m.runningSince[job.ID]; runningHere {
-			continue
-		}
-		parked = append(parked, job)
 	}
 	m.mu.Unlock()
 
 	for _, job := range parked {
-		if doc, ok := m.loadResult(job.ID); ok && (doc.State == StateDone || doc.State == StateFailed) {
+		if doc, ok := m.loadResult(job.ID); ok && terminalState(doc.State) {
 			m.finalizeRemote(job, doc)
 			continue
 		}
@@ -1219,7 +1049,7 @@ func (m *Manager) sweepParked() {
 		switch status {
 		case lease.StatusLive, lease.StatusUnreadable:
 			m.mu.Lock()
-			if info.Instance != "" && !job.queuedLocal {
+			if info.Instance != "" && m.parkedLocked(job) {
 				job.Instance = info.Instance
 				if job.State == StateQueued {
 					// Visible to status queries: the job is executing, just
@@ -1231,51 +1061,42 @@ func (m *Manager) sweepParked() {
 			m.mu.Unlock()
 		case lease.StatusAbsent, lease.StatusExpired, lease.StatusReleased:
 			m.mu.Lock()
-			if !job.queuedLocal && job.State != StateDone && job.State != StateFailed {
-				if _, runningHere := m.runningSince[job.ID]; !runningHere {
-					job.State = StateQueued
-					job.Resumed = true
-					m.enqueueLocked(job)
-					m.kick()
-				}
+			if m.parkedLocked(job) {
+				job.State = StateQueued
+				job.Resumed = true
+				job.remote = false
+				m.queue.push(job.Tenant, job.ID)
+				m.publishQueuedLocked()
+				m.kick()
 			}
 			m.mu.Unlock()
 		}
 	}
 }
 
+// parkedLocked reports whether a job is unfinished yet neither queued
+// nor running here: it waits on a peer's lease or result.
+func (m *Manager) parkedLocked(job *Job) bool {
+	_, runningHere := m.runningSince[job.ID]
+	return !terminalState(job.State) && !m.queue.queued(job.ID) && !runningHere
+}
+
 // finalizeRemote adopts a peer-persisted terminal result into the
 // local job table, so any instance can answer status queries for any
 // job in the fleet.
 func (m *Manager) finalizeRemote(job *Job, doc resultDoc) {
-	finished := modTime(m.resultPath(job.ID))
-	doc.Result = nil // headers only: the file keeps the result
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if job.State == StateDone || job.State == StateFailed {
+	// A job dispatched since the sweep listed it is finished by its local
+	// run; one queued again since then leaves the queue, its result exists.
+	if _, runningHere := m.runningSince[job.ID]; runningHere || terminalState(job.State) {
 		return
 	}
-	if _, runningHere := m.runningSince[job.ID]; runningHere {
-		return // dispatched since the sweep listed it; the local run finishes it
+	if m.queue.remove(job.ID) {
+		m.publishQueuedLocked()
 	}
-	if job.queuedLocal {
-		// Raced a local dispatch decision: drop it from our queues, the
-		// result already exists.
-		t := job.Tenant
-		for i, qid := range m.queues[t] {
-			if qid == job.ID {
-				m.queues[t] = append(m.queues[t][:i], m.queues[t][i+1:]...)
-				m.queuedTotal--
-				m.queuedG.Set(float64(m.queuedTotal))
-				break
-			}
-		}
-		job.queuedLocal = false
-		m.removeTenantLocked(t)
-	}
-	m.finishLocked(job, doc, false)
+	m.adoptResultLocked(job, doc)
 	job.remote = true
-	job.Finished = finished
 	m.remoteDoneC.Inc()
 	m.flight.Record("event", "serve.job.remote_completed", job.ID,
 		map[string]any{"instance": job.Instance, "state": doc.State})

@@ -214,7 +214,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "event: status\ndata: %s\n\n", data)
 			flusher.Flush()
 		}
-		if status.State == StateDone || status.State == StateFailed {
+		if terminalState(status.State) {
 			fmt.Fprintf(w, "event: end\ndata: {\"state\":%q}\n\n", status.State)
 			flusher.Flush()
 			return

@@ -112,6 +112,20 @@ type resultDoc struct {
 	Progress map[string]int64 `json:"progress,omitempty"`
 }
 
+// terminalState reports whether state is final: a done or failed job's
+// result document is the authority, and nothing queues or runs it again.
+func terminalState(state string) bool { return state == StateDone || state == StateFailed }
+
+// adoptResultLocked reduces a job to the header of a result document
+// found in the state directory, written by a peer or an earlier process:
+// headers only, since the file keeps the result and a status query
+// re-reads it on demand, and the file's mtime is when the job finished.
+func (m *Manager) adoptResultLocked(job *Job, doc resultDoc) {
+	doc.Result = nil
+	m.finishLocked(job, doc, false)
+	job.Finished = modTime(m.resultPath(job.ID))
+}
+
 // writeAtomic lands data at path via a temp file, fsync and rename, so
 // a crash mid-write leaves either the old content or the new — never a
 // torn file that recovery would misread.
@@ -235,13 +249,9 @@ func (m *Manager) scanDisk(initial bool) error {
 		}
 		job := &Job{ID: id, Kind: spec.Kind, Tenant: spec.Tenant, Submitted: modTime(m.specPath(id))}
 		doc, finished := m.loadResult(id)
-		finished = finished && (doc.State == StateDone || doc.State == StateFailed)
+		finished = finished && terminalState(doc.State)
 		if finished {
-			// Headers only: the state directory keeps the spec and the
-			// result, and a status query re-reads the result on demand.
-			doc.Result = nil
 			job.remote = doc.Instance != "" && doc.Instance != m.cfg.Instance
-			job.Finished = modTime(m.resultPath(id))
 		} else {
 			job.spec = &spec
 			job.State = StateQueued
@@ -255,12 +265,13 @@ func (m *Manager) scanDisk(initial bool) error {
 			continue
 		}
 		if finished {
-			m.finishLocked(job, doc, false)
+			m.adoptResultLocked(job, doc)
 		}
 		m.jobs[id] = job
 		m.order = append(m.order, id)
-		if job.State == StateQueued {
-			m.enqueueLocked(job)
+		if !finished {
+			m.queue.push(job.Tenant, id)
+			m.publishQueuedLocked()
 			if !initial {
 				adopted = true
 				m.adoptedC.Inc()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -15,63 +16,55 @@ func submitTenant(t *testing.T, m *Manager, tenant string, seed int64, csv strin
 	return st, err
 }
 
-// drainQueueOrder pops the DRR queue to exhaustion and returns the
-// tenant sequence. The manager must not be started.
+// drainQueueOrder pops the admission queue to exhaustion, as the
+// scheduler would with every executor free, and returns the tenant
+// sequence. The manager must not be started.
 func drainQueueOrder(m *Manager) []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var order []string
-	for {
-		m.mu.Lock()
-		id := m.nextQueuedLocked()
-		if id == "" {
-			m.mu.Unlock()
-			return order
-		}
+	for id := m.queue.next(m.classBlockedLocked); id != ""; id = m.queue.next(m.classBlockedLocked) {
 		order = append(order, m.jobs[id].Tenant)
-		m.mu.Unlock()
 	}
+	return order
 }
 
-// TestDeficitRoundRobinHonorsWeights: with weights gold=2 bronze=1 the
-// dequeue order interleaves two gold jobs per bronze job — weighted
-// fair service, not FIFO and not starvation.
-func TestDeficitRoundRobinHonorsWeights(t *testing.T) {
-	m := newTestManager(t, func(c *Config) {
-		c.TenantWeights = map[string]int{"gold": 2, "bronze": 1}
-	})
+// TestDispatchSaturatedKeepsDRROrder (regression): a dispatch attempt
+// that finds every executor busy spends no tenant's DRR credit and
+// leaves the ring where it was, so a saturated queue drains in weight
+// order however many times the scheduler was woken meanwhile.
+func TestDispatchSaturatedKeepsDRROrder(t *testing.T) {
 	csv := fleetCSV(t, 3, 1, 5)
-	for i := int64(1); i <= 3; i++ {
-		if _, err := submitTenant(t, m, "gold", i, csv); err != nil {
-			t.Fatal(err)
+	for attempts := 0; attempts <= 2; attempts++ {
+		m := newTestManager(t, func(c *Config) {
+			c.MaxConcurrent = 1
+			c.TenantWeights = map[string]int{"gold": 2, "bronze": 1}
+		})
+		for i := int64(1); i <= 3; i++ {
+			if _, err := submitTenant(t, m, "gold", i, csv); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for i := int64(4); i <= 6; i++ {
-		if _, err := submitTenant(t, m, "bronze", i, csv); err != nil {
-			t.Fatal(err)
+		for i := int64(4); i <= 6; i++ {
+			if _, err := submitTenant(t, m, "bronze", i, csv); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	got := strings.Join(drainQueueOrder(m), ",")
-	want := "gold,gold,bronze,gold,bronze,bronze"
-	if got != want {
-		t.Errorf("DRR order %s, want %s", got, want)
-	}
-}
-
-// TestUniformWeightsRoundRobin: with no weights configured, tenants
-// alternate one-for-one and a single tenant degenerates to plain FIFO.
-func TestUniformWeightsRoundRobin(t *testing.T) {
-	m := newTestManager(t, nil)
-	csv := fleetCSV(t, 3, 1, 5)
-	for i := int64(1); i <= 2; i++ {
-		if _, err := submitTenant(t, m, "a", i, csv); err != nil {
-			t.Fatal(err)
+		// The scheduler is not started: the test holds the one executor
+		// slot and makes the attempts itself.
+		m.ctx = context.Background()
+		if !m.limiter.TryAcquire() {
+			t.Fatal("executor slot not free")
 		}
-		if _, err := submitTenant(t, m, "b", 10+i, csv); err != nil {
-			t.Fatal(err)
+		for range attempts {
+			if m.dispatchOne() {
+				t.Fatal("dispatched with every executor busy")
+			}
 		}
-	}
-	got := strings.Join(drainQueueOrder(m), ",")
-	if got != "a,b,a,b" {
-		t.Errorf("uniform order %s, want a,b,a,b", got)
+		got := strings.Join(drainQueueOrder(m), ",")
+		if want := "gold,gold,bronze,gold,bronze,bronze"; got != want {
+			t.Errorf("after %d saturated attempts: order %s, want %s", attempts, got, want)
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ var commandRoots = []string{"cmd/ropus", "cmd/experiments", "cmd/loadgen"}
 // unreachableAllowed excuses internal packages no command imports.
 var unreachableAllowed = map[string]string{
 	"stress": "the paper's §III stress-test substitute (DESIGN.md substitution table), shown by examples/stresstest",
-	"pool":   "ROADMAP item 2 decides: the planner's time-domain oracle, or deleted",
+	"pool":   "ROADMAP item 4 decides: the compliance oracle's time-domain outage replay, or deleted (item 8(g))",
 }
 
 // importGraph maps each package directory holding non-test Go files to
