@@ -79,20 +79,6 @@ type healOpts struct {
 	partitionApps int
 }
 
-// policy builds the deterministic retry policy. The backoff seed is
-// fixed so a resumed run replays the same jitter schedule.
-func (o healOpts) policy(h telemetry.Hooks) resilience.Policy {
-	return resilience.Policy{
-		MaxAttempts:    o.retries + 1,
-		BaseDelay:      100 * time.Millisecond,
-		MaxDelay:       2 * time.Second,
-		Jitter:         0.2,
-		Seed:           1,
-		AttemptTimeout: o.deadline,
-		Hooks:          h,
-	}
-}
-
 // journal opens the checkpoint journal, binding it to the knobs that
 // determine results (experiment selection, seed, quick) but not to the
 // worker count, so a journal resumes at any parallelism. The
@@ -155,7 +141,7 @@ func realMain(ctx context.Context, run, out string, seed int64, quick bool, work
 	cfg := experiments.Table1Config{
 		GASeed: 42, Quick: quick, PartitionApps: heal.partitionApps,
 		Hooks: hooks, Workers: workers,
-		Retry: heal.policy(hooks), Journal: journal,
+		Retry: resilience.Production(heal.retries, heal.deadline, hooks), Journal: journal,
 	}
 
 	want := func(name string) bool { return run == "all" || run == name }
@@ -198,7 +184,7 @@ func realMain(ctx context.Context, run, out string, seed int64, quick bool, work
 	}
 	if want("mix") {
 		ran = true
-		if err := runMix(ctx, out, seed, quick, workers, hooks, heal.policy(hooks), journal); err != nil {
+		if err := runMix(ctx, out, seed, quick, workers, hooks, resilience.Production(heal.retries, heal.deadline, hooks), journal); err != nil {
 			return err
 		}
 	}

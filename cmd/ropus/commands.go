@@ -306,36 +306,38 @@ func foldTraces(hash *checkpoint.Hasher, set trace.Set) {
 	}
 }
 
-// resilienceOpts holds the parsed self-healing flags shared by the
-// failover and plan subcommands.
-type resilienceOpts struct {
-	path     *string
-	resume   *bool
+// retryOpts holds the parsed retry flags shared by the failover, plan
+// and serve subcommands.
+type retryOpts struct {
 	retries  *int
 	deadline *time.Duration
 }
 
-func resilienceFlags(fs *flag.FlagSet) *resilienceOpts {
-	return &resilienceOpts{
-		path:     fs.String("checkpoint", "", "crash-safe journal file; completed units are fsync'd as they finish"),
-		resume:   fs.Bool("resume", false, "replay completed units from the -checkpoint journal instead of recomputing them"),
+func retryFlags(fs *flag.FlagSet) *retryOpts {
+	return &retryOpts{
 		retries:  fs.Int("retries", 2, "extra attempts per work unit after a transient failure (0 disables retry)"),
 		deadline: fs.Duration("scenario-deadline", 0, "per-attempt deadline for each scenario/step; a timed-out attempt is retried (0 = none)"),
 	}
 }
 
-// policy builds the deterministic retry policy from the flags. The
-// backoff seed is fixed: the jitter schedule must not depend on
-// anything that varies between a run and its resume.
-func (o *resilienceOpts) policy(h telemetry.Hooks) resilience.Policy {
-	return resilience.Policy{
-		MaxAttempts:    *o.retries + 1,
-		BaseDelay:      100 * time.Millisecond,
-		MaxDelay:       2 * time.Second,
-		Jitter:         0.2,
-		Seed:           1,
-		AttemptTimeout: *o.deadline,
-		Hooks:          h,
+// policy builds the production retry policy from the flags.
+func (o *retryOpts) policy(h telemetry.Hooks) resilience.Policy {
+	return resilience.Production(*o.retries, *o.deadline, h)
+}
+
+// resilienceOpts adds crash-safe checkpoint/resume to the retry flags
+// for the failover and plan subcommands.
+type resilienceOpts struct {
+	*retryOpts
+	path   *string
+	resume *bool
+}
+
+func resilienceFlags(fs *flag.FlagSet) *resilienceOpts {
+	return &resilienceOpts{
+		retryOpts: retryFlags(fs),
+		path:      fs.String("checkpoint", "", "crash-safe journal file; completed units are fsync'd as they finish"),
+		resume:    fs.Bool("resume", false, "replay completed units from the -checkpoint journal instead of recomputing them"),
 	}
 }
 

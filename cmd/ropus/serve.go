@@ -22,7 +22,7 @@ import (
 // -state-dir resumes them.
 func cmdServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	ropts := resilienceFlags(fs)
+	retry := retryFlags(fs)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:7925", "listen address")
 		stateDir = fs.String("state-dir", "", "directory for job specs, results, checkpoint journals and leases (required; shareable across a fleet)")
@@ -87,7 +87,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		ClassLimits:   limits,
 		Workers:       *workers,
 		CacheBytes:    cacheBytes,
-		Retry:         ropts.policy(nil),
+		Retry:         retry.policy(nil),
 		DrainTimeout:  *drain,
 		Logger:        logger,
 	}

@@ -1,9 +1,26 @@
 package main
 
 import (
+	"context"
 	"maps"
+	"strings"
 	"testing"
 )
+
+// TestServeRejectsJournalFlags: the server keeps its journals under
+// -state-dir, so -checkpoint and -resume are undefined flags there, not
+// flags it accepts and ignores. The cancelled context and ephemeral
+// address stop a server that does start at once.
+func TestServeRejectsJournalFlags(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, arg := range []string{"-checkpoint=run.ckpt", "-resume"} {
+		err := cmdServe(ctx, []string{"-state-dir", t.TempDir(), "-addr", "127.0.0.1:0", "-log-format", "off", arg})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("serve %s: got %v, want an undefined-flag error", arg, err)
+		}
+	}
+}
 
 // TestParsePairs pins the name=n flags of `ropus serve`: counts
 // (-class-limits, -tenant-weights, -tenant-quotas) are integers >= 1,

@@ -29,15 +29,17 @@ type Cell struct {
 // with id keying the fault-free backoff jitter, and a clean result is
 // journaled before Memo returns. Only verdicts an uninterrupted run
 // would also produce are journaled: not an errored unit (a resumed run
-// re-attempts it), not one computed while ctx was being cancelled (its
-// search may have been cut short), and not one keep (nil keeps all)
-// rejects. A failed append is counted and otherwise ignored — a lost
-// checkpoint only costs recompute on the next resume; an unreadable
-// record is recomputed the same way.
+// re-attempts it) and not one computed while ctx was being cancelled
+// (its search may have been cut short). resilience.Do already turns an
+// attempt that outlived its own deadline into an error, so between the
+// two no truncated result reaches the journal. A failed append is
+// counted and otherwise ignored — a lost checkpoint only costs
+// recompute on the next resume; an unreadable record is recomputed the
+// same way.
 //
 // Ordering, fail-fast and truncation stay with the caller. Stats are
 // zero for a replayed unit; on error the value is attempt's last.
-func Memo[T any](ctx context.Context, c Cell, key uint64, id string, keep func(T) bool,
+func Memo[T any](ctx context.Context, c Cell, key uint64, id string,
 	attempt func(context.Context) (T, error)) (v T, stats resilience.Stats, replayed bool, err error) {
 	h := telemetry.OrNop(c.Hooks)
 	var cached T
@@ -50,7 +52,7 @@ func Memo[T any](ctx context.Context, c Cell, key uint64, id string, keep func(T
 		retry.Hooks = c.Hooks
 	}
 	v, stats, err = resilience.Do(ctx, retry, id, attempt)
-	if err == nil && ctx.Err() == nil && (keep == nil || keep(v)) {
+	if err == nil && ctx.Err() == nil {
 		if aerr := c.Journal.Append(c.Unit, key, v); aerr != nil {
 			h.Counter("checkpoint_append_errors_total").Inc()
 		}

@@ -50,21 +50,19 @@ func TestMemo(t *testing.T) {
 		name      string
 		ctx       context.Context
 		key       uint64
-		keep      func(int) bool
 		attempt   func(context.Context) (int, error)
 		want      int
 		wantErr   error
 		wantCalls int
 		recovered bool
 	}{
-		{"clean result is journaled", ctx, 1, nil, value(41, nil), 41, nil, 1, false},
-		{"transient error is retried, then journaled", ctx, 2, nil, flaky, 7, nil, 2, true},
-		{"error is returned with the last value, not journaled", ctx, 3, nil, value(5, boom), 5, boom, 1, false},
-		{"rejected by keep: returned, not journaled", ctx, 4, func(v int) bool { return v != 9 }, value(9, nil), 9, nil, 1, false},
-		{"computed under cancellation: returned, not journaled", cancelled, 5, nil, value(6, nil), 6, nil, 1, false},
+		{"clean result is journaled", ctx, 1, value(41, nil), 41, nil, 1, false},
+		{"transient error is retried, then journaled", ctx, 2, flaky, 7, nil, 2, true},
+		{"error is returned with the last value, not journaled", ctx, 3, value(5, boom), 5, boom, 1, false},
+		{"computed under cancellation: returned, not journaled", cancelled, 5, value(6, nil), 6, nil, 1, false},
 	} {
 		calls = 0
-		v, stats, replayed, err := Memo(tc.ctx, cell, tc.key, tc.name, tc.keep, tc.attempt)
+		v, stats, replayed, err := Memo(tc.ctx, cell, tc.key, tc.name, tc.attempt)
 		if v != tc.want || !errors.Is(err, tc.wantErr) || replayed || calls != tc.wantCalls ||
 			stats.Attempts != tc.wantCalls || stats.Recovered != tc.recovered {
 			t.Errorf("%s: got (%d, %+v, replayed=%v, %v) after %d calls", tc.name, v, stats, replayed, err, calls)
@@ -79,7 +77,7 @@ func TestMemo(t *testing.T) {
 	cell = open(true)
 	for key := uint64(1); key <= 5; key++ {
 		calls = 0
-		v, stats, replayed, err := Memo(ctx, cell, key, "resume", nil, value(100, nil))
+		v, stats, replayed, err := Memo(ctx, cell, key, "resume", value(100, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,14 +93,14 @@ func TestMemo(t *testing.T) {
 	// A failed append costs a counter, never the result; a nil journal
 	// is a plain retried call.
 	cell.Journal.Close()
-	if v, _, _, err := Memo(ctx, cell, 99, "closed", nil, value(3, nil)); v != 3 || err != nil {
+	if v, _, _, err := Memo(ctx, cell, 99, "closed", value(3, nil)); v != 3 || err != nil {
 		t.Errorf("append to a closed journal: got (%d, %v), want the result kept", v, err)
 	}
 	if got := reg.Snapshot().Counters["checkpoint_append_errors_total"]; got != 1 {
 		t.Errorf("checkpoint_append_errors_total = %d, want 1", got)
 	}
 	cell.Journal = nil
-	if v, _, replayed, err := Memo(ctx, cell, 1, "nil", nil, value(8, nil)); v != 8 || replayed || err != nil {
+	if v, _, replayed, err := Memo(ctx, cell, 1, "nil", value(8, nil)); v != 8 || replayed || err != nil {
 		t.Errorf("nil journal: got (%d, replayed=%v, %v)", v, replayed, err)
 	}
 }

@@ -5,6 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
+	"time"
+
+	"ropus/internal/resilience"
+	"ropus/internal/telemetry"
 )
 
 // The experiments matrices ride the same worker pool as the failure
@@ -60,6 +64,30 @@ func TestMixParallelMatchesSequential(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("workers=%d: Mix diverges from the sequential run", workers)
+		}
+	}
+}
+
+// TestAttemptDeadlineMixRetriesEveryAlgorithm: Mix runs each algorithm
+// under its attempt context, so a deadline no attempt can meet retries
+// every algorithm once and leaves each row with its name only.
+func TestAttemptDeadlineMixRetriesEveryAlgorithm(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	rows, err := Mix(context.Background(), MixConfig{Interactive: 2, Batch: 2, Seed: 7, Quick: true,
+		Hooks: telemetry.New(reg, nil),
+		Retry: resilience.Policy{MaxAttempts: 2, AttemptTimeout: time.Nanosecond}})
+	if err != nil {
+		t.Fatalf("Mix under an unmeetable deadline should degrade, got %v", err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("want all 4 algorithm rows, got %d", len(rows))
+	}
+	if got := reg.Snapshot().Counters["resilience_retries_total"]; got != int64(len(rows)) {
+		t.Errorf("resilience_retries_total = %d, want one per algorithm (%d)", got, len(rows))
+	}
+	for _, r := range rows {
+		if r != (MixRow{Algorithm: r.Algorithm}) || r.Algorithm == "" {
+			t.Errorf("row %+v, want the algorithm's name only", r)
 		}
 	}
 }

@@ -253,7 +253,7 @@ func Table1(ctx context.Context, set trace.Set, cfg Table1Config) ([]Table1Row, 
 	rows := make([]Table1Row, len(Table1Cases))
 	errs := make([]error, len(Table1Cases))
 	var failed atomic.Bool
-	runCase := func(actx context.Context, i int) (Table1Row, error) {
+	runCase := func(ctx context.Context, i int) (Table1Row, error) {
 		c := Table1Cases[i]
 		f, err := frameworkFor(c.Theta, cfg)
 		if err != nil {
@@ -261,17 +261,13 @@ func Table1(ctx context.Context, set trace.Set, cfg Table1Config) ([]Table1Row, 
 		}
 		q := CaseStudyQoS(100-c.MDegr, c.TDegr)
 		reqs := core.Requirements{Default: qos.Requirement{Normal: q, Failure: q}}
-		tr, err := f.Translate(actx, set, reqs)
+		tr, err := f.Translate(ctx, set, reqs)
 		if err != nil {
 			return Table1Row{}, fmt.Errorf("experiments: case %d: %w", c.ID, err)
 		}
-		cons, err := f.Consolidate(actx, tr)
+		cons, err := f.Consolidate(ctx, tr)
 		if err != nil {
 			return Table1Row{}, fmt.Errorf("experiments: case %d: %w", c.ID, err)
-		}
-		if cons.Plan != nil && cons.Plan.Truncated && actx.Err() != nil && ctx.Err() == nil {
-			return Table1Row{}, resilience.MarkTransient(
-				fmt.Errorf("experiments: case %d: attempt deadline cut the search short", c.ID))
 		}
 		return Table1Row{
 			Case:    c,
@@ -286,7 +282,7 @@ func Table1(ctx context.Context, set trace.Set, cfg Table1Config) ([]Table1Row, 
 		}
 		rows[i], _, _, errs[i] = checkpoint.Memo(ctx, cell,
 			checkpoint.NewHasher().Int(int64(Table1Cases[i].ID)).Sum(),
-			fmt.Sprintf("case-%d", Table1Cases[i].ID), nil,
+			fmt.Sprintf("case-%d", Table1Cases[i].ID),
 			func(attemptCtx context.Context) (Table1Row, error) {
 				return runCase(attemptCtx, i)
 			})

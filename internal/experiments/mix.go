@@ -114,18 +114,12 @@ func Mix(ctx context.Context, cfg MixConfig) ([]MixRow, error) {
 
 	algos := []struct {
 		name string
-		fn   func(p *placement.Problem) (*placement.Plan, error)
+		fn   func(context.Context, *placement.Problem) (*placement.Plan, error)
 	}{
-		{"first-fit-decreasing", func(p *placement.Problem) (*placement.Plan, error) {
-			return placement.FirstFitDecreasing(ctx, p)
-		}},
-		{"best-fit-decreasing", func(p *placement.Problem) (*placement.Plan, error) {
-			return placement.BestFitDecreasing(ctx, p)
-		}},
-		{"least-correlated-fit", func(p *placement.Problem) (*placement.Plan, error) {
-			return placement.LeastCorrelatedFit(ctx, p)
-		}},
-		{"genetic", func(p *placement.Problem) (*placement.Plan, error) {
+		{"first-fit-decreasing", placement.FirstFitDecreasing},
+		{"best-fit-decreasing", placement.BestFitDecreasing},
+		{"least-correlated-fit", placement.LeastCorrelatedFit},
+		{"genetic", func(ctx context.Context, p *placement.Problem) (*placement.Plan, error) {
 			initial, err := placement.OneAppPerServer(p)
 			if err != nil {
 				return nil, err
@@ -148,17 +142,17 @@ func Mix(ctx context.Context, cfg MixConfig) ([]MixRow, error) {
 		rows[i].Algorithm = algos[i].name
 	}
 	parallel.ForEach(ctx, cfg.Workers, len(algos), func(i int) {
-		rows[i], _, _, _ = checkpoint.Memo(ctx, cell,
-			checkpoint.NewHasher().String(algos[i].name).Sum(), algos[i].name, nil,
-			func(context.Context) (MixRow, error) {
+		row, _, _, err := checkpoint.Memo(ctx, cell,
+			checkpoint.NewHasher().String(algos[i].name).Sum(), algos[i].name,
+			func(attemptCtx context.Context) (MixRow, error) {
 				// Each algorithm gets its own shallow Problem copy: Validate
 				// memoizes the attribute union on the struct, which would
 				// race. The copies still share the one simulation cache, so
 				// every (server, group) any algorithm solves is solved once.
 				p := *problem
-				plan, err := algos[i].fn(&p)
+				plan, err := algos[i].fn(attemptCtx, &p)
 				if err != nil {
-					return MixRow{Algorithm: algos[i].name}, err
+					return MixRow{}, err
 				}
 				return MixRow{
 					Algorithm: algos[i].name,
@@ -167,6 +161,9 @@ func Mix(ctx context.Context, cfg MixConfig) ([]MixRow, error) {
 					Feasible:  plan.Feasible,
 				}, nil
 			})
+		if err == nil {
+			rows[i] = row
+		}
 	})
 	return rows, nil
 }

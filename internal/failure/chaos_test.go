@@ -3,12 +3,76 @@ package failure
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"ropus/internal/faultinject"
 	"ropus/internal/placement"
+	"ropus/internal/resilience"
 	"ropus/internal/robust"
 )
+
+// TestAttemptDeadlineEveryAttemptCutIsInconclusive: every attempt at
+// srv-a's scenario starts with a required-capacity search slower than
+// the attempt deadline. The search runs in the GA's cancel-detached
+// seeding, so each attempt returns a Truncated best-so-far plan with a
+// nil error; after the last one the scenario is inconclusive, keeps its
+// identity, and carries no verdict: Feasible false and no Plan.
+func TestAttemptDeadlineEveryAttemptCutIsInconclusive(t *testing.T) {
+	in, base, err := sweepInput(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deadline = 100 * time.Millisecond
+	var (
+		mu    sync.Mutex
+		armed bool // srv-a's attempt has started and not yet searched
+		slow  int
+	)
+	in.Inject = faultinject.Func(func(point, key string) faultinject.Outcome {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case point == "failure.scenario":
+			armed = key == "srv-a"
+		case point == "sim.required_capacity" && armed:
+			armed = false
+			slow++
+			return faultinject.Outcome{Delay: 2 * deadline}
+		}
+		return faultinject.Outcome{}
+	})
+	// Other scenarios get a third attempt in case a loaded host slows
+	// one past the deadline; srv-a is cut on every attempt regardless.
+	in.Retry = resilience.Policy{MaxAttempts: 3, AttemptTimeout: deadline}
+	report, err := AnalyzeMulti(context.Background(), in, base, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow != 3 {
+		t.Errorf("slow searches = %d, want one per attempt (3)", slow)
+	}
+	for _, sc := range report.Scenarios {
+		if sc.Key() != "srv-a" {
+			if sc.Err != nil {
+				t.Errorf("%s: %v", sc.Key(), sc.Err)
+			}
+			continue
+		}
+		if sc.Err == nil || !sc.GaveUp || sc.Attempts != 3 || sc.Recovered {
+			t.Errorf("srv-a: Err=%v GaveUp=%v Attempts=%d Recovered=%v, want a give-up after 3 attempts",
+				sc.Err, sc.GaveUp, sc.Attempts, sc.Recovered)
+		}
+		if sc.Feasible || sc.Plan != nil || sc.Servers != nil {
+			t.Errorf("srv-a: inconclusive scenario kept a verdict: Feasible=%v Plan=%v Servers=%v",
+				sc.Feasible, sc.Plan != nil, sc.Servers)
+		}
+		if len(sc.FailedServers) != 1 || len(sc.AffectedApps) == 0 {
+			t.Errorf("srv-a: identity lost: failed %v, affected %v", sc.FailedServers, sc.AffectedApps)
+		}
+	}
+}
 
 // basePlanFor evaluates the identity assignment for a 3x6-on-10 pool,
 // which both Analyze tests start from.

@@ -196,7 +196,7 @@ func AnalyzeMulti(ctx context.Context, in Input, basePlan *placement.Plan, k int
 // used servers, in lexicographic order, each named by the combination's
 // Key — for k=1, the failed server's ID.
 func combinationSpecs(p *placement.Problem, used []int, k int) []ScenarioSpec {
-	combos := combinations(used, k)
+	combos := Combinations(used, k)
 	specs := make([]ScenarioSpec, len(combos))
 	for i, combo := range combos {
 		ids := make([]string, len(combo))
@@ -208,15 +208,17 @@ func combinationSpecs(p *placement.Problem, used []int, k int) []ScenarioSpec {
 	return specs
 }
 
-// combinations enumerates all k-element subsets of items in
-// lexicographic order.
-func combinations(items []int, k int) [][]int {
-	var out [][]int
-	combo := make([]int, k)
+// Combinations enumerates all k-element subsets of items in
+// lexicographic order of their positions in items (the order of the
+// elements themselves when items is sorted). k outside [1, len(items)]
+// yields none.
+func Combinations[T any](items []T, k int) [][]T {
+	var out [][]T
+	combo := make([]T, k)
 	var rec func(start, depth int)
 	rec = func(start, depth int) {
 		if depth == k {
-			out = append(out, append([]int(nil), combo...))
+			out = append(out, append([]T(nil), combo...))
 			return
 		}
 		for i := start; i <= len(items)-(k-depth); i++ {

@@ -26,7 +26,7 @@ func TestCombinations(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := combinations(tt.items, tt.k)
+			got := Combinations(tt.items, tt.k)
 			if !reflect.DeepEqual(got, tt.want) {
 				t.Errorf("combinations = %v, want %v", got, tt.want)
 			}

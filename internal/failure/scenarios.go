@@ -24,7 +24,6 @@ import (
 	"ropus/internal/obslog"
 	"ropus/internal/parallel"
 	"ropus/internal/placement"
-	"ropus/internal/resilience"
 	"ropus/internal/robust"
 	"ropus/internal/telemetry"
 )
@@ -310,10 +309,6 @@ func sweep(ctx context.Context, in Input, basePlan *placement.Plan, name string,
 		Hooks:   in.Hooks,
 		Replays: "failure_scenarios_replayed_total",
 	}
-	// Errored verdicts are never journaled (the cell's rule); neither is
-	// a best-so-far plan cut short by the sweep's cancellation, which an
-	// uninterrupted run never produces.
-	complete := func(sc MultiScenario) bool { return sc.Plan == nil || !sc.Plan.Truncated }
 	serverIdx := serverIndex(in.Problem)
 
 	// Results land in spec order; ForEach's contiguous-prefix contract
@@ -326,10 +321,10 @@ func sweep(ctx context.Context, in Input, basePlan *placement.Plan, name string,
 		spec.fold(hash)
 		start := time.Now()
 		attempts := 0
-		sc, stats, replayed, err := checkpoint.Memo(ctx, cell, hash.Sum(), spec.Name, complete,
+		sc, stats, replayed, err := checkpoint.Memo(ctx, cell, hash.Sum(), spec.Name,
 			func(attemptCtx context.Context) (MultiScenario, error) {
 				attempts++
-				sc, err := analyzeSpec(attemptCtx, ctx, in, basePlan, spec, serverIdx)
+				sc, err := analyzeSpec(attemptCtx, in, basePlan, spec, serverIdx)
 				// Stamped per attempt so the journaled record carries them.
 				sc.Attempts, sc.Recovered = attempts, err == nil && attempts > 1
 				return sc, err
@@ -356,7 +351,10 @@ func sweep(ctx context.Context, in Input, basePlan *placement.Plan, name string,
 		sc := scenarios[i]
 		if err := scenarioErrs[i]; err != nil {
 			// Degrade: the remaining scenarios are independent analyses;
-			// one bad solver run must not cost the whole report.
+			// one bad solver run must not cost the whole report. An
+			// attempt cut by its deadline may have returned a verdict;
+			// an inconclusive scenario keeps only its identity.
+			sc.Feasible, sc.Plan, sc.Servers, sc.Recovered = false, nil, nil, false
 			sc.Err = fmt.Errorf("failure: scenario %q: %w", sc.Name, err)
 			sc.ErrText = sc.Err.Error()
 			errorC.Inc()
@@ -387,10 +385,8 @@ func sweep(ctx context.Context, in Input, basePlan *placement.Plan, name string,
 // "failure.scenario" fault injection point (keyed by the spec's name),
 // then the reduced re-consolidation. The returned scenario carries its
 // identity (failed servers, affected apps) even when the analysis
-// errors. ctx is the (possibly deadline-bounded) attempt context;
-// parent is the sweep context, used to tell an expired attempt deadline
-// — retryable — from cancellation.
-func analyzeSpec(ctx, parent context.Context, in Input, basePlan *placement.Plan, spec ScenarioSpec, serverIdx map[string]int) (MultiScenario, error) {
+// errors. ctx is the (possibly deadline-bounded) attempt context.
+func analyzeSpec(ctx context.Context, in Input, basePlan *placement.Plan, spec ScenarioSpec, serverIdx map[string]int) (MultiScenario, error) {
 	p := in.Problem
 	failed := make(map[int]bool, len(spec.Servers))
 	for _, id := range spec.Servers {
@@ -419,18 +415,8 @@ func analyzeSpec(ctx, parent context.Context, in Input, basePlan *placement.Plan
 	}
 
 	if in.Inject != nil {
-		o := in.Inject.Hit("failure.scenario", spec.Name)
-		if o.Delay > 0 {
-			t := time.NewTimer(o.Delay)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return scenario, ctx.Err()
-			}
-		}
-		if o.Err != nil {
-			return scenario, o.Err
+		if err := in.Inject.Hit("failure.scenario", spec.Name).Wait(ctx); err != nil {
+			return scenario, err
 		}
 	}
 
@@ -440,14 +426,6 @@ func analyzeSpec(ctx, parent context.Context, in Input, basePlan *placement.Plan
 	plan, servers, err := consolidateSurvivors(ctx, in, basePlan, failed, affected, spec.Theta)
 	if err != nil {
 		return scenario, err
-	}
-	// Consolidate reports context expiry as a Truncated plan with a nil
-	// error. Under a per-attempt deadline a silently partial plan must
-	// become a transient error so the policy retries it; only parent
-	// cancellation may truncate a sweep.
-	if plan != nil && plan.Truncated && ctx.Err() != nil && parent.Err() == nil {
-		return scenario, resilience.MarkTransient(
-			fmt.Errorf("failure: scenario %q: attempt deadline cut the search short", spec.Name))
 	}
 	if plan != nil {
 		scenario.Feasible = true

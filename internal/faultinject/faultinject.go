@@ -6,9 +6,12 @@
 // workload-manager replay) call Hit at named injection points; the
 // script decides — deterministically for a given seed and hit sequence —
 // whether to inject an error, an artificial delay, or a request to
-// corrupt the data flowing through the point. Production code paths pay
-// nothing: components only consult an Injector when one is configured,
-// and the zero configuration is nil.
+// corrupt the data flowing through the point. Components impose the
+// delay and error through Outcome.Wait under the context of the work
+// the point stands for, so an injected slow stage is cut by an attempt
+// deadline or a cancellation the same way real work is. Production code
+// paths pay nothing: components only consult an Injector when one is
+// configured, and the zero configuration is nil.
 //
 // Injection points currently consumed by the repository:
 //
@@ -34,6 +37,7 @@
 package faultinject
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -58,7 +62,7 @@ type Outcome struct {
 	// both classify it.
 	Err error
 	// Delay is an artificial latency the component should impose
-	// (modelling a slow stage); zero when none fired.
+	// (modelling a slow stage) through Wait; zero when none fired.
 	Delay time.Duration
 	// Corrupt asks the component to corrupt the data flowing through
 	// the point (e.g. a NaN trace slot) and exercise its detection path.
@@ -67,6 +71,24 @@ type Outcome struct {
 	// retry could absorb, false (the default — existing scripts keep
 	// their behaviour) a permanent failure that retrying cannot fix.
 	Transient bool
+}
+
+// Wait imposes the outcome at the injection point: it sleeps Delay and
+// returns Err, or returns ctx's error as soon as ctx ends, so a scripted
+// slow stage is cut by a deadline or cancellation exactly as the work it
+// stands for would be. A component that must not be cut passes a
+// context that never ends. Corrupt is left to the caller.
+func (o Outcome) Wait(ctx context.Context) error {
+	if o.Delay > 0 {
+		t := time.NewTimer(o.Delay)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return o.Err
 }
 
 // Injector decides the fate of each instrumented operation. A nil

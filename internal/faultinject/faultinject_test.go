@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -226,5 +227,32 @@ func TestChaosTransientClassification(t *testing.T) {
 	custom := s.Hit("p", "custom")
 	if !resilience.Transient(custom.Err) || custom.Err.Error() != "wrapped blip" {
 		t.Errorf("custom transient error = %v (transient %v)", custom.Err, custom.Transient)
+	}
+}
+
+// TestAttemptDeadlineOutcomeWait: Wait sleeps the scripted delay and
+// returns the scripted error, unless the context ends first, when it
+// returns the context's error at once.
+func TestAttemptDeadlineOutcomeWait(t *testing.T) {
+	boom := errors.New("boom")
+	if err := (Outcome{}).Wait(context.Background()); err != nil {
+		t.Errorf("zero outcome: Wait = %v, want nil", err)
+	}
+	if err := (Outcome{Delay: time.Millisecond, Err: boom}).Wait(context.Background()); err != boom {
+		t.Errorf("uncut wait: Wait = %v, want the scripted error", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := (Outcome{Delay: time.Minute, Err: boom}).Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("cut wait: Wait = %v, want the context's deadline error", err)
+	}
+	if d := time.Since(start); d > 30*time.Second {
+		t.Errorf("cut wait slept %v", d)
+	}
+	cancelled, stop := context.WithCancel(context.Background())
+	stop()
+	if err := (Outcome{Delay: time.Minute}).Wait(cancelled); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled wait: Wait = %v, want context.Canceled", err)
 	}
 }

@@ -51,6 +51,7 @@
 package lease
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -235,9 +236,9 @@ func (k *Keeper) hit(point, key string) faultinject.Outcome {
 		return faultinject.Outcome{}
 	}
 	o := k.Inject.Hit(point, key)
-	if o.Delay > 0 {
-		time.Sleep(o.Delay)
-	}
+	// Lease calls take no context, so a scripted delay always runs its
+	// course; callers read o.Err themselves.
+	_ = o.Wait(context.Background())
 	return o
 }
 
@@ -285,7 +286,7 @@ func (k *Keeper) Acquire(name string) (*Lease, error) {
 		// A scripted lease.expire outcome forces the expiry decision, so
 		// chaos tests can stage contested steals deterministically.
 		o := k.hit("lease.expire", name)
-		if o.Err == nil && o.Delay == 0 && !o.Corrupt {
+		if o == (faultinject.Outcome{}) {
 			return nil, &HeldError{Name: name, Instance: info.Instance, Epoch: info.Epoch}
 		}
 		status = StatusExpired

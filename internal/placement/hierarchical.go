@@ -243,14 +243,13 @@ func ConsolidateHierarchical(ctx context.Context, p *Problem, initial Assignment
 	cell := checkpoint.Cell{Journal: cfg.Journal, Unit: "placement.partition",
 		Hooks: p.Hooks, Replays: "hier_partitions_replayed_total"}
 	solvedC := h.Counter("hier_partitions_solved_total")
-	// A truncated sub-plan is not the converged solution; never journal
-	// it, and fail the whole call as cancelled below.
-	converged := func(r partitionRecord) bool { return !r.truncated }
+	// A sub-plan truncates only under ctx's cancellation, so the cell
+	// never journals one; the whole call fails as cancelled below.
 	solve := func(k int) {
 		group := res.Groups[k]
 		seed := partitionSeed(ga.Seed, parts, k)
 		rec, _, replayed, err := checkpoint.Memo(ctx, cell, partitionKey(k, seed, appIDs(p, group)),
-			fmt.Sprintf("partition/%03d", k), converged,
+			fmt.Sprintf("partition/%03d", k),
 			func(ctx context.Context) (partitionRecord, error) {
 				sub := subProblem(p, group, k)
 				start, err := OneAppPerServer(sub)

@@ -179,9 +179,9 @@ func Run(ctx context.Context, cfg Config, traces trace.Set) (plan *Plan, err err
 	evaluate := func(ctx context.Context, ahead int) (Step, bool, error) {
 		start := time.Now()
 		step, _, replayed, err := checkpoint.Memo(ctx, cell,
-			checkpoint.NewHasher().Int(int64(ahead)).Sum(), strconv.Itoa(ahead), nil,
+			checkpoint.NewHasher().Int(int64(ahead)).Sum(), strconv.Itoa(ahead),
 			func(attemptCtx context.Context) (Step, error) {
-				return consolidateStep(attemptCtx, ctx, cfg, traces, ahead)
+				return consolidateStep(attemptCtx, cfg, traces, ahead)
 			})
 		if err != nil {
 			return Step{}, false, err
@@ -282,22 +282,11 @@ func projectSet(cfg Config, traces trace.Set, ahead int) (trace.Set, error) {
 // keeps them as observed), then translates and consolidates them. A
 // placement that fits on no pool configuration is reported as an
 // infeasible step, not an error. ctx is the (possibly deadline-bounded)
-// attempt context; parent is the run context, used to convert an
-// attempt-deadline-truncated search into a retryable error.
-func consolidateStep(ctx, parent context.Context, cfg Config, traces trace.Set, ahead int) (Step, error) {
+// attempt context.
+func consolidateStep(ctx context.Context, cfg Config, traces trace.Set, ahead int) (Step, error) {
 	if cfg.Inject != nil {
-		o := cfg.Inject.Hit("planner.step", strconv.Itoa(ahead))
-		if o.Delay > 0 {
-			t := time.NewTimer(o.Delay)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return Step{}, ctx.Err()
-			}
-		}
-		if o.Err != nil {
-			return Step{}, o.Err
+		if err := cfg.Inject.Hit("planner.step", strconv.Itoa(ahead)).Wait(ctx); err != nil {
+			return Step{}, err
 		}
 	}
 	if ahead > 0 {
@@ -317,10 +306,6 @@ func consolidateStep(ctx, parent context.Context, cfg Config, traces trace.Set, 
 	}
 	if err != nil {
 		return Step{}, err
-	}
-	if cons.Plan != nil && cons.Plan.Truncated && ctx.Err() != nil && parent.Err() == nil {
-		return Step{}, resilience.MarkTransient(
-			fmt.Errorf("planner: step +%dw: attempt deadline cut the search short", ahead))
 	}
 	step.Feasible = true
 	step.Servers = cons.ServersUsed()

@@ -6,13 +6,18 @@ import (
 	"time"
 
 	"ropus/internal/core"
+	"ropus/internal/faultinject"
 	"ropus/internal/placement"
 	"ropus/internal/qos"
 	"ropus/internal/trace"
 	"ropus/internal/workload"
 )
 
-func framework(t *testing.T) *core.Framework {
+func framework(t *testing.T) *core.Framework { return injectingFramework(t, nil) }
+
+// injectingFramework is framework with inj as the consolidation stack's
+// fault injector.
+func injectingFramework(t *testing.T, inj faultinject.Injector) *core.Framework {
 	t.Helper()
 	ga := placement.DefaultGAConfig(13)
 	ga.MaxGenerations = 30
@@ -23,6 +28,7 @@ func framework(t *testing.T) *core.Framework {
 		ServerCapacityPerCPU: 1,
 		GA:                   ga,
 		Tolerance:            0.25,
+		Inject:               inj,
 	})
 	if err != nil {
 		t.Fatal(err)

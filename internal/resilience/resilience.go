@@ -83,14 +83,32 @@ type Policy struct {
 	// Seed drives the deterministic jitter; the same (Seed, key,
 	// attempt) always yields the same delay.
 	Seed int64
-	// AttemptTimeout bounds each attempt with a per-attempt deadline
-	// (context.WithTimeout); 0 leaves attempts unbounded. Do retries an
-	// attempt cut short by its own deadline — a deadline is transient by
-	// definition — but never one cancelled by the parent context.
+	// AttemptTimeout bounds each attempt with a per-attempt context
+	// deadline; 0 leaves attempts unbounded. Do retries an
+	// attempt that outlived its own deadline, whatever it returned — a
+	// deadline is transient by definition — but never one cancelled by
+	// the parent context.
 	AttemptTimeout time.Duration
 	// Hooks receives retry telemetry (resilience_* counters); nil
 	// disables it.
 	Hooks telemetry.Hooks
+}
+
+// Production is the retry policy of the ropus and experiments commands:
+// retries extra attempts per unit, each bounded by attemptTimeout (0 =
+// none), with exponential backoff from 100ms capped at 2s and ±20%
+// jitter. The seed is fixed: the jitter schedule must not depend on
+// anything that varies between a run and its resume.
+func Production(retries int, attemptTimeout time.Duration, h telemetry.Hooks) Policy {
+	return Policy{
+		MaxAttempts:    retries + 1,
+		BaseDelay:      100 * time.Millisecond,
+		MaxDelay:       2 * time.Second,
+		Jitter:         0.2,
+		Seed:           1,
+		AttemptTimeout: attemptTimeout,
+		Hooks:          h,
+	}
 }
 
 // Validate checks the policy.
@@ -190,13 +208,17 @@ type Stats struct {
 // Do runs fn under the policy: fn is attempted up to MaxAttempts times,
 // each attempt bounded by AttemptTimeout, with deterministic backoff
 // between attempts. An attempt is retried when its error is transient
-// (Transient, or the attempt's own deadline expired while the parent
-// context is still alive); permanent errors and parent cancellation
-// return immediately. The returned error is the last attempt's.
+// (Transient) or when it returned after its own deadline expired while
+// the parent context is still alive; permanent errors and parent
+// cancellation return immediately. The returned error is the last
+// attempt's.
 //
-// fn receives the attempt context and must honour it: work cut short by
-// the attempt deadline should return a (transient) error rather than a
-// silently partial result.
+// Do is the one place that distrusts an attempt outliving its deadline:
+// such an attempt is a transient failure whatever it returned, because
+// work under it (a search returning its best-so-far with a nil error)
+// may have been cut short anywhere. fn receives the attempt context and
+// need only honour it. A result returned after the parent is cancelled
+// comes back as-is; the caller owns what cancellation means.
 func Do[T any](ctx context.Context, p Policy, key string, fn func(ctx context.Context) (T, error)) (T, Stats, error) {
 	h := telemetry.OrNop(p.Hooks)
 	attemptsC := h.Counter("resilience_attempts_total")
@@ -212,12 +234,19 @@ func Do[T any](ctx context.Context, p Policy, key string, fn func(ctx context.Co
 	max := p.attempts()
 	for attempt := 1; attempt <= max; attempt++ {
 		attemptCtx, cancel := ctx, context.CancelFunc(func() {})
+		var deadline time.Time
 		if p.AttemptTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, p.AttemptTimeout)
+			deadline = time.Now().Add(p.AttemptTimeout)
+			attemptCtx, cancel = context.WithDeadline(ctx, deadline)
 		}
 		last, err = fn(attemptCtx)
-		deadlined := attemptCtx.Err() != nil && ctx.Err() == nil
+		// Judged by the clock, not attemptCtx.Err(): a fast attempt can
+		// return past its deadline before the context's timer fires.
+		deadlined := p.AttemptTimeout > 0 && ctx.Err() == nil && !time.Now().Before(deadline)
 		cancel()
+		if deadlined && err == nil {
+			err = MarkTransient(fmt.Errorf("resilience: attempt %d of %q outlived its %v deadline", attempt, key, p.AttemptTimeout))
+		}
 		stats.Attempts = attempt
 		attemptsC.Inc()
 		if err == nil {

@@ -210,3 +210,48 @@ func TestDoCountersRecorded(t *testing.T) {
 		}
 	}
 }
+
+// TestAttemptDeadlineLateSuccessRetried: a success returned after the
+// attempt's own deadline is distrusted and retried — a fast second
+// attempt recovers — and when every attempt is late the unit gives up
+// with a transient error and the last attempt's value.
+func TestAttemptDeadlineLateSuccessRetried(t *testing.T) {
+	p := Policy{MaxAttempts: 2, AttemptTimeout: 5 * time.Millisecond}
+	late := func(ctx context.Context) (string, error) {
+		<-ctx.Done() // a search that returns its best-so-far, no error
+		return "partial", nil
+	}
+	calls := 0
+	v, stats, err := Do(context.Background(), p, "k", func(ctx context.Context) (string, error) {
+		if calls++; calls == 1 {
+			return late(ctx)
+		}
+		return "whole", nil
+	})
+	if err != nil || v != "whole" || calls != 2 || !stats.Recovered {
+		t.Errorf("late success: Do = (%q, %+v, %v) after %d calls, want a recovered second attempt", v, stats, err, calls)
+	}
+
+	v, stats, err = Do(context.Background(), p, "k", late)
+	if !Transient(err) || v != "partial" || stats.Attempts != 2 || !stats.GaveUp {
+		t.Errorf("every attempt late: Do = (%q, %+v, %v), want a transient give-up after 2 attempts", v, stats, err)
+	}
+}
+
+// TestAttemptDeadlineParentCancelledReturnsAsIs: a success returned
+// after the parent is cancelled is the caller's to judge, so Do hands
+// it back unretried even though the attempt context ended too.
+func TestAttemptDeadlineParentCancelledReturnsAsIs(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	p := Policy{MaxAttempts: 3, AttemptTimeout: time.Minute}
+	calls := 0
+	v, stats, err := Do(ctx, p, "k", func(actx context.Context) (string, error) {
+		calls++
+		cancel()
+		<-actx.Done()
+		return "best-so-far", nil
+	})
+	if err != nil || v != "best-so-far" || calls != 1 || stats.Attempts != 1 || stats.Recovered || stats.GaveUp {
+		t.Errorf("Do = (%q, %+v, %v) after %d calls, want the result as-is", v, stats, err, calls)
+	}
+}

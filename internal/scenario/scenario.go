@@ -295,7 +295,7 @@ func (d *Doc) Compile(topo *topology.Topology) ([]failure.ScenarioSpec, error) {
 				return nil, badDoc("scenario %q: k=%d exceeds the %d servers of domain %q",
 					e.Name, e.K, len(servers), e.Domain)
 			}
-			for _, combo := range combinations(servers, e.K) {
+			for _, combo := range failure.Combinations(servers, e.K) {
 				specs = append(specs, failure.ScenarioSpec{
 					Name:        e.Name + "/" + strings.Join(combo, "+"),
 					Servers:     combo,
@@ -360,26 +360,4 @@ func domainServers(topo *topology.Topology, scenarioName, domain string) ([]stri
 		return nil, badDoc("scenario %q: domain %q contains no servers", scenarioName, domain)
 	}
 	return servers, nil
-}
-
-// combinations enumerates the k-element subsets of items in
-// lexicographic order. items must already be sorted.
-func combinations(items []string, k int) [][]string {
-	var out [][]string
-	combo := make([]string, k)
-	var rec func(start, depth int)
-	rec = func(start, depth int) {
-		if depth == k {
-			out = append(out, append([]string(nil), combo...))
-			return
-		}
-		for i := start; i <= len(items)-(k-depth); i++ {
-			combo[depth] = items[i]
-			rec(i+1, depth+1)
-		}
-	}
-	if k >= 1 && k <= len(items) {
-		rec(0, 0)
-	}
-	return out
 }

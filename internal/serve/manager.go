@@ -148,9 +148,6 @@ type Config struct {
 	// SLOWindow is the per-series quantile window (<= 0 selects
 	// slo.DefaultWindow).
 	SLOWindow int
-	// Objectives overrides the default latency objectives (nil selects
-	// DefaultObjectives).
-	Objectives []slo.Objective
 }
 
 // SLO series names the manager observes into. submit_accept times the
@@ -248,9 +245,6 @@ type Job struct {
 	// journals are written per epoch so a zombie writer can never
 	// interleave with the thief's journal.
 	epoch uint64
-	// remote marks a job another instance holds the lease for (or
-	// finished); the scanner finalizes or reclaims it.
-	remote bool
 	// reg collects the job's own telemetry while it runs; its counters
 	// are the status endpoint's progress block until the job finishes.
 	reg *telemetry.Registry
@@ -378,10 +372,6 @@ func NewManager(cfg Config, hooks telemetry.Hooks) (*Manager, error) {
 	if logger == nil {
 		logger = obslog.Discard()
 	}
-	objectives := cfg.Objectives
-	if objectives == nil {
-		objectives = DefaultObjectives()
-	}
 	// Tee the service's log records into its flight recorder, so a
 	// job-failure dump carries the correlated log tail alongside events
 	// and spans.
@@ -393,7 +383,7 @@ func NewManager(cfg Config, hooks telemetry.Hooks) (*Manager, error) {
 		hooks:   h,
 		logger:  logger,
 		flight:  rec,
-		slo:     slo.NewTracker(cfg.SLOWindow, objectives...),
+		slo:     slo.NewTracker(cfg.SLOWindow, DefaultObjectives()...),
 		leases: &lease.Keeper{
 			Dir:      filepath.Join(cfg.StateDir, "leases"),
 			Instance: cfg.Instance,
@@ -770,7 +760,6 @@ func (m *Manager) dispatchOne() bool {
 			// A peer owns the job: park it. The scanner reclaims it if the
 			// holder's lease expires, and finalizes it when the holder's
 			// result lands.
-			job.remote = true
 			if held.Instance != "" {
 				job.Instance = held.Instance
 			}
@@ -800,7 +789,6 @@ func (m *Manager) dispatchOne() bool {
 	job.Instance = m.cfg.Instance
 	job.Stolen = l.Stolen()
 	job.epoch = l.Epoch()
-	job.remote = false
 	job.reg = telemetry.NewRegistry()
 	job.tracer = telemetry.NewTracer()
 	m.classRunning[job.Kind]++
@@ -941,8 +929,7 @@ func (m *Manager) execute(job *Job, spec JobSpec, l *lease.Lease) {
 		m.interruptedC.Inc()
 	case leaseLost:
 		job.State = StateInterrupted
-		job.Err = "lease lost; a peer instance stole the job"
-		job.remote = true // the scanner adopts the thief's result
+		job.Err = "lease lost; a peer instance stole the job" // the scanner adopts the thief's result
 		m.interruptedC.Inc()
 	default:
 		if err != nil {
@@ -1055,7 +1042,6 @@ func (m *Manager) sweepParked() {
 					// Visible to status queries: the job is executing, just
 					// not here.
 					job.State = StateRunning
-					job.remote = true
 				}
 			}
 			m.mu.Unlock()
@@ -1064,7 +1050,6 @@ func (m *Manager) sweepParked() {
 			if m.parkedLocked(job) {
 				job.State = StateQueued
 				job.Resumed = true
-				job.remote = false
 				m.queue.push(job.Tenant, job.ID)
 				m.publishQueuedLocked()
 				m.kick()
@@ -1096,7 +1081,6 @@ func (m *Manager) finalizeRemote(job *Job, doc resultDoc) {
 		m.publishQueuedLocked()
 	}
 	m.adoptResultLocked(job, doc)
-	job.remote = true
 	m.remoteDoneC.Inc()
 	m.flight.Record("event", "serve.job.remote_completed", job.ID,
 		map[string]any{"instance": job.Instance, "state": doc.State})

@@ -176,11 +176,9 @@ func (m *Manager) persistSpec(id string, spec JobSpec) error {
 func (m *Manager) persistResult(doc resultDoc) bool {
 	data, err := json.Marshal(doc)
 	if m.cfg.Inject != nil && err == nil {
-		o := m.cfg.Inject.Hit("serve.result.write", doc.ID)
-		if o.Delay > 0 {
-			time.Sleep(o.Delay)
-		}
-		err = o.Err
+		// The write it stands for is not cancellable, so neither is its
+		// delay.
+		err = m.cfg.Inject.Hit("serve.result.write", doc.ID).Wait(context.Background())
 	}
 	if err == nil {
 		err = writeAtomic(m.resultPath(doc.ID), data)
@@ -250,9 +248,7 @@ func (m *Manager) scanDisk(initial bool) error {
 		job := &Job{ID: id, Kind: spec.Kind, Tenant: spec.Tenant, Submitted: modTime(m.specPath(id))}
 		doc, finished := m.loadResult(id)
 		finished = finished && terminalState(doc.State)
-		if finished {
-			job.remote = doc.Instance != "" && doc.Instance != m.cfg.Instance
-		} else {
+		if !finished {
 			job.spec = &spec
 			job.State = StateQueued
 			job.Resumed = initial

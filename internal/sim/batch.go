@@ -1,11 +1,11 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ropus/internal/telemetry"
 )
@@ -218,12 +218,10 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 	}
 	corrupted := false
 	if cfg.Inject != nil {
+		// A trace pass is not cancellable, so neither is its delay.
 		o := cfg.Inject.Hit("sim.replay", cfg.InjectKey)
-		if o.Delay > 0 {
-			time.Sleep(o.Delay)
-		}
-		if o.Err != nil {
-			return fmt.Errorf("sim: replay %q: %w", cfg.InjectKey, o.Err)
+		if err := o.Wait(context.Background()); err != nil {
+			return fmt.Errorf("sim: replay %q: %w", cfg.InjectKey, err)
 		}
 		corrupted = o.Corrupt
 	}

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"ropus/internal/faultinject"
 	"ropus/internal/qos"
@@ -266,12 +265,8 @@ func (a *Aggregate) Search(ctx context.Context, cfg Config, limit, tol float64) 
 		return SearchOutcome{}, fmt.Errorf("sim: required-capacity search: %w", err)
 	}
 	if cfg.Inject != nil {
-		o := cfg.Inject.Hit("sim.required_capacity", cfg.InjectKey)
-		if o.Delay > 0 {
-			time.Sleep(o.Delay)
-		}
-		if o.Err != nil {
-			return SearchOutcome{}, fmt.Errorf("sim: required-capacity search %q: %w", cfg.InjectKey, o.Err)
+		if err := cfg.Inject.Hit("sim.required_capacity", cfg.InjectKey).Wait(ctx); err != nil {
+			return SearchOutcome{}, fmt.Errorf("sim: required-capacity search %q: %w", cfg.InjectKey, err)
 		}
 	}
 	return a.searchKary(ctx, cfg, limit, tol)

@@ -171,12 +171,11 @@ func Replay(ctx context.Context, capacity float64, containers []Container, opts 
 			continue
 		}
 		o := opts.Inject.Hit("wlmgr.container", c.Demand.AppID)
-		if o.Delay > 0 {
-			time.Sleep(o.Delay)
-		}
-		switch {
-		case o.Err != nil:
-			res.Containers[i].Err = fmt.Errorf("wlmgr: container %q: %w", c.Demand.AppID, o.Err)
+		switch werr := o.Wait(ctx); {
+		case ctx.Err() != nil:
+			continue // cancelled: the replay below truncates at once
+		case werr != nil:
+			res.Containers[i].Err = fmt.Errorf("wlmgr: container %q: %w", c.Demand.AppID, werr)
 		case o.Corrupt:
 			res.Containers[i].Err = fmt.Errorf("wlmgr: container %q: corrupted demand trace", c.Demand.AppID)
 		default:
