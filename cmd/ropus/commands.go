@@ -637,7 +637,7 @@ func cmdSimulate(ctx context.Context, args []string) error {
 			}
 			containers[i] = wlmgr.Container{Demand: tr, Partition: part}
 		}
-		res, err := wlmgr.RunWithHooks(ctx, *capacity, containers, *lag, h)
+		res, err := wlmgr.Replay(ctx, *capacity, containers, wlmgr.Options{Lag: *lag, Hooks: h})
 		if err != nil {
 			return err
 		}

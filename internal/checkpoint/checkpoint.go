@@ -62,12 +62,6 @@ type header struct {
 	Kind    string `json:"kind"`
 	Version int    `json:"version"`
 	Run     string `json:"run"`
-	// Epoch is the writer's lease epoch (fleet-mode serve): each change
-	// of job ownership writes its own journal file stamped with its
-	// epoch, so a stolen job resumes from the newest completed prefix
-	// and a zombie writer can never interleave appends into the thief's
-	// file. Zero (single-process journals) is omitted on the wire.
-	Epoch uint64 `json:"epoch,omitempty"`
 }
 
 // Record is one journaled work-unit result.
@@ -96,18 +90,6 @@ type Journal struct {
 	hooks    telemetry.Hooks
 }
 
-// Options extends Open for fleet-mode callers.
-type Options struct {
-	// Epoch is the writer's lease epoch, recorded in the journal header.
-	// Zero keeps the single-process wire format byte-identical.
-	Epoch uint64
-	// ResumeFrom, when non-empty and resume is true, reads the replayed
-	// prefix from that path instead of the journal's own: a stealing
-	// instance resumes from the previous owner's per-epoch journal while
-	// writing its continuation into its own.
-	ResumeFrom string
-}
-
 // Open creates (resume=false) or opens-and-replays (resume=true) the
 // journal at path for the run identified by runHash.
 //
@@ -117,23 +99,25 @@ type Options struct {
 // records become available through Lookup; a missing file starts empty.
 // hooks (nil ok) receives checkpoint_* counters.
 func Open(path string, runHash uint64, resume bool, hooks telemetry.Hooks) (*Journal, error) {
-	return OpenWith(path, runHash, resume, hooks, Options{})
+	source := ""
+	if resume {
+		source = path
+	}
+	return OpenFrom(path, source, runHash, hooks)
 }
 
-// OpenWith is Open with fleet Options: a lease epoch stamped into the
-// header and an optional separate resume source.
-func OpenWith(path string, runHash uint64, resume bool, hooks telemetry.Hooks, opts Options) (*Journal, error) {
+// OpenFrom is Open whose replayed prefix is read from source, which may
+// be another file: a stealing instance resumes from the previous
+// owner's per-epoch journal while writing its continuation into its
+// own. An empty source replays nothing.
+func OpenFrom(path, source string, runHash uint64, hooks telemetry.Hooks) (*Journal, error) {
 	j := &Journal{
 		seen:  make(map[string]json.RawMessage),
 		hooks: telemetry.OrNop(hooks),
 	}
-	if resume {
-		source := path
-		if opts.ResumeFrom != "" {
-			source = opts.ResumeFrom
-		}
+	if source != "" {
 		if prev, err := os.Open(source); err == nil {
-			run, _, records, derr := DecodeWithMeta(prev)
+			run, records, derr := Decode(prev)
 			prev.Close()
 			if derr != nil {
 				return nil, fmt.Errorf("checkpoint: resume %s: %w", source, derr)
@@ -160,7 +144,7 @@ func OpenWith(path string, runHash uint64, resume bool, hooks telemetry.Hooks, o
 		return nil, fmt.Errorf("checkpoint: open %s: %w", path, err)
 	}
 	j.f = f
-	hdr, err := json.Marshal(header{Kind: kind, Version: Version, Run: hexU64(runHash), Epoch: opts.Epoch})
+	hdr, err := json.Marshal(header{Kind: kind, Version: Version, Run: hexU64(runHash)})
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -292,13 +276,6 @@ func encodeRecord(r Record) ([]byte, error) {
 // crash mid-append. Anything else unreadable fails with ErrCorrupt,
 // and an unknown version with ErrVersion.
 func Decode(r io.Reader) (run string, records []Record, err error) {
-	run, _, records, err = DecodeWithMeta(r)
-	return run, records, err
-}
-
-// DecodeWithMeta is Decode plus the header's lease epoch (zero for
-// single-process journals and for pre-fleet files).
-func DecodeWithMeta(r io.Reader) (run string, epoch uint64, records []Record, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	readLine := func() ([]byte, bool, error) {
 		line, err := br.ReadBytes('\n')
@@ -314,48 +291,47 @@ func DecodeWithMeta(r io.Reader) (run string, epoch uint64, records []Record, er
 
 	first, complete, err := readLine()
 	if err != nil {
-		return "", 0, nil, err
+		return "", nil, err
 	}
 	var h header
 	if uerr := json.Unmarshal(first, &h); uerr != nil || h.Kind != kind {
 		if !complete {
 			// A journal that died before the header fsync'd: empty.
-			return "", 0, nil, nil
+			return "", nil, nil
 		}
-		return "", 0, nil, fmt.Errorf("%w: bad header", ErrCorrupt)
+		return "", nil, fmt.Errorf("%w: bad header", ErrCorrupt)
 	}
 	if h.Version != Version {
-		return "", 0, nil, fmt.Errorf("%w: journal version %d, supported %d", ErrVersion, h.Version, Version)
+		return "", nil, fmt.Errorf("%w: journal version %d, supported %d", ErrVersion, h.Version, Version)
 	}
 	if _, perr := strconv.ParseUint(h.Run, 16, 64); perr != nil {
-		return "", 0, nil, fmt.Errorf("%w: bad run hash %q", ErrCorrupt, h.Run)
+		return "", nil, fmt.Errorf("%w: bad run hash %q", ErrCorrupt, h.Run)
 	}
 	run = h.Run
-	epoch = h.Epoch
 
 	for {
 		line, complete, err := readLine()
 		if err != nil {
-			return "", 0, nil, err
+			return "", nil, err
 		}
 		if len(line) == 0 {
 			if !complete {
-				return run, epoch, records, nil // clean EOF
+				return run, records, nil // clean EOF
 			}
-			return "", 0, nil, fmt.Errorf("%w: empty line", ErrCorrupt)
+			return "", nil, fmt.Errorf("%w: empty line", ErrCorrupt)
 		}
 		var rec Record
 		if uerr := parseRecord(line, &rec); uerr != nil {
 			if !complete {
-				return run, epoch, records, nil // torn tail: drop it
+				return run, records, nil // torn tail: drop it
 			}
-			return "", 0, nil, uerr
+			return "", nil, uerr
 		}
 		if !complete {
 			// A fully parsable line without its newline is still the
 			// torn tail of a crashed append; its fsync never finished,
 			// so do not trust it.
-			return run, epoch, records, nil
+			return run, records, nil
 		}
 		records = append(records, rec)
 	}

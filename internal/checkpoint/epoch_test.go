@@ -5,55 +5,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 )
-
-// TestEpochRoundTrip: OpenWith stamps the lease epoch into the header
-// and DecodeWithMeta reads it back; epoch zero stays off the wire so
-// single-process journals are byte-identical to the pre-fleet format.
-func TestEpochRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.ckpt")
-	j, err := OpenWith(path, 42, false, nil, Options{Epoch: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append("unit", 1, map[string]int{"v": 7}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	run, epoch, records, err := DecodeWithMeta(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run != hexU64(42) || epoch != 3 || len(records) != 1 {
-		t.Fatalf("decoded run=%s epoch=%d records=%d", run, epoch, len(records))
-	}
-
-	// Epoch zero is omitted: the first line must not mention it.
-	plain := filepath.Join(dir, "plain.ckpt")
-	j2, err := Open(plain, 42, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-	data, err := os.ReadFile(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, _, _ := strings.Cut(string(data), "\n")
-	if strings.Contains(first, "epoch") {
-		t.Errorf("epoch-0 header leaks the field: %s", first)
-	}
-}
 
 // TestResumeFromOtherPath: a stealing instance replays the previous
 // owner's per-epoch journal while writing its continuation into its
@@ -61,7 +15,7 @@ func TestEpochRoundTrip(t *testing.T) {
 func TestResumeFromOtherPath(t *testing.T) {
 	dir := t.TempDir()
 	prev := filepath.Join(dir, "job.e1.ckpt")
-	j1, err := OpenWith(prev, 42, false, nil, Options{Epoch: 1})
+	j1, err := Open(prev, 42, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +31,7 @@ func TestResumeFromOtherPath(t *testing.T) {
 	}
 
 	next := filepath.Join(dir, "job.e2.ckpt")
-	j2, err := OpenWith(next, 42, true, nil, Options{Epoch: 2, ResumeFrom: prev})
+	j2, err := OpenFrom(next, prev, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,16 +53,15 @@ func TestResumeFromOtherPath(t *testing.T) {
 	if string(before) != string(after) {
 		t.Error("resume-from mutated the source journal")
 	}
-	// The thief's journal carries its own epoch.
+	// The thief's journal holds the replayed prefix and its own append.
 	f, _ := os.Open(next)
 	defer f.Close()
-	_, epoch, records, err := DecodeWithMeta(f)
-	if err != nil || epoch != 2 || len(records) != 4 {
-		t.Fatalf("thief journal: epoch=%d records=%d err=%v", epoch, len(records), err)
+	_, records, err := Decode(f)
+	if err != nil || len(records) != 4 {
+		t.Fatalf("thief journal: records=%d err=%v", len(records), err)
 	}
 	// A mismatched run hash is still rejected across files.
-	if _, err := OpenWith(filepath.Join(dir, "job.e3.ckpt"), 99, true, nil,
-		Options{Epoch: 3, ResumeFrom: prev}); err == nil {
+	if _, err := OpenFrom(filepath.Join(dir, "job.e3.ckpt"), prev, 99, nil); err == nil {
 		t.Error("resume-from accepted a journal of a different run")
 	}
 }
@@ -123,7 +76,7 @@ func TestResumeFromOtherPath(t *testing.T) {
 func TestConcurrentReadersSeeNoTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shared.ckpt")
 	const total = 150
-	j, err := OpenWith(path, 7, false, nil, Options{Epoch: 1})
+	j, err := Open(path, 7, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,14 +98,14 @@ func TestConcurrentReadersSeeNoTornTail(t *testing.T) {
 					t.Errorf("reader %d: open: %v", r, err)
 					return
 				}
-				run, epoch, records, derr := DecodeWithMeta(bufio.NewReader(f))
+				run, records, derr := Decode(bufio.NewReader(f))
 				f.Close()
 				if derr != nil {
 					t.Errorf("reader %d: decode mid-append failed: %v", r, derr)
 					return
 				}
-				if run != hexU64(7) || epoch != 1 {
-					t.Errorf("reader %d: header run=%s epoch=%d", r, run, epoch)
+				if run != hexU64(7) {
+					t.Errorf("reader %d: header run=%s", r, run)
 					return
 				}
 				if len(records) > total {
@@ -193,7 +146,7 @@ func TestConcurrentReadersSeeNoTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	_, _, records, err := DecodeWithMeta(f)
+	_, records, err := Decode(f)
 	if err != nil || len(records) != total {
 		t.Fatalf("final decode: %d records err=%v, want %d", len(records), err, total)
 	}

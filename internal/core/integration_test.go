@@ -140,7 +140,7 @@ func checkWorkloadManagerAgreement(t *testing.T, r *Report) {
 				Partition: r.Translation.Normal[i],
 			})
 		}
-		res, err := wlmgr.Run(context.Background(), usage.Required+1e-9, containers, 0)
+		res, err := wlmgr.Replay(context.Background(), usage.Required+1e-9, containers, wlmgr.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

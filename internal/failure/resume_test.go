@@ -315,10 +315,14 @@ func TestAnalyzeAttemptDeadlineRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The first attempt for srv-a is forced over its deadline by an
-	// injected delay; the second attempt runs clean.
-	in.Retry = resilience.Policy{MaxAttempts: 2, AttemptTimeout: 30 * time.Millisecond}
+	// injected delay twice as long, which the deadline cuts; the second
+	// attempt runs clean. The deadline sits well above an undisturbed
+	// race-instrumented scenario (≈20–40 ms on a 2-core host), so only
+	// the injected delay can outlive it.
+	const deadline = 250 * time.Millisecond
+	in.Retry = resilience.Policy{MaxAttempts: 2, AttemptTimeout: deadline}
 	in.Inject = faultinject.MustScript(1,
-		faultinject.Rule{Point: "failure.scenario", Key: "srv-a", Nth: 1, Delay: 250 * time.Millisecond})
+		faultinject.Rule{Point: "failure.scenario", Key: "srv-a", Nth: 1, Delay: 2 * deadline})
 	report, err := Analyze(context.Background(), in, base)
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,6 @@ package parallel
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -118,57 +117,4 @@ dispatch:
 		panic(panicVal)
 	}
 	return dispatched
-}
-
-// Limiter is a counting semaphore for long-lived concurrency bounds —
-// the piece of the worker pool that outlives a single ForEach call.
-// The planning service uses one to cap how many admitted jobs execute
-// at once; ForEach remains the right tool inside each job's sweep.
-type Limiter struct{ ch chan struct{} }
-
-// NewLimiter returns a limiter admitting at most n concurrent holders.
-// n <= 0 selects GOMAXPROCS.
-func NewLimiter(n int) *Limiter {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return &Limiter{ch: make(chan struct{}, n)}
-}
-
-// Cap returns the limiter's capacity.
-func (l *Limiter) Cap() int { return cap(l.ch) }
-
-// InUse returns the number of slots currently held. It is inherently
-// racy under concurrency and intended for metrics and admission
-// estimates, not synchronization.
-func (l *Limiter) InUse() int { return len(l.ch) }
-
-// Acquire blocks until a slot is free or ctx is cancelled.
-func (l *Limiter) Acquire(ctx context.Context) error {
-	select {
-	case l.ch <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("parallel: acquire: %w", ctx.Err())
-	}
-}
-
-// TryAcquire takes a slot without blocking and reports success.
-func (l *Limiter) TryAcquire() bool {
-	select {
-	case l.ch <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release frees a slot taken by Acquire or TryAcquire. Releasing more
-// than was acquired panics: it is always a caller bug.
-func (l *Limiter) Release() {
-	select {
-	case <-l.ch:
-	default:
-		panic("parallel: Limiter.Release without a matching Acquire")
-	}
 }

@@ -115,81 +115,3 @@ func TestForEachCancelMidwayParallel(t *testing.T) {
 		}
 	}
 }
-
-func TestLimiterBoundsConcurrency(t *testing.T) {
-	l := NewLimiter(2)
-	if l.Cap() != 2 {
-		t.Fatalf("Cap() = %d, want 2", l.Cap())
-	}
-	var cur, peak atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := l.Acquire(context.Background()); err != nil {
-				t.Error(err)
-				return
-			}
-			defer l.Release()
-			n := cur.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
-			}
-			cur.Add(-1)
-		}()
-	}
-	wg.Wait()
-	if p := peak.Load(); p > 2 {
-		t.Errorf("observed %d concurrent holders, limit 2", p)
-	}
-	if l.InUse() != 0 {
-		t.Errorf("InUse() = %d after all releases, want 0", l.InUse())
-	}
-}
-
-func TestLimiterTryAcquire(t *testing.T) {
-	l := NewLimiter(1)
-	if !l.TryAcquire() {
-		t.Fatal("first TryAcquire failed on an empty limiter")
-	}
-	if l.TryAcquire() {
-		t.Fatal("second TryAcquire succeeded past the limit")
-	}
-	l.Release()
-	if !l.TryAcquire() {
-		t.Fatal("TryAcquire failed after Release")
-	}
-	l.Release()
-}
-
-func TestLimiterAcquireCancelled(t *testing.T) {
-	l := NewLimiter(1)
-	if !l.TryAcquire() {
-		t.Fatal("TryAcquire failed")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := l.Acquire(ctx); err == nil {
-		t.Fatal("Acquire on a full limiter with a cancelled ctx returned nil")
-	}
-	l.Release()
-}
-
-func TestLimiterOverRelease(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unmatched Release did not panic")
-		}
-	}()
-	NewLimiter(1).Release()
-}
-
-func TestLimiterDefaultCap(t *testing.T) {
-	if c := NewLimiter(0).Cap(); c < 1 {
-		t.Errorf("NewLimiter(0).Cap() = %d, want >= 1", c)
-	}
-}

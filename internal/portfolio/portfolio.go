@@ -185,19 +185,13 @@ func degraded(u, uHigh float64) bool {
 // classes of service under the given QoS requirement and CoS2 access
 // probability θ (paper section V, all three steps).
 func Translate(tr *trace.Trace, q qos.AppQoS, theta float64) (*Partition, error) {
-	return TranslateWithHooks(tr, q, theta, nil)
+	return TranslateCtx(context.Background(), tr, q, theta, nil)
 }
 
-// TranslateWithHooks is Translate with telemetry: a per-application
-// span, translation timing and cap-analysis iteration counters. A nil
-// Hooks disables all of it.
-func TranslateWithHooks(tr *trace.Trace, q qos.AppQoS, theta float64, hooks telemetry.Hooks) (*Partition, error) {
-	return TranslateCtx(context.Background(), tr, q, theta, hooks)
-}
-
-// TranslateCtx is TranslateWithHooks with trace correlation: the
-// per-application span is opened through ctx, so it nests under the
-// caller's span and carries the run's trace ID.
+// TranslateCtx is Translate with telemetry and trace correlation: a
+// per-application span, opened through ctx so it nests under the
+// caller's span and carries the run's trace ID, plus translation timing
+// and cap-analysis iteration counters. A nil Hooks disables all of it.
 func TranslateCtx(ctx context.Context, tr *trace.Trace, q qos.AppQoS, theta float64, hooks telemetry.Hooks) (*Partition, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err

@@ -4,12 +4,15 @@ import "slices"
 
 // admissionQueue is serve's admission policy in one value: a FIFO of job
 // IDs per tenant, dequeued by deficit round robin (DRR) with quantum =
-// weight, and the shed decision in front of it (a tenant's hard quota,
-// then its weighted or value-ordered share of the global depth). It
-// holds no lock, publishes no metrics and does no I/O: the Manager's
+// weight, the shed decision in front of it (a tenant's hard quota, then
+// its weighted or value-ordered share of the global depth), and the
+// executor bound behind it (MaxConcurrent slots, ClassLimits per kind).
+// It holds no lock, publishes no metrics and does no I/O: the Manager's
 // table lock guards it, and the Manager reports what it decides.
 type admissionQueue struct {
 	depth     int
+	slots     int
+	limits    map[string]int
 	weights   map[string]int
 	quotas    map[string]int
 	values    map[string]float64
@@ -24,22 +27,33 @@ type admissionQueue struct {
 	pos   int
 	// credit is each ringed tenant's unspent DRR quantum.
 	credit map[string]int
-	// tenantOf maps every queued ID to its tenant.
+	// tenantOf and kindOf map every queued ID to its tenant and kind.
 	tenantOf map[string]string
+	kindOf   map[string]string
+	// runs maps every running ID — handed out by next, not yet returned
+	// by done — to its kind; busy counts them per kind.
+	runs map[string]string
+	busy map[string]int
 }
 
-func newAdmissionQueue(depth int, weights, quotas map[string]int, values map[string]float64) *admissionQueue {
+// newAdmissionQueue reads the policy from cfg's QueueDepth, tenant
+// weights, quotas and values, MaxConcurrent and ClassLimits.
+func newAdmissionQueue(cfg Config) *admissionQueue {
 	q := &admissionQueue{
-		depth: depth, weights: weights, quotas: quotas, values: values,
+		depth: cfg.QueueDepth, slots: cfg.MaxConcurrent, limits: cfg.ClassLimits,
+		weights: cfg.TenantWeights, quotas: cfg.TenantQuotas, values: cfg.TenantValues,
 		maxWeight: 1, maxValue: 1,
 		fifos:    make(map[string][]string),
 		credit:   make(map[string]int),
 		tenantOf: make(map[string]string),
+		kindOf:   make(map[string]string),
+		runs:     make(map[string]string),
+		busy:     make(map[string]int),
 	}
-	for _, w := range weights {
+	for _, w := range q.weights {
 		q.maxWeight = max(q.maxWeight, w)
 	}
-	for _, v := range values {
+	for _, v := range q.values {
 		if v > q.maxValue {
 			q.maxValue = v
 		}
@@ -91,14 +105,16 @@ func (q *admissionQueue) shed(tenant string) *OverloadedError {
 	return &OverloadedError{Queued: q.len(), QueueDepth: threshold, Tenant: tenant, Reason: reason}
 }
 
-// push appends id, which must not be queued, to tenant's FIFO; a tenant
-// that had nothing queued joins the back of the ring.
-func (q *admissionQueue) push(tenant, id string) {
+// push appends id, a job of the given kind that is neither queued nor
+// running, to tenant's FIFO; a tenant that had nothing queued joins the
+// back of the ring.
+func (q *admissionQueue) push(tenant, id, kind string) {
 	if len(q.fifos[tenant]) == 0 {
 		q.ring = append(q.ring, tenant)
 	}
 	q.fifos[tenant] = append(q.fifos[tenant], id)
 	q.tenantOf[id] = tenant
+	q.kindOf[id] = kind
 }
 
 // remove drops id from its tenant's FIFO and reports whether it was
@@ -117,20 +133,43 @@ func (q *admissionQueue) queued(id string) bool {
 	return ok
 }
 
+// running reports whether id was handed out by next and not yet
+// returned by done.
+func (q *admissionQueue) running(id string) bool {
+	_, ok := q.runs[id]
+	return ok
+}
+
 // len is the number of queued IDs across every tenant.
 func (q *admissionQueue) len() int { return len(q.tenantOf) }
 
-// next removes and returns the next ID by DRR: a visit tops a tenant's
-// credit up to its weight, each ID served costs 1, and the ring stays on
-// a tenant until its credit is spent, so tenants drain in proportion to
-// their weights. An ID for which blocked reports true is passed over:
-// the tenant's first unblocked ID is served in its place, and a tenant
-// with none is skipped without charge. "" means nothing is dispatchable.
-func (q *admissionQueue) next(blocked func(id string) bool) string {
+// inFlight is the number of running IDs.
+func (q *admissionQueue) inFlight() int { return len(q.runs) }
+
+// dispatchable reports whether a queued ID's kind is below its class
+// limit (absent or <= 0 is unlimited).
+func (q *admissionQueue) dispatchable(id string) bool {
+	kind := q.kindOf[id]
+	limit := q.limits[kind]
+	return limit <= 0 || q.busy[kind] < limit
+}
+
+// next moves the next ID by DRR from the queue to the running set and
+// returns it: a visit tops a tenant's credit up to its weight, each ID
+// served costs 1, and the ring stays on a tenant until its credit is
+// spent, so tenants drain in proportion to their weights. With every
+// slot taken it returns "" before any credit moves. An ID whose kind is
+// at its class limit is passed over: the tenant's first dispatchable ID
+// is served in its place, and a tenant with none is skipped without
+// charge. "" means nothing may run now.
+func (q *admissionQueue) next() string {
+	if len(q.runs) >= q.slots {
+		return ""
+	}
 	for range len(q.ring) {
 		q.pos %= len(q.ring)
 		t := q.ring[q.pos]
-		i := slices.IndexFunc(q.fifos[t], func(id string) bool { return !blocked(id) })
+		i := slices.IndexFunc(q.fifos[t], q.dispatchable)
 		if i < 0 {
 			q.pos++
 			continue
@@ -139,13 +178,25 @@ func (q *admissionQueue) next(blocked func(id string) bool) string {
 			q.credit[t] = q.weight(t)
 		}
 		q.credit[t]--
+		kind := q.kindOf[q.fifos[t][i]]
 		id := q.take(t, i)
 		if _, stays := q.fifos[t]; stays && q.credit[t] == 0 {
 			q.pos++ // visit spent; the next pick starts at the next tenant
 		}
+		q.runs[id] = kind
+		q.busy[kind]++
 		return id
 	}
 	return ""
+}
+
+// done returns a running ID's slot; an ID that is not running is
+// ignored.
+func (q *admissionQueue) done(id string) {
+	if kind, ok := q.runs[id]; ok {
+		delete(q.runs, id)
+		q.busy[kind]--
+	}
 }
 
 // take removes the i-th ID of tenant t's FIFO. A tenant left with
@@ -155,6 +206,7 @@ func (q *admissionQueue) take(t string, i int) string {
 	fifo := q.fifos[t]
 	id := fifo[i]
 	delete(q.tenantOf, id)
+	delete(q.kindOf, id)
 	if len(fifo) > 1 {
 		q.fifos[t] = append(fifo[:i], fifo[i+1:]...)
 		return id

@@ -9,14 +9,13 @@ import (
 	"testing"
 )
 
-// never is the blocked test of a pool with a free slot for every class.
-func never(string) bool { return false }
-
-// drainTenants pops q to exhaustion with nothing blocked and returns the
-// tenant of each ID served; IDs are "tenant#n".
+// drainTenants pops q to exhaustion, returning each slot as soon as it
+// is taken, and returns the tenant of each ID served; IDs are
+// "tenant#n".
 func drainTenants(q *admissionQueue) []string {
 	var order []string
-	for id := q.next(never); id != ""; id = q.next(never) {
+	for id := q.next(); id != ""; id = q.next() {
+		q.done(id)
 		tenant, _, _ := strings.Cut(id, "#")
 		order = append(order, tenant)
 	}
@@ -27,12 +26,12 @@ func drainTenants(q *admissionQueue) []string {
 // bronze=1 the dequeue order interleaves two gold jobs per bronze job —
 // weighted fair service, not FIFO and not starvation.
 func TestAdmissionQueueDeficitRoundRobinHonorsWeights(t *testing.T) {
-	q := newAdmissionQueue(64, map[string]int{"gold": 2, "bronze": 1}, nil, nil)
+	q := newAdmissionQueue(Config{QueueDepth: 64, MaxConcurrent: 1, TenantWeights: map[string]int{"gold": 2, "bronze": 1}})
 	for i := 1; i <= 3; i++ {
-		q.push("gold", fmt.Sprintf("gold#%d", i))
+		q.push("gold", fmt.Sprintf("gold#%d", i), KindTranslate)
 	}
 	for i := 4; i <= 6; i++ {
-		q.push("bronze", fmt.Sprintf("bronze#%d", i))
+		q.push("bronze", fmt.Sprintf("bronze#%d", i), KindTranslate)
 	}
 	got := strings.Join(drainTenants(q), ",")
 	want := "gold,gold,bronze,gold,bronze,bronze"
@@ -44,10 +43,10 @@ func TestAdmissionQueueDeficitRoundRobinHonorsWeights(t *testing.T) {
 // TestAdmissionQueueUniformWeightsRoundRobin: with no weights
 // configured, tenants alternate one-for-one.
 func TestAdmissionQueueUniformWeightsRoundRobin(t *testing.T) {
-	q := newAdmissionQueue(64, nil, nil, nil)
+	q := newAdmissionQueue(Config{QueueDepth: 64, MaxConcurrent: 1})
 	for i := 1; i <= 2; i++ {
-		q.push("a", fmt.Sprintf("a#%d", i))
-		q.push("b", fmt.Sprintf("b#%d", 10+i))
+		q.push("a", fmt.Sprintf("a#%d", i), KindTranslate)
+		q.push("b", fmt.Sprintf("b#%d", 10+i), KindTranslate)
 	}
 	got := strings.Join(drainTenants(q), ",")
 	if got != "a,b,a,b" {
@@ -59,15 +58,16 @@ func TestAdmissionQueueUniformWeightsRoundRobin(t *testing.T) {
 // behind the one whose turn it is (its last job adopted from a peer)
 // does not shift the turn onto the tenant after.
 func TestAdmissionQueueRemoveKeepsTurn(t *testing.T) {
-	q := newAdmissionQueue(64, nil, nil, nil)
+	q := newAdmissionQueue(Config{QueueDepth: 64, MaxConcurrent: 1})
 	for i := 1; i <= 2; i++ {
 		for _, tenant := range []string{"a", "b", "c"} {
-			q.push(tenant, fmt.Sprintf("%s#%d", tenant, i))
+			q.push(tenant, fmt.Sprintf("%s#%d", tenant, i), KindTranslate)
 		}
 	}
-	if id := q.next(never); id != "a#1" {
+	if id := q.next(); id != "a#1" {
 		t.Fatalf("first pick %s, want a#1", id)
 	}
+	q.done("a#1")
 	if !q.remove("a#2") || q.remove("a#2") {
 		t.Fatal("remove(a#2) must succeed exactly once")
 	}
@@ -77,13 +77,18 @@ func TestAdmissionQueueRemoveKeepsTurn(t *testing.T) {
 }
 
 // admissionModel is the reference the property test holds the queue to:
-// per-tenant FIFOs of IDs and the policy's configuration.
+// per-tenant FIFOs of IDs, the running set, and the policy's
+// configuration.
 type admissionModel struct {
 	depth   int
+	slots   int
+	limits  map[string]int
 	weights map[string]int
 	quotas  map[string]int
 	values  map[string]float64
 	fifos   map[string][]string
+	kinds   map[string]string // every pushed ID's kind
+	running map[string]bool
 }
 
 func (md *admissionModel) weight(t string) int {
@@ -99,6 +104,24 @@ func (md *admissionModel) total() int {
 		n += len(f)
 	}
 	return n
+}
+
+// busy counts the running IDs of one kind.
+func (md *admissionModel) busy(kind string) int {
+	n := 0
+	for id := range md.running {
+		if md.kinds[id] == kind {
+			n++
+		}
+	}
+	return n
+}
+
+// dispatchable reports whether a queued ID may start now: a slot is
+// free and its kind is below its class limit.
+func (md *admissionModel) dispatchable(id string) bool {
+	limit := md.limits[md.kinds[id]]
+	return len(md.running) < md.slots && (limit <= 0 || md.busy(md.kinds[id]) < limit)
 }
 
 // wantShed is the shed decision in closed form: the quota first, then
@@ -165,6 +188,21 @@ func checkQueueMatchesModel(t *testing.T, seed int64, step int, q *admissionQueu
 	if len(ringed) != len(q.fifos) {
 		t.Fatalf("seed %d step %d: ring %v misses a tenant of %v", seed, step, q.ring, q.fifos)
 	}
+	if q.inFlight() != len(md.running) || q.inFlight() > md.slots {
+		t.Fatalf("seed %d step %d: %d running (model %d), %d slots", seed, step, q.inFlight(), len(md.running), md.slots)
+	}
+	perKind := map[string]int{}
+	for id, kind := range q.runs {
+		perKind[kind]++
+		if !md.running[id] || kind != md.kinds[id] {
+			t.Fatalf("seed %d step %d: %s runs as %q, model running %v kind %q", seed, step, id, kind, md.running[id], md.kinds[id])
+		}
+	}
+	for kind, n := range perKind {
+		if limit := md.limits[kind]; (limit > 0 && n > limit) || q.busy[kind] != n {
+			t.Fatalf("seed %d step %d: kind %s runs %d (busy %d), limit %d", seed, step, kind, n, q.busy[kind], limit)
+		}
+	}
 	for tenant, c := range q.credit {
 		if !ringed[tenant] || c < 0 || c >= md.weight(tenant) {
 			t.Fatalf("seed %d step %d: tenant %s credit %d (weight %d, ringed %v)", seed, step, tenant, c, md.weight(tenant), ringed[tenant])
@@ -172,27 +210,40 @@ func checkQueueMatchesModel(t *testing.T, seed int64, step int, q *admissionQueu
 	}
 }
 
-// TestAdmissionQueueProperty runs 1 000 seeded random sequences of push,
-// remove, next under random blocked sets, and shed decisions, with
-// random weights, quotas, values and depth, against admissionModel. It
-// checks that every pushed ID comes out exactly once (served by next or
-// dropped by remove) and the length is the sum of the FIFOs; that next
-// serves the first unblocked ID of a tenant's FIFO, so with nothing
-// blocked a tenant drains in FIFO order; that a next call changes no
-// credit but the served tenant's, so a blocked skip spends nothing; that
-// every shed decision equals the closed form; and that while every
-// tenant has work queued each DRR round serves exactly weight(t) jobs of
-// each tenant, in ring order.
+// TestAdmissionQueueProperty runs 1 000 seeded random sequences of push
+// (with random kinds), remove, next, done and shed decisions, with
+// random weights, quotas, values, depth, slot count (1–4) and class
+// limits, against admissionModel. It checks that every pushed ID leaves
+// the queue exactly once (served by next or dropped by remove) and the
+// length is the sum of the FIFOs; that the running set never exceeds
+// the slot count or any kind's limit; that next returns "" exactly when
+// no queued ID is dispatchable, and otherwise serves the first
+// dispatchable ID of a tenant's FIFO, so with nothing held back a tenant
+// drains in FIFO order; that a next call changes no credit but the
+// served tenant's, so a full pool or a class-blocked skip spends
+// nothing; that every shed decision equals the closed form; and that
+// while every tenant has work queued each DRR round serves exactly
+// weight(t) jobs of each tenant, in ring order.
 func TestAdmissionQueueProperty(t *testing.T) {
 	const sequences = 1000
+	kinds := []string{KindTranslate, KindPlace, KindFailover}
 	for seed := int64(1); seed <= sequences; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tenants := []string{"t0", "t1", "t2", "t3"}[:1+rng.Intn(4)]
 		md := &admissionModel{
 			depth:   1 + rng.Intn(12),
+			slots:   1 + rng.Intn(4),
+			limits:  map[string]int{},
 			weights: map[string]int{},
 			quotas:  map[string]int{},
 			fifos:   map[string][]string{},
+			kinds:   map[string]string{},
+			running: map[string]bool{},
+		}
+		for _, kind := range kinds {
+			if rng.Intn(2) == 0 {
+				md.limits[kind] = rng.Intn(4) // 0 is unlimited
+			}
 		}
 		for _, tenant := range tenants {
 			if rng.Intn(4) > 0 {
@@ -210,13 +261,15 @@ func TestAdmissionQueueProperty(t *testing.T) {
 				}
 			}
 		}
-		q := newAdmissionQueue(md.depth, md.weights, md.quotas, md.values)
+		q := newAdmissionQueue(Config{QueueDepth: md.depth, MaxConcurrent: md.slots, ClassLimits: md.limits,
+			TenantWeights: md.weights, TenantQuotas: md.quotas, TenantValues: md.values})
 
 		pushed, outs := 0, map[string]int{}
 		push := func(tenant string) {
 			id := fmt.Sprintf("%s#%d", tenant, pushed)
 			pushed++
-			q.push(tenant, id)
+			md.kinds[id] = kinds[rng.Intn(len(kinds))]
+			q.push(tenant, id, md.kinds[id])
 			md.fifos[tenant] = append(md.fifos[tenant], id)
 		}
 		drop := func(tenant, id string) {
@@ -226,10 +279,14 @@ func TestAdmissionQueueProperty(t *testing.T) {
 			}
 			outs[id]++
 		}
+		done := func(id string) {
+			q.done(id)
+			delete(md.running, id)
+		}
 
 		for step := 0; step < 200; step++ {
 			switch op := rng.Intn(20); {
-			case op < 9: // a submission: shed decision, then (maybe) push
+			case op < 8: // a submission: shed decision, then (maybe) push
 				tenant := tenants[rng.Intn(len(tenants))]
 				got := q.shed(tenant)
 				shed, reason, queued, limit := md.wantShed(tenant)
@@ -244,7 +301,7 @@ func TestAdmissionQueueProperty(t *testing.T) {
 				if got == nil || rng.Intn(3) == 0 {
 					push(tenant)
 				}
-			case op < 12: // remove a queued ID, or one that is not queued
+			case op < 10: // remove a queued ID, or one that is not queued
 				tenant := tenants[rng.Intn(len(tenants))]
 				id := fmt.Sprintf("%s#%d", tenant, rng.Intn(pushed+1))
 				if fifo := md.fifos[tenant]; len(fifo) > 0 && rng.Intn(2) == 0 {
@@ -257,31 +314,38 @@ func TestAdmissionQueueProperty(t *testing.T) {
 				if was {
 					drop(tenant, id)
 				}
-			default: // next under a random blocked set
-				p := []float64{0, 0.3, 0.7, 1}[rng.Intn(4)]
-				blockedSet := map[string]bool{}
-				for _, tenant := range tenants {
-					for _, id := range md.fifos[tenant] {
-						blockedSet[id] = rng.Float64() < p
+			case op < 14: // an executor returns its slot, or a stray done
+				id := fmt.Sprintf("t0#%d", rng.Intn(pushed+1))
+				if len(md.running) > 0 && rng.Intn(4) > 0 {
+					var ids []string
+					for x := range md.running {
+						ids = append(ids, x)
 					}
+					slices.Sort(ids) // map order would break the seed's replay
+					id = ids[rng.Intn(len(ids))]
 				}
-				blocked := func(id string) bool { return blockedSet[id] }
+				if q.running(id) != md.running[id] {
+					t.Fatalf("seed %d step %d: running(%s) disagrees with the model", seed, step, id)
+				}
+				done(id)
+			default: // a dispatch attempt
 				before := maps.Clone(q.credit)
-				id := q.next(blocked)
+				id := q.next()
 				served := ""
 				if id == "" {
-					for queuedID, b := range blockedSet {
-						if !b {
-							t.Fatalf("seed %d step %d: next found nothing but %s is dispatchable", seed, step, queuedID)
+					for _, fifo := range md.fifos {
+						if i := slices.IndexFunc(fifo, md.dispatchable); i >= 0 {
+							t.Fatalf("seed %d step %d: next found nothing but %s is dispatchable", seed, step, fifo[i])
 						}
 					}
 				} else {
 					served, _, _ = strings.Cut(id, "#")
-					first := slices.IndexFunc(md.fifos[served], func(x string) bool { return !blockedSet[x] })
+					first := slices.IndexFunc(md.fifos[served], md.dispatchable)
 					if first < 0 || md.fifos[served][first] != id {
-						t.Fatalf("seed %d step %d: next served %s, first unblocked of %v", seed, step, id, md.fifos[served])
+						t.Fatalf("seed %d step %d: next served %s, first dispatchable of %v", seed, step, id, md.fifos[served])
 					}
 					drop(served, id)
+					md.running[id] = true
 				}
 				for tenant, c := range before {
 					if tenant != served && q.credit[tenant] != c {
@@ -292,9 +356,14 @@ func TestAdmissionQueueProperty(t *testing.T) {
 			checkQueueMatchesModel(t, seed, step, q, md)
 		}
 
-		// Drain with nothing blocked: the rest comes out tenant by tenant
-		// in FIFO order, and every pushed ID has left exactly once.
-		for id := q.next(never); id != ""; id = q.next(never) {
+		// Drain with every slot returned as soon as it is taken: the rest
+		// comes out tenant by tenant in FIFO order, and every pushed ID
+		// has left exactly once.
+		for id := range md.running {
+			done(id)
+		}
+		for id := q.next(); id != ""; id = q.next() {
+			done(id)
 			tenant, _, _ := strings.Cut(id, "#")
 			if md.fifos[tenant][0] != id {
 				t.Fatalf("seed %d: drain served %s ahead of %s", seed, id, md.fifos[tenant][0])

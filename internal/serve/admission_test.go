@@ -127,20 +127,25 @@ func TestRetryAfterTracksInFlightElapsed(t *testing.T) {
 		c.QueueDepth = 1
 		c.MaxConcurrent = 1
 	})
+	// Stale-EWMA scenario: completed jobs averaged ~1s, but the job
+	// occupying the executor has already been running for 20s and has
+	// completed nothing. The manager is not started, so the fake
+	// in-flight job is entirely under test control.
+	inFlight := &Job{ID: "in-flight", Kind: KindTranslate, Tenant: DefaultTenant}
+	m.mu.Lock()
+	m.avgSeconds = 1
+	m.jobs[inFlight.ID] = inFlight
+	m.queue.push(inFlight.Tenant, inFlight.ID, inFlight.Kind)
+	if m.queue.next() != inFlight.ID {
+		t.Fatal("in-flight job not dispatched")
+	}
+	inFlight.State, inFlight.Started = StateRunning, time.Now().Add(-20*time.Second)
+	m.mu.Unlock()
+
 	csv := fleetCSV(t, 3, 1, 5)
 	if _, _, err := m.Submit(JobSpec{Kind: KindTranslate, TracesCSV: csv, GASeed: 1}); err != nil {
 		t.Fatal(err)
 	}
-
-	// Stale-EWMA scenario: completed jobs averaged ~1s, but the job
-	// occupying the executor has already been running for 20s and has
-	// completed nothing. The manager is not started, so the fake
-	// in-flight entry is entirely under test control.
-	m.mu.Lock()
-	m.avgSeconds = 1
-	m.running = 1
-	m.runningSince["in-flight"] = time.Now().Add(-20 * time.Second)
-	m.mu.Unlock()
 
 	_, _, err := m.Submit(JobSpec{Kind: KindTranslate, TracesCSV: csv, GASeed: 2})
 	var overloaded *OverloadedError
@@ -156,7 +161,7 @@ func TestRetryAfterTracksInFlightElapsed(t *testing.T) {
 	// And it keeps growing while the burst continues: the estimate is
 	// recomputed per response, not cached at enqueue time.
 	m.mu.Lock()
-	m.runningSince["in-flight"] = time.Now().Add(-40 * time.Second)
+	inFlight.Started = time.Now().Add(-40 * time.Second)
 	m.mu.Unlock()
 	_, _, err = m.Submit(JobSpec{Kind: KindTranslate, TracesCSV: csv, GASeed: 3})
 	if !errors.As(err, &overloaded) {

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -228,5 +230,57 @@ func TestFleetReleasedLeaseReclaimedWithoutTTLWait(t *testing.T) {
 	}
 	if elapsed := time.Since(ctxStart); elapsed > 2*time.Minute {
 		t.Errorf("takeover took %v: waited for TTL expiry instead of the tombstone", elapsed)
+	}
+}
+
+// TestDispatchWindowNotParked (regression): a fleet-scanner sweep that
+// lands while a dispatch is still claiming the job's lease must not take
+// the job for parked and queue it a second time. The job runs once and
+// ends done and unqueued, and a later dispatch leaves no lease behind.
+func TestDispatchWindowNotParked(t *testing.T) {
+	var hits atomic.Int32
+	claiming := make(chan struct{})
+	m := newTestManager(t, func(c *Config) {
+		c.MaxConcurrent = 1
+		c.Inject = faultinject.Func(func(point, _ string) faultinject.Outcome {
+			if point == "lease.acquire" && hits.Add(1) == 1 {
+				close(claiming)
+				return faultinject.Outcome{Delay: 300 * time.Millisecond}
+			}
+			return faultinject.Outcome{}
+		})
+	})
+	st, _, err := m.Submit(JobSpec{Kind: KindTranslate, TracesCSV: fleetCSV(t, 3, 1, 5), GASeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The manager is not started: the test is the scheduler and the
+	// scanner, and sweeps while the first lease claim is delayed.
+	m.ctx = context.Background()
+	dispatched := make(chan bool)
+	go func() { dispatched <- m.dispatchOne() }()
+	<-claiming
+	m.sweepParked()
+	if !<-dispatched {
+		t.Fatal("dispatch made no progress")
+	}
+	m.Wait()
+	if got, _ := m.Job(st.ID); got.State != StateDone {
+		t.Fatalf("job ended %s (%s), want done", got.State, got.Error)
+	}
+	m.mu.Lock()
+	queued := m.queue.queued(st.ID)
+	m.mu.Unlock()
+	if queued {
+		t.Fatal("the sweep queued the job a second time while its dispatch claimed the lease")
+	}
+	m.dispatchOne()
+	m.Wait()
+	entries, err := os.ReadDir(filepath.Join(m.cfg.StateDir, "leases"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("lease %s left behind for a finished job", e.Name())
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"ropus/internal/flight"
 	"ropus/internal/lease"
 	"ropus/internal/obslog"
-	"ropus/internal/parallel"
 	"ropus/internal/placement"
 	"ropus/internal/resilience"
 	"ropus/internal/robust"
@@ -305,14 +304,13 @@ type JobStatus struct {
 // directly. In fleet mode N managers share one state directory and
 // arbitrate job ownership through leases.
 type Manager struct {
-	cfg     Config
-	cache   *placement.SimCache
-	limiter *parallel.Limiter
-	hooks   telemetry.Hooks
-	logger  *slog.Logger
-	flight  *flight.Recorder
-	slo     *slo.Tracker
-	leases  *lease.Keeper
+	cfg    Config
+	cache  *placement.SimCache
+	hooks  telemetry.Hooks
+	logger *slog.Logger
+	flight *flight.Recorder
+	slo    *slo.Tracker
+	leases *lease.Keeper
 
 	submittedC   *telemetry.Counter
 	dedupC       *telemetry.Counter
@@ -345,14 +343,12 @@ type Manager struct {
 	names map[string]string
 	// order is submission/adoption order, for listing.
 	order []string
-	// queue holds this instance's queued jobs and decides admission.
+	// queue holds this instance's queued and running jobs and decides
+	// admission and dispatch.
 	queue *admissionQueue
 
-	classRunning map[string]int
-	running      int
-	runningSince map[string]time.Time
-	avgSeconds   float64 // EWMA job duration, feeds Retry-After
-	draining     bool
+	avgSeconds float64 // EWMA job duration, feeds Retry-After
+	draining   bool
 }
 
 // NewManager builds a manager and recovers any unfinished jobs from the
@@ -378,12 +374,11 @@ func NewManager(cfg Config, hooks telemetry.Hooks) (*Manager, error) {
 	rec := flight.NewRecorder(cfg.FlightEvents)
 	logger = obslog.WithRecorder(logger, rec)
 	m := &Manager{
-		cfg:     cfg,
-		limiter: parallel.NewLimiter(cfg.MaxConcurrent),
-		hooks:   h,
-		logger:  logger,
-		flight:  rec,
-		slo:     slo.NewTracker(cfg.SLOWindow, DefaultObjectives()...),
+		cfg:    cfg,
+		hooks:  h,
+		logger: logger,
+		flight: rec,
+		slo:    slo.NewTracker(cfg.SLOWindow, DefaultObjectives()...),
 		leases: &lease.Keeper{
 			Dir:      filepath.Join(cfg.StateDir, "leases"),
 			Instance: cfg.Instance,
@@ -411,9 +406,7 @@ func NewManager(cfg Config, hooks telemetry.Hooks) (*Manager, error) {
 		traces:       newByteLRU[*telemetry.Tracer](traceBudgetBytes),
 		jobs:         make(map[string]*Job),
 		names:        make(map[string]string),
-		queue:        newAdmissionQueue(cfg.QueueDepth, cfg.TenantWeights, cfg.TenantQuotas, cfg.TenantValues),
-		classRunning: make(map[string]int),
-		runningSince: make(map[string]time.Time),
+		queue:        newAdmissionQueue(cfg),
 		avgSeconds:   1, // optimistic prior until real durations arrive
 	}
 	if cfg.CacheBytes >= 0 {
@@ -567,8 +560,8 @@ func (m *Manager) admit(id string, spec JobSpec, start time.Time) (JobStatus, bo
 	job := &Job{ID: id, Kind: spec.Kind, spec: &spec, Tenant: tenant, State: StateQueued, Submitted: time.Now()}
 	m.jobs[id] = job
 	m.order = append(m.order, id)
-	m.queue.push(tenant, id)
-	m.publishQueuedLocked()
+	m.queue.push(tenant, id, spec.Kind)
+	m.publishDepthsLocked()
 	m.submittedC.Inc()
 	m.retryAfterLocked()
 	m.slo.Observe(SeriesSubmitAccept, time.Since(start).Seconds())
@@ -591,12 +584,14 @@ func (m *Manager) admit(id string, spec JobSpec, start time.Time) (JobStatus, bo
 // hour.
 func (m *Manager) retryAfterLocked() time.Duration {
 	per := m.avgSeconds
-	for _, since := range m.runningSince {
-		if e := time.Since(since).Seconds(); e > per {
-			per = e
+	for id := range m.queue.runs {
+		// Only a job holding its lease has started; one still claiming it
+		// has no age yet.
+		if job := m.jobs[id]; job.State == StateRunning {
+			per = max(per, time.Since(job.Started).Seconds())
 		}
 	}
-	waves := float64(m.queue.len()+m.running)/float64(m.cfg.MaxConcurrent) + 1
+	waves := float64(m.queue.len()+m.queue.inFlight())/float64(m.cfg.MaxConcurrent) + 1
 	est := time.Duration(per * waves * float64(time.Second))
 	if est < time.Second {
 		est = time.Second
@@ -667,7 +662,7 @@ func (m *Manager) Jobs() []JobStatus {
 func (m *Manager) QueueDepths() (queued, running int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.queue.len(), m.running
+	return m.queue.len(), m.queue.inFlight()
 }
 
 func (m *Manager) statusLocked(job *Job) JobStatus {
@@ -725,38 +720,41 @@ func (m *Manager) progressLocked(counters map[string]int64) []counterValue {
 	return out
 }
 
-// dispatchOne starts the next DRR-selected job this instance can win
-// the lease for. It reports whether it made progress (dispatched a job
-// or parked one a peer owns), so the scheduler loops until the queues
-// are drained or blocked.
+// dispatchOne starts the next job the admission queue hands out, if
+// this instance wins its lease. It reports whether it made progress
+// (dispatched a job or parked one a peer owns), so the scheduler loops
+// until the queues are drained or blocked. The picked job stays in the
+// queue's running set until it is known not to run here, so the fleet
+// scanner never takes it for parked while its lease is being claimed.
 func (m *Manager) dispatchOne() bool {
 	if m.ctx.Err() != nil {
 		return false
 	}
-	// The executor slot is taken before the queue picks: an attempt that
-	// finds every executor busy must not spend a tenant's DRR credit.
-	if !m.limiter.TryAcquire() {
-		return false
-	}
 	m.mu.Lock()
-	id := m.queue.next(m.classBlockedLocked)
+	id := m.queue.next()
 	if id == "" {
 		m.mu.Unlock()
-		m.limiter.Release()
 		return false
 	}
-	m.publishQueuedLocked()
+	m.publishDepthsLocked()
 	job := m.jobs[id]
 	m.mu.Unlock()
 
 	// Lease arbitration happens outside the table lock: it fsyncs.
 	l, err := m.leases.Acquire("job-" + id)
-	if err != nil {
-		m.limiter.Release()
-		m.mu.Lock()
-		defer m.mu.Unlock()
+	m.mu.Lock()
+	spec := job.spec
+	if err != nil || spec == nil {
+		// The job does not run here: its slot goes back to the queue.
+		m.queue.done(id)
+		progress := true
 		var held *lease.HeldError
-		if errors.As(err, &held) {
+		switch {
+		case err == nil:
+			// A peer's result was adopted while we took the lease: the job
+			// is finished and its spec is gone from the table.
+			defer l.Release() // after the unlock: it fsyncs
+		case errors.As(err, &held):
 			// A peer owns the job: park it. The scanner reclaims it if the
 			// holder's lease expires, and finalizes it when the holder's
 			// result lands.
@@ -764,25 +762,16 @@ func (m *Manager) dispatchOne() bool {
 				job.Instance = held.Instance
 			}
 			m.heldSkipC.Inc()
-			return true
+		default:
+			m.hooks.Counter("serve_lease_errors_total").Inc()
+			m.logger.LogAttrs(context.Background(), slog.LevelWarn, "serve.lease.error",
+				slog.String("job_id", id), slog.String("error", err.Error()))
+			m.queue.push(job.Tenant, id, job.Kind)
+			progress = false
 		}
-		m.hooks.Counter("serve_lease_errors_total").Inc()
-		m.logger.LogAttrs(context.Background(), slog.LevelWarn, "serve.lease.error",
-			slog.String("job_id", id), slog.String("error", err.Error()))
-		m.queue.push(job.Tenant, id)
-		m.publishQueuedLocked()
-		return false
-	}
-
-	m.mu.Lock()
-	spec := job.spec
-	if spec == nil {
-		// A peer's result was adopted while we took the lease: the job
-		// is finished and its spec is gone from the table.
+		m.publishDepthsLocked()
 		m.mu.Unlock()
-		l.Release()
-		m.limiter.Release()
-		return true
+		return progress
 	}
 	job.State = StateRunning
 	job.Started = time.Now()
@@ -791,10 +780,6 @@ func (m *Manager) dispatchOne() bool {
 	job.epoch = l.Epoch()
 	job.reg = telemetry.NewRegistry()
 	job.tracer = telemetry.NewTracer()
-	m.classRunning[job.Kind]++
-	m.running++
-	m.runningSince[id] = job.Started
-	m.runningG.Set(float64(m.running))
 	if job.Stolen {
 		m.stolenC.Inc()
 		m.flight.Record("event", "serve.job.stolen", id, map[string]any{"epoch": job.epoch})
@@ -809,29 +794,20 @@ func (m *Manager) dispatchOne() bool {
 		defer m.wg.Done()
 		m.execute(job, *spec, l)
 		m.mu.Lock()
-		m.classRunning[job.Kind]--
-		m.running--
-		delete(m.runningSince, job.ID)
-		m.runningG.Set(float64(m.running))
+		m.queue.done(id)
+		m.publishDepthsLocked()
 		m.mu.Unlock()
-		// Free the slot first: the attempt the kick wakes must find it.
-		m.limiter.Release()
 		m.kick()
 	}()
 	return true
 }
 
-// classBlockedLocked reports whether a queued job's kind is at its
-// class concurrency limit.
-func (m *Manager) classBlockedLocked(id string) bool {
-	kind := m.jobs[id].Kind
-	limit := m.cfg.ClassLimits[kind]
-	return limit > 0 && m.classRunning[kind] >= limit
+// publishDepthsLocked republishes serve_jobs_queued and
+// serve_jobs_running after the admission queue changed.
+func (m *Manager) publishDepthsLocked() {
+	m.queuedG.Set(float64(m.queue.len()))
+	m.runningG.Set(float64(m.queue.inFlight()))
 }
-
-// publishQueuedLocked republishes serve_jobs_queued after the admission
-// queue changed.
-func (m *Manager) publishQueuedLocked() { m.queuedG.Set(float64(m.queue.len())) }
 
 // heartbeat renews the job's lease until stop closes. A failed renewal
 // means a peer stole the job: the run context is cancelled so the
@@ -1050,8 +1026,8 @@ func (m *Manager) sweepParked() {
 			if m.parkedLocked(job) {
 				job.State = StateQueued
 				job.Resumed = true
-				m.queue.push(job.Tenant, job.ID)
-				m.publishQueuedLocked()
+				m.queue.push(job.Tenant, job.ID, job.Kind)
+				m.publishDepthsLocked()
 				m.kick()
 			}
 			m.mu.Unlock()
@@ -1060,10 +1036,10 @@ func (m *Manager) sweepParked() {
 }
 
 // parkedLocked reports whether a job is unfinished yet neither queued
-// nor running here: it waits on a peer's lease or result.
+// nor running here: it waits on a peer's lease or result. A job whose
+// dispatch is claiming its lease is running here.
 func (m *Manager) parkedLocked(job *Job) bool {
-	_, runningHere := m.runningSince[job.ID]
-	return !terminalState(job.State) && !m.queue.queued(job.ID) && !runningHere
+	return !terminalState(job.State) && !m.queue.queued(job.ID) && !m.queue.running(job.ID)
 }
 
 // finalizeRemote adopts a peer-persisted terminal result into the
@@ -1074,11 +1050,11 @@ func (m *Manager) finalizeRemote(job *Job, doc resultDoc) {
 	defer m.mu.Unlock()
 	// A job dispatched since the sweep listed it is finished by its local
 	// run; one queued again since then leaves the queue, its result exists.
-	if _, runningHere := m.runningSince[job.ID]; runningHere || terminalState(job.State) {
+	if m.queue.running(job.ID) || terminalState(job.State) {
 		return
 	}
 	if m.queue.remove(job.ID) {
-		m.publishQueuedLocked()
+		m.publishDepthsLocked()
 	}
 	m.adoptResultLocked(job, doc)
 	m.remoteDoneC.Inc()

@@ -157,15 +157,15 @@ func (m *Manager) runJob(ctx context.Context, job *Job, spec JobSpec) (json.RawM
 // epoch in resume mode. Re-running the same epoch (a restart that
 // re-acquired before anyone bumped the epoch) replays the epoch's own
 // file; a stolen or re-leased job replays the newest decodable journal
-// of any prior epoch — including the legacy pre-fleet <id>.ckpt — into
-// a fresh per-epoch file, so a zombie holder still appending to its old
-// epoch can never interleave with this run's journal. A journal the
-// decoder rejects is skipped (prior epochs) or discarded and recreated
-// (our own): a corrupt checkpoint must cost recomputation, not the job.
+// of any prior epoch into a fresh per-epoch file, so a zombie holder
+// still appending to its old epoch can never interleave with this run's
+// journal. A journal the decoder rejects is skipped (prior epochs) or
+// discarded and recreated (our own): a corrupt checkpoint must cost
+// recomputation, not the job.
 func (m *Manager) openJournal(job *Job, key uint64, h telemetry.Hooks) (*checkpoint.Journal, error) {
 	own := m.ckptPath(job.ID, job.epoch)
 	if _, err := os.Stat(own); err == nil {
-		j, err := checkpoint.OpenWith(own, key, true, h, checkpoint.Options{Epoch: job.epoch})
+		j, err := checkpoint.OpenFrom(own, own, key, h)
 		if err == nil {
 			return j, nil
 		}
@@ -173,8 +173,7 @@ func (m *Manager) openJournal(job *Job, key uint64, h telemetry.Hooks) (*checkpo
 		os.Remove(own)
 	}
 	for _, prev := range m.ckptCandidates(job.ID, job.epoch) {
-		j, err := checkpoint.OpenWith(own, key, true, h,
-			checkpoint.Options{Epoch: job.epoch, ResumeFrom: prev})
+		j, err := checkpoint.OpenFrom(own, prev, key, h)
 		if err == nil {
 			return j, nil
 		}
@@ -184,7 +183,7 @@ func (m *Manager) openJournal(job *Job, key uint64, h telemetry.Hooks) (*checkpo
 		m.hooks.Counter("serve_checkpoint_skipped_total").Inc()
 		os.Remove(own)
 	}
-	return checkpoint.OpenWith(own, key, false, h, checkpoint.Options{Epoch: job.epoch})
+	return checkpoint.Open(own, key, false, h)
 }
 
 // framework builds the per-job framework on the server's shared

@@ -19,7 +19,6 @@ import (
 //	<state>/jobs/<id>.json          submitted spec (written at admission)
 //	<state>/results/<id>.json       result document (written at completion)
 //	<state>/ckpt/<id>.e<N>.ckpt     checkpoint journal of lease epoch N
-//	<state>/ckpt/<id>.ckpt          legacy pre-fleet journal (epoch 0)
 //	<state>/leases/job-<id>.e<N>.lease  ownership record of lease epoch N (highest = holder)
 //
 // A job with a spec but no result is unfinished: the scanner adopts it
@@ -37,13 +36,8 @@ func (m *Manager) resultPath(id string) string {
 	return filepath.Join(m.cfg.StateDir, "results", id+".json")
 }
 
-// ckptPath names the journal of one lease epoch. Epoch zero is the
-// pre-fleet layout, kept readable so journals written before the lease
-// protocol existed still resume.
+// ckptPath names the journal of one lease epoch.
 func (m *Manager) ckptPath(id string, epoch uint64) string {
-	if epoch == 0 {
-		return filepath.Join(m.cfg.StateDir, "ckpt", id+".ckpt")
-	}
 	return filepath.Join(m.cfg.StateDir, "ckpt", fmt.Sprintf("%s.e%d.ckpt", id, epoch))
 }
 
@@ -51,32 +45,16 @@ func (m *Manager) ckptPath(id string, epoch uint64) string {
 // epoch first — the resume order for a stealing instance. The current
 // epoch's own file is excluded.
 func (m *Manager) ckptCandidates(id string, below uint64) []string {
-	matches, _ := filepath.Glob(filepath.Join(m.cfg.StateDir, "ckpt", id+"*.ckpt"))
+	matches, _ := filepath.Glob(filepath.Join(m.cfg.StateDir, "ckpt", id+".e*.ckpt"))
 	type cand struct {
 		epoch uint64
 		path  string
 	}
 	var cands []cand
 	for _, path := range matches {
-		name := filepath.Base(path)
-		rest, ok := strings.CutPrefix(name, id)
-		if !ok {
-			continue
-		}
-		var epoch uint64
-		switch {
-		case rest == ".ckpt":
-			epoch = 0
-		case strings.HasPrefix(rest, ".e") && strings.HasSuffix(rest, ".ckpt"):
-			n, err := strconv.ParseUint(rest[2:len(rest)-len(".ckpt")], 10, 64)
-			if err != nil {
-				continue
-			}
-			epoch = n
-		default:
-			continue
-		}
-		if epoch >= below {
+		digits := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), id+".e"), ".ckpt")
+		epoch, err := strconv.ParseUint(digits, 10, 64)
+		if err != nil || epoch >= below {
 			continue
 		}
 		cands = append(cands, cand{epoch, path})
@@ -266,8 +244,8 @@ func (m *Manager) scanDisk(initial bool) error {
 		m.jobs[id] = job
 		m.order = append(m.order, id)
 		if !finished {
-			m.queue.push(job.Tenant, id)
-			m.publishQueuedLocked()
+			m.queue.push(job.Tenant, id, job.Kind)
+			m.publishDepthsLocked()
 			if !initial {
 				adopted = true
 				m.adoptedC.Inc()

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 // submitTenant submits a distinct spec accounted to the given tenant.
@@ -17,13 +18,14 @@ func submitTenant(t *testing.T, m *Manager, tenant string, seed int64, csv strin
 }
 
 // drainQueueOrder pops the admission queue to exhaustion, as the
-// scheduler would with every executor free, and returns the tenant
-// sequence. The manager must not be started.
+// scheduler would with each job finishing as soon as it starts, and
+// returns the tenant sequence. The manager must not be started.
 func drainQueueOrder(m *Manager) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var order []string
-	for id := m.queue.next(m.classBlockedLocked); id != ""; id = m.queue.next(m.classBlockedLocked) {
+	for id := m.queue.next(); id != ""; id = m.queue.next() {
+		m.queue.done(id)
 		order = append(order, m.jobs[id].Tenant)
 	}
 	return order
@@ -40,6 +42,18 @@ func TestDispatchSaturatedKeepsDRROrder(t *testing.T) {
 			c.MaxConcurrent = 1
 			c.TenantWeights = map[string]int{"gold": 2, "bronze": 1}
 		})
+		// The scheduler is not started: the test holds the one executor
+		// slot with a job of its own, taken before anything else is
+		// queued so the ring starts fresh, and makes the attempts itself.
+		m.ctx = context.Background()
+		holder := &Job{ID: "holder", Kind: KindTranslate, Tenant: "holder", State: StateRunning, Started: time.Now()}
+		m.mu.Lock()
+		m.jobs[holder.ID] = holder
+		m.queue.push(holder.Tenant, holder.ID, holder.Kind)
+		if m.queue.next() != holder.ID {
+			t.Fatal("executor slot not free")
+		}
+		m.mu.Unlock()
 		for i := int64(1); i <= 3; i++ {
 			if _, err := submitTenant(t, m, "gold", i, csv); err != nil {
 				t.Fatal(err)
@@ -50,17 +64,14 @@ func TestDispatchSaturatedKeepsDRROrder(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// The scheduler is not started: the test holds the one executor
-		// slot and makes the attempts itself.
-		m.ctx = context.Background()
-		if !m.limiter.TryAcquire() {
-			t.Fatal("executor slot not free")
-		}
 		for range attempts {
 			if m.dispatchOne() {
 				t.Fatal("dispatched with every executor busy")
 			}
 		}
+		m.mu.Lock()
+		m.queue.done(holder.ID)
+		m.mu.Unlock()
 		got := strings.Join(drainQueueOrder(m), ",")
 		if want := "gold,gold,bronze,gold,bronze,bronze"; got != want {
 			t.Errorf("after %d saturated attempts: order %s, want %s", attempts, got, want)

@@ -16,7 +16,7 @@ func TestCancelReplayTruncated(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, 10, cs, 0)
+	res, err := Replay(ctx, 10, cs, Options{})
 	if err != nil {
 		t.Fatalf("cancelled replay should degrade, got %v", err)
 	}
@@ -27,7 +27,7 @@ func TestCancelReplayTruncated(t *testing.T) {
 		t.Errorf("pre-cancelled replay simulated %d slots, want 0", res.SlotsReplayed)
 	}
 	// A live context replays every slot and is not truncated.
-	res, err = Run(context.Background(), 10, cs, 0)
+	res, err = Replay(context.Background(), 10, cs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

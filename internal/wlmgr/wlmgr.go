@@ -98,19 +98,6 @@ type Options struct {
 	Inject faultinject.Injector
 }
 
-// Run simulates a workload manager with the given capacity over the
-// containers' aligned traces; see Replay for the lag semantics.
-func Run(ctx context.Context, capacity float64, containers []Container, lag int) (*RunResult, error) {
-	return Replay(ctx, capacity, containers, Options{Lag: lag})
-}
-
-// RunWithHooks is Run with telemetry: per-replay slot, CoS1-overload,
-// allocation-shortfall and degraded-slot counters, plus a replay span.
-// A nil Hooks disables all of it.
-func RunWithHooks(ctx context.Context, capacity float64, containers []Container, lag int, hooks telemetry.Hooks) (*RunResult, error) {
-	return Replay(ctx, capacity, containers, Options{Lag: lag, Hooks: hooks})
-}
-
 // Replay simulates a workload manager with the given capacity over the
 // containers' aligned traces. Cancelling ctx stops the replay at a slot
 // boundary (checked every 256 slots) and returns the partial result

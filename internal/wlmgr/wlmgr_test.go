@@ -53,17 +53,17 @@ func TestContainerValidate(t *testing.T) {
 func TestRunArgumentErrors(t *testing.T) {
 	q := caseStudyQoS()
 	c := container(t, "a", []float64{1, 2}, q, 0.6)
-	if _, err := Run(context.Background(), 0, []Container{c}, 0); err == nil {
+	if _, err := Replay(context.Background(), 0, []Container{c}, Options{}); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	if _, err := Run(context.Background(), 10, nil, 0); err == nil {
+	if _, err := Replay(context.Background(), 10, nil, Options{}); err == nil {
 		t.Error("no containers accepted")
 	}
-	if _, err := Run(context.Background(), 10, []Container{c}, -1); err == nil {
+	if _, err := Replay(context.Background(), 10, []Container{c}, Options{Lag: -1}); err == nil {
 		t.Error("negative lag accepted")
 	}
 	other := container(t, "b", []float64{1, 2, 3}, q, 0.6)
-	if _, err := Run(context.Background(), 10, []Container{c, other}, 0); err == nil {
+	if _, err := Replay(context.Background(), 10, []Container{c, other}, Options{}); err == nil {
 		t.Error("misaligned containers accepted")
 	}
 }
@@ -75,7 +75,7 @@ func TestRunAmpleCapacityMeetsIdealUtilization(t *testing.T) {
 	q := caseStudyQoS()
 	q.MPercent = 100 // no capping
 	c := container(t, "a", []float64{1, 2, 1.5, 0}, q, 0.6)
-	res, err := Run(context.Background(), 100, []Container{c}, 0)
+	res, err := Replay(context.Background(), 100, []Container{c}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRunCoS1PriorityOverCoS2(t *testing.T) {
 	b := container(t, "b", []float64{2, 2, 2, 2}, q, 0.1)
 	part := a.Partition
 	capacity := part.CoS1Peak() + b.Partition.CoS1Peak() // only CoS1 fits
-	res, err := Run(context.Background(), capacity, []Container{a, b}, 0)
+	res, err := Replay(context.Background(), capacity, []Container{a, b}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestRunProportionalCoS2Sharing(t *testing.T) {
 	sumCoS1 := a.Partition.CoS1.Samples[0] + b.Partition.CoS1.Samples[0]
 	sumCoS2 := a.Partition.CoS2.Samples[0] + b.Partition.CoS2.Samples[0]
 	capacity := sumCoS1 + sumCoS2/2
-	res, err := Run(context.Background(), capacity, []Container{a, b}, 0)
+	res, err := Replay(context.Background(), capacity, []Container{a, b}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestRunCoS1OverloadDetected(t *testing.T) {
 	q.MPercent = 100
 	a := container(t, "a", []float64{4, 4}, q, 0.1)
 	capacity := a.Partition.CoS1Peak() / 2 // even CoS1 cannot fit
-	res, err := Run(context.Background(), capacity, []Container{a}, 0)
+	res, err := Replay(context.Background(), capacity, []Container{a}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestRunLagShiftsRequests(t *testing.T) {
 	q := caseStudyQoS()
 	q.MPercent = 100
 	c := container(t, "a", []float64{1, 4, 1, 1}, q, 0.6)
-	res, err := Run(context.Background(), 100, []Container{c}, 1)
+	res, err := Replay(context.Background(), 100, []Container{c}, Options{Lag: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

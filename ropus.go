@@ -327,7 +327,7 @@ func DeriveUtilizationRange(app StressApplication, targets StressTargets) (Utili
 // RunWorkloadManager replays containers through the workload-manager
 // simulator at the given capacity and allocation lag.
 func RunWorkloadManager(ctx context.Context, capacity float64, containers []Container, lag int) (*wlmgr.RunResult, error) {
-	return wlmgr.Run(ctx, capacity, containers, lag)
+	return wlmgr.Replay(ctx, capacity, containers, wlmgr.Options{Lag: lag})
 }
 
 // CheckCompliance evaluates achieved utilizations of allocation against
