@@ -106,7 +106,7 @@ func cmdServe(ctx context.Context, args []string) error {
 
 // parsePairs parses a "name=n,name=n" flag (class limits, tenant
 // weights, quotas and values) into a map, each n through parse. An
-// empty flag is no map.
+// empty flag is no map; an empty or repeated name is an error.
 func parsePairs[T any](flagName, s string, parse func(string) (T, error)) (map[string]T, error) {
 	if s == "" {
 		return nil, nil
@@ -114,8 +114,14 @@ func parsePairs[T any](flagName, s string, parse func(string) (T, error)) (map[s
 	out := make(map[string]T)
 	for _, pair := range strings.Split(s, ",") {
 		name, n, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok {
+		switch {
+		case !ok:
 			return nil, fmt.Errorf("serve: %s entry %q is not name=n", flagName, pair)
+		case name == "":
+			return nil, fmt.Errorf("serve: %s entry %q has no name", flagName, pair)
+		}
+		if _, dup := out[name]; dup {
+			return nil, fmt.Errorf("serve: %s names %q twice", flagName, name)
 		}
 		v, err := parse(n)
 		if err != nil {

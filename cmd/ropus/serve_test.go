@@ -25,7 +25,8 @@ func TestServeRejectsJournalFlags(t *testing.T) {
 // TestParsePairs pins the name=n flags of `ropus serve`: counts
 // (-class-limits, -tenant-weights, -tenant-quotas) are integers >= 1,
 // values (-tenant-values) are numbers in (0, 1e18], and NaN, the
-// infinities, zero, negatives and malformed pairs are rejected.
+// infinities, zero, negatives, malformed pairs, empty names and
+// repeated names are rejected.
 func TestParsePairs(t *testing.T) {
 	for _, tc := range []struct {
 		in     string
@@ -49,6 +50,12 @@ func TestParsePairs(t *testing.T) {
 		{in: "gold=+Inf"},
 		{in: "gold=-Inf"},
 		{in: "gold=1e19"},
+		{in: "=3"},
+		{in: " =3"},
+		{in: "gold=2,=3"},
+		{in: "gold=2,gold=5"},
+		{in: "gold=2, gold=2"},
+		{in: "gold=2,Gold=5", counts: map[string]int{"gold": 2, "Gold": 5}, values: map[string]float64{"gold": 2, "Gold": 5}},
 	} {
 		counts, err := parsePairs("-tenant-weights", tc.in, positiveCount)
 		if (err == nil) != (tc.counts != nil || tc.in == "") || !maps.Equal(counts, tc.counts) {

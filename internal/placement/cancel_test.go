@@ -192,7 +192,7 @@ func TestChaosPanicReleasesWaiters(t *testing.T) {
 	// Both assignments are one group on server 0: the first scorer
 	// computes it, the second waits for it.
 	a := make(Assignment, len(p.Apps))
-	_, _ = scoreAll(context.Background(), ev, []Assignment{a, a.Clone()})
+	_ = newScoreJob(ev, 2).scoreAll(context.Background(), []scored{{assignment: a}, {assignment: a.Clone()}})
 	t.Error("scoreAll returned instead of re-raising the panic")
 }
 

@@ -1,11 +1,12 @@
 package placement
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"ropus/internal/parallel"
@@ -146,19 +147,21 @@ func Consolidate(ctx context.Context, p *Problem, initial Assignment, cfg GAConf
 		tel.generation(pop, children, time.Since(start))
 	}
 
-	best := pop.best
 	span.SetAttr(telemetry.Int("generations", ran),
-		telemetry.Bool("feasible", best != nil),
+		telemetry.Bool("feasible", pop.best.feasible),
 		telemetry.Bool("truncated", truncated))
-	if best == nil {
+	if !pop.best.feasible {
 		if truncated {
 			return nil, fmt.Errorf("placement: consolidation cancelled after %d generations with no feasible plan: %w", ran, ctx.Err())
 		}
 		return nil, fmt.Errorf("%w after %d generations", ErrNoFeasible, cfg.MaxGenerations)
 	}
+	// The plan's assignment outlives the population: callers keep it.
+	best := pop.best
+	best.assignment = best.assignment.Clone()
 	// A record evicted since scoring is computed again, so a truncated
 	// search expands its best plan detached from the cancel.
-	if plan, err = ev.materialise(context.WithoutCancel(ctx), sc, best); err != nil {
+	if plan, err = ev.materialise(context.WithoutCancel(ctx), sc, &best); err != nil {
 		return nil, err
 	}
 	if truncated {
@@ -172,15 +175,48 @@ func Consolidate(ctx context.Context, p *Problem, initial Assignment, cfg GAConf
 // population is the search's state between generations: its members
 // best-first, the RNG that breeds them, and the best/stale tracker
 // behind Figure 5's "little improvement" stop.
+//
+// Assignments live in two arenas of PopulationSize rows, one row per
+// candidate. The members' rows are in rows; evolve breeds the next
+// generation into spare, elites copied and children crossed over in
+// place, and the two swap (with members and next) once it is scored,
+// so a generation cut short leaves the members as they were. The best
+// candidate owns a row of its own, outside both arenas, which an
+// improvement is copied into.
 type population struct {
-	rng     *rand.Rand
-	members []*scored
+	rng           *rand.Rand
+	members, next []scored
+	rows, spare   []int
+	apps          int
 	// breed is the mutation operators' scratch.
 	breed grouping
-	// best is the best feasible candidate so far; stale counts
-	// generations since it improved.
-	best  *scored
+	// job scores a generation's offspring.
+	job *scoreJob
+	// best is the best feasible candidate so far (feasible is false
+	// until there is one); stale counts generations since it improved.
+	best  scored
 	stale int
+}
+
+// newPopulation allocates a population's arenas and candidate slices
+// for cfg.PopulationSize candidates of apps applications.
+func newPopulation(ev *evaluator, cfg GAConfig, apps int) *population {
+	size := cfg.PopulationSize
+	return &population{
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		members: make([]scored, 0, size),
+		next:    make([]scored, 0, size),
+		rows:    make([]int, size*apps),
+		spare:   make([]int, size*apps),
+		apps:    apps,
+		best:    scored{assignment: make(Assignment, apps)},
+		job:     newScoreJob(ev, size),
+	}
+}
+
+// row returns row i of an arena.
+func (pop *population) row(arena []int, i int) Assignment {
+	return arena[i*pop.apps : (i+1)*pop.apps : (i+1)*pop.apps]
 }
 
 // seedPopulation builds the initial population: the initial assignment
@@ -192,11 +228,13 @@ type population struct {
 func seedPopulation(ctx context.Context, ev *evaluator, sc *scratch, initial Assignment, cfg GAConfig) (*population, error) {
 	p := ev.p
 	seedCtx := context.WithoutCancel(ctx)
-	first, err := ev.score(seedCtx, sc, initial.Clone())
-	if err != nil {
+	pop := newPopulation(ev, cfg, len(p.Apps))
+	pop.members = pop.members[:1]
+	first := pop.row(pop.rows, 0)
+	copy(first, initial)
+	if err := ev.score(seedCtx, sc, first, &pop.members[0]); err != nil {
 		return nil, err
 	}
-	pop := &population{rng: rand.New(rand.NewSource(cfg.Seed)), members: []*scored{first}}
 	if cfg.SeedGreedy {
 		for _, greedyFn := range []func(context.Context, *Problem) (*Plan, error){FirstFitDecreasing, BestFitDecreasing} {
 			plan, err := greedyFn(seedCtx, p)
@@ -205,26 +243,27 @@ func seedPopulation(ctx context.Context, ev *evaluator, sc *scratch, initial Ass
 			}
 			// Re-evaluate through this run's evaluator so the plan
 			// shares its cache and tolerance.
-			seeded, err := ev.score(seedCtx, sc, plan.Assignment)
-			if err != nil {
+			var seeded scored
+			if err := ev.score(seedCtx, sc, plan.Assignment, &seeded); err != nil {
 				return nil, err
 			}
-			if len(pop.members) < cfg.PopulationSize {
+			if n := len(pop.members); n < cfg.PopulationSize {
+				seeded.assignment = pop.row(pop.rows, n)
+				copy(seeded.assignment, plan.Assignment)
 				pop.members = append(pop.members, seeded)
 			}
 		}
 	}
-	var fill []Assignment
-	for want := cfg.PopulationSize - len(pop.members); want > 0; want-- {
-		a := initial.Clone()
+	filled := len(pop.members)
+	for n := filled; n < cfg.PopulationSize; n++ {
+		a := pop.row(pop.rows, n)
+		copy(a, initial)
 		mutate(a, p, pop.rng, &pop.breed)
-		fill = append(fill, a)
+		pop.members = append(pop.members, scored{assignment: a})
 	}
-	filled, err := scoreAll(seedCtx, ev, fill)
-	if err != nil {
+	if err := pop.job.scoreAll(seedCtx, pop.members[filled:]); err != nil {
 		return nil, err
 	}
-	pop.members = append(pop.members, filled...)
 	sortPopulation(pop.members)
 	pop.observeBest()
 	pop.stale = 0 // seeding is generation zero, not a stagnation tick
@@ -237,37 +276,45 @@ func seedPopulation(ctx context.Context, ev *evaluator, sc *scratch, initial Ass
 // scored in parallel, since the simulator replays are the expensive
 // part and independent of each other.
 func (pop *population) evolve(ctx context.Context, ev *evaluator, cfg GAConfig, tel *gaTelemetry) (int, error) {
-	size := cfg.PopulationSize
-	next := make([]*scored, 0, size)
+	next := pop.next[:0]
 	for i := 0; i < cfg.Elite && i < len(pop.members); i++ {
-		next = append(next, pop.members[i])
+		elite := pop.members[i]
+		elite.assignment = pop.row(pop.spare, i)
+		copy(elite.assignment, pop.members[i].assignment)
+		next = append(next, elite)
 	}
-	offspring := make([]Assignment, 0, size-len(next))
-	for len(next)+len(offspring) < size {
-		a := crossover(tournament(pop.members, cfg.TournamentK, pop.rng).assignment,
+	elites := len(next)
+	for len(next) < cfg.PopulationSize {
+		a := pop.row(pop.spare, len(next))
+		crossover(a, tournament(pop.members, cfg.TournamentK, pop.rng).assignment,
 			tournament(pop.members, cfg.TournamentK, pop.rng).assignment, pop.rng)
 		tel.crossovers.Inc()
 		if pop.rng.Float64() < cfg.MutationRate {
 			mutate(a, ev.p, pop.rng, &pop.breed)
 			tel.mutations.Inc()
 		}
-		offspring = append(offspring, a)
+		next = append(next, scored{assignment: a})
 	}
-	children, err := scoreAll(ctx, ev, offspring)
-	if err != nil {
+	if err := pop.job.scoreAll(ctx, next[elites:]); err != nil {
 		return 0, err
 	}
-	pop.members = append(next, children...)
+	pop.members, pop.next = next, pop.members
+	pop.rows, pop.spare = pop.spare, pop.rows
 	sortPopulation(pop.members)
 	pop.observeBest()
-	return len(children), nil
+	return len(next) - elites, nil
 }
 
 // observeBest folds the current members into the best/stale tracking:
-// an improvement must beat the best by more than 1e-12.
+// an improvement must beat the best by more than 1e-12, and is copied
+// into the best's own row, since the member's row is bred over two
+// generations on.
 func (pop *population) observeBest() {
-	if cand := bestFeasible(pop.members); cand != nil && (pop.best == nil || cand.score > pop.best.score+1e-12) {
-		pop.best = cand
+	if cand := bestFeasible(pop.members); cand != nil && (!pop.best.feasible || cand.score > pop.best.score+1e-12) {
+		row := pop.best.assignment
+		copy(row, cand.assignment)
+		pop.best = *cand
+		pop.best.assignment = row
 		pop.stale = 0
 	} else {
 		pop.stale++
@@ -301,7 +348,7 @@ func (tel *gaTelemetry) generation(pop *population, children int, took time.Dura
 	tel.offspring.Add(int64(children))
 	tel.stale.Set(float64(pop.stale))
 	tel.meanScore.Set(meanScoreOf(pop.members))
-	if pop.best != nil {
+	if pop.best.feasible {
 		tel.bestScore.Set(pop.best.score)
 		tel.bestServers.Set(float64(pop.best.serversUsed))
 	}
@@ -309,7 +356,7 @@ func (tel *gaTelemetry) generation(pop *population, children int, took time.Dura
 }
 
 // meanScoreOf returns the population's mean consolidation score.
-func meanScoreOf(pop []*scored) float64 {
+func meanScoreOf(pop []scored) float64 {
 	if len(pop) == 0 {
 		return 0
 	}
@@ -320,68 +367,102 @@ func meanScoreOf(pop []*scored) float64 {
 	return sum / float64(len(pop))
 }
 
-// scoreAll scores assignments on up to GOMAXPROCS goroutines, writing
-// each result at its index. The evaluator's cache is shared and every
-// evaluation is a pure content-keyed function, so the results are
-// identical at any worker count. A dispatch cut short
-// by ctx returns ctx's error; a panic in an evaluation is re-raised on
-// the caller's goroutine.
-func scoreAll(ctx context.Context, ev *evaluator, assignments []Assignment) ([]*scored, error) {
-	out := make([]*scored, len(assignments))
-	errs := make([]error, len(assignments))
-	done := parallel.ForEach(ctx, 0, len(assignments), func(i int) {
-		sc := ev.acquire()
-		defer ev.release(sc)
-		out[i], errs[i] = ev.score(ctx, sc, assignments[i])
-	})
-	if done < len(assignments) {
-		return nil, fmt.Errorf("placement: scoring cancelled after %d of %d assignments: %w", done, len(assignments), ctx.Err())
+// scoreJob scores candidates on up to GOMAXPROCS goroutines, each into
+// its own record. Its run is bound once, so a generation builds no
+// closure; ctx and out are those of the latest scoreAll.
+type scoreJob struct {
+	ctx  context.Context
+	ev   *evaluator
+	out  []scored
+	errs []error
+	run  func(i int)
+}
+
+// newScoreJob returns a job for batches of up to size candidates.
+func newScoreJob(ev *evaluator, size int) *scoreJob {
+	j := &scoreJob{ev: ev, errs: make([]error, size)}
+	j.run = j.scoreOne
+	return j
+}
+
+// scoreOne scores out[i], whose assignment is set, on a borrowed
+// scratch.
+func (j *scoreJob) scoreOne(i int) {
+	sc := j.ev.acquire()
+	defer j.ev.release(sc)
+	j.errs[i] = j.ev.score(j.ctx, sc, j.out[i].assignment, &j.out[i])
+}
+
+// scoreAll scores every candidate of out. The evaluator's cache is
+// shared and every evaluation is a pure content-keyed function, so the
+// results are identical at any worker count. A dispatch cut short by
+// ctx returns ctx's error; a panic in an evaluation is re-raised on the
+// caller's goroutine.
+func (j *scoreJob) scoreAll(ctx context.Context, out []scored) error {
+	j.ctx, j.out = ctx, out
+	errs := j.errs[:len(out)]
+	clear(errs)
+	if done := parallel.ForEach(ctx, 0, len(out), j.run); done < len(out) {
+		return fmt.Errorf("placement: scoring cancelled after %d of %d assignments: %w", done, len(out), ctx.Err())
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // sortPopulation orders candidates best-score-first, breaking ties in
 // favour of feasible ones and fewer servers.
-func sortPopulation(pop []*scored) {
-	sort.SliceStable(pop, func(i, j int) bool {
-		if pop[i].feasible != pop[j].feasible {
-			return pop[i].feasible
+func sortPopulation(pop []scored) {
+	slices.SortStableFunc(pop, compareScored)
+}
+
+// compareScored is sortPopulation's order: feasible first, then higher
+// score, then fewer servers. Scores are compared with != and >, not
+// cmp.Compare, which would order a NaN score differently.
+func compareScored(a, b scored) int {
+	switch {
+	case a.feasible != b.feasible:
+		if a.feasible {
+			return -1
 		}
-		if pop[i].score != pop[j].score {
-			return pop[i].score > pop[j].score
+		return 1
+	case a.score != b.score:
+		if a.score > b.score {
+			return -1
 		}
-		return pop[i].serversUsed < pop[j].serversUsed
-	})
+		return 1
+	}
+	return cmp.Compare(a.serversUsed, b.serversUsed)
 }
 
 // bestFeasible returns the best feasible candidate in a sorted
 // population.
-func bestFeasible(pop []*scored) *scored {
-	for _, c := range pop {
-		if c.feasible {
-			return c
+func bestFeasible(pop []scored) *scored {
+	for i := range pop {
+		if pop[i].feasible {
+			return &pop[i]
 		}
 	}
 	return nil
 }
 
 // tournament picks the best of k random population members.
-func tournament(pop []*scored, k int, rng *rand.Rand) *scored {
-	best := pop[rng.Intn(len(pop))]
+func tournament(pop []scored, k int, rng *rand.Rand) *scored {
+	best := &pop[rng.Intn(len(pop))]
 	for i := 1; i < k; i++ {
-		if cand := pop[rng.Intn(len(pop))]; better(cand, best) {
+		if cand := &pop[rng.Intn(len(pop))]; better(cand, best) {
 			best = cand
 		}
 	}
 	return best
 }
 
-// better orders two candidates the same way as sortPopulation.
+// better orders two candidates as sortPopulation does on feasibility
+// and score, but without its servers-used tie-break: of two tied
+// candidates the first one drawn wins the tournament.
 func better(a, b *scored) bool {
 	if a.feasible != b.feasible {
 		return a.feasible
@@ -389,18 +470,17 @@ func better(a, b *scored) bool {
 	return a.score > b.score
 }
 
-// crossover mates two assignments: each application inherits its server
-// from one parent at random (the paper's "straightforward" cross-over).
-func crossover(a, b Assignment, rng *rand.Rand) Assignment {
-	child := make(Assignment, len(a))
-	for i := range child {
+// crossover mates two assignments into dst: each application inherits
+// its server from one parent at random (the paper's "straightforward"
+// cross-over).
+func crossover(dst, a, b Assignment, rng *rand.Rand) {
+	for i := range dst {
 		if rng.Intn(2) == 0 {
-			child[i] = a[i]
+			dst[i] = a[i]
 		} else {
-			child[i] = b[i]
+			dst[i] = b[i]
 		}
 	}
-	return child
 }
 
 // mutate perturbs an assignment. Most of the time it empties one used

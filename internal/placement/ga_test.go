@@ -3,9 +3,13 @@ package placement
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"ropus/internal/faultinject"
 	"ropus/internal/telemetry"
 )
 
@@ -130,5 +134,77 @@ func TestGATelemetry(t *testing.T) {
 	if snap.Gauges["ga_best_score"] != plan.Score || snap.Gauges["ga_best_feasible_servers"] != float64(plan.ServersUsed) {
 		t.Errorf("best gauges %v/%v, plan %v/%d", snap.Gauges["ga_best_score"],
 			snap.Gauges["ga_best_feasible_servers"], plan.Score, plan.ServersUsed)
+	}
+}
+
+// TestBestSurvivesRowReuse checks that the plan a search returns is the
+// candidate it scored. The best's assignment is copied out of the arena
+// row it was bred in, and that row is bred over two generations later;
+// the searches below run at least 40 generations past their last
+// improvement. Evaluating the returned assignment afresh must reproduce
+// the plan's objective bit for bit, for a finished search and for one
+// cancelled in the middle of a generation.
+func TestBestSurvivesRowReuse(t *testing.T) {
+	same := func(t *testing.T, p *Problem, plan *Plan) {
+		t.Helper()
+		got, err := Evaluate(p, plan.Assignment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got.Score, plan.Score) || got.Feasible != plan.Feasible ||
+			got.ServersUsed != plan.ServersUsed || !sameBits(got.RequiredTotal, plan.RequiredTotal) {
+			t.Fatalf("plan %v claims score %v feasible %v servers %d required %v; it evaluates to %v %v %d %v",
+				plan.Assignment, plan.Score, plan.Feasible, plan.ServersUsed, plan.RequiredTotal,
+				got.Score, got.Feasible, got.ServersUsed, got.RequiredTotal)
+		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		cfg := DefaultGAConfig(seed)
+		cfg.SeedGreedy = false // the best is bred, in an arena row
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			sizes := make([]float64, 10)
+			for i := range sizes {
+				sizes[i] = float64(1 + r.Intn(5))
+			}
+			p := binPackProblem(sizes, len(sizes), 10)
+			initial, err := OneAppPerServer(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := Consolidate(context.Background(), p, initial, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(t, p, plan)
+
+			// Cancel on a simulation a few past those of seeding, which a
+			// search on a dead context runs and nothing else.
+			var calls, cancelAt atomic.Int64
+			cancelAt.Store(math.MaxInt64)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			p.Inject = faultinject.Func(func(point, key string) faultinject.Outcome {
+				if calls.Add(1) == cancelAt.Load() {
+					cancel()
+				}
+				return faultinject.Outcome{}
+			})
+			dead, kill := context.WithCancel(context.Background())
+			kill()
+			if _, err := Consolidate(dead, p, initial, cfg); err != nil {
+				t.Fatal(err)
+			}
+			cancelAt.Store(calls.Load() + 3 + seed%5)
+			calls.Store(0)
+			plan, err = Consolidate(ctx, p, initial, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !plan.Truncated {
+				t.Fatal("a search cancelled mid-generation returned an untruncated plan")
+			}
+			same(t, p, plan)
+		})
 	}
 }

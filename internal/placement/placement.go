@@ -624,20 +624,21 @@ type scored struct {
 	requiredTotal float64
 }
 
-// score evaluates the objective of a full assignment, which it keeps
-// (callers hand over a slice nobody mutates afterwards): with every
-// group stored, one grouping pass and one store read per used server.
-func (e *evaluator) score(ctx context.Context, sc *scratch, a Assignment) (*scored, error) {
+// score evaluates the objective of a full assignment into c, which
+// keeps a (callers hand over a slice nobody mutates while c is in use):
+// with every group stored, one grouping pass and one store read per
+// used server.
+func (e *evaluator) score(ctx context.Context, sc *scratch, a Assignment, c *scored) error {
 	if err := a.Validate(e.p); err != nil {
-		return nil, err
+		return err
 	}
 	groupByServer(a, len(e.p.Servers), &sc.groups)
-	c := &scored{assignment: a, feasible: true}
+	*c = scored{assignment: a, feasible: true}
 	for s := range e.p.Servers {
 		group := sc.groups.of(s)
 		ev, err := e.evalServer(ctx, sc, s, group)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c.score += ev.value
 		if len(group) > 0 {
@@ -648,7 +649,7 @@ func (e *evaluator) score(ctx context.Context, sc *scratch, a Assignment) (*scor
 			}
 		}
 	}
-	return c, nil
+	return nil
 }
 
 // materialise expands a candidate this evaluator scored into the full
@@ -696,11 +697,11 @@ func (e *evaluator) materialise(ctx context.Context, sc *scratch, c *scored) (*P
 func (e *evaluator) evaluate(ctx context.Context, a Assignment) (*Plan, error) {
 	sc := e.acquire()
 	defer e.release(sc)
-	c, err := e.score(ctx, sc, a.Clone())
-	if err != nil {
+	var c scored
+	if err := e.score(ctx, sc, a.Clone(), &c); err != nil {
 		return nil, err
 	}
-	return e.materialise(ctx, sc, c)
+	return e.materialise(ctx, sc, &c)
 }
 
 // grouping is the reusable inverse of an assignment: server s hosts

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -169,6 +170,27 @@ func TestRetryAfterTracksInFlightElapsed(t *testing.T) {
 	}
 	if overloaded.RetryAfter < 40*time.Second {
 		t.Errorf("second shed Retry-After %v did not track the still-running job", overloaded.RetryAfter)
+	}
+}
+
+// TestNewManagerRejectsUnknownClassLimit: a ClassLimits key that is not
+// a job kind is a typo that would leave the kind it meant uncapped, so
+// NewManager refuses it and names the kinds it accepts. Every kind is
+// accepted.
+func TestNewManagerRejectsUnknownClassLimit(t *testing.T) {
+	for _, limits := range []map[string]int{
+		{"failvoer": 1},
+		{KindFailover: 2, "": 1},
+		{KindPlan: 1, "Plan": 1},
+	} {
+		_, err := NewManager(Config{StateDir: t.TempDir(), ClassLimits: limits}, nil)
+		if err == nil || !strings.Contains(err.Error(), "translate, place, failover, plan") {
+			t.Errorf("ClassLimits %v: got %v, want an error naming the job kinds", limits, err)
+		}
+	}
+	all := map[string]int{KindTranslate: 1, KindPlace: 1, KindFailover: 1, KindPlan: 1}
+	if _, err := NewManager(Config{StateDir: t.TempDir(), ClassLimits: all}, nil); err != nil {
+		t.Errorf("ClassLimits %v: %v", all, err)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,7 +119,8 @@ type Config struct {
 	MaxConcurrent int
 	// ClassLimits bounds per-kind concurrency ("failover": 1 keeps the
 	// expensive sweeps from monopolizing the executors). A kind absent
-	// or <= 0 is limited only by MaxConcurrent.
+	// or <= 0 is limited only by MaxConcurrent; a key that is not one of
+	// the Kind* constants is an error.
 	ClassLimits map[string]int
 	// Workers is the per-job failure-sweep worker count (core.Config
 	// semantics: 0 = GOMAXPROCS, 1 = sequential).
@@ -357,6 +360,18 @@ func NewManager(cfg Config, hooks telemetry.Hooks) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	if cfg.StateDir == "" {
 		return nil, errors.New("serve: Config.StateDir is required")
+	}
+	// A misspelt kind would leave the kind it meant uncapped.
+	var unknown []string
+	for kind := range cfg.ClassLimits {
+		if !slices.Contains(jobKinds, kind) {
+			unknown = append(unknown, kind)
+		}
+	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		return nil, fmt.Errorf("serve: Config.ClassLimits has unknown job kinds %q (the kinds are %s)",
+			unknown, strings.Join(jobKinds, ", "))
 	}
 	for _, sub := range []string{"jobs", "results", "ckpt", "flight", "leases"} {
 		if err := os.MkdirAll(filepath.Join(cfg.StateDir, sub), 0o755); err != nil {

@@ -22,6 +22,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -40,6 +41,9 @@ const (
 	KindFailover  = "failover"
 	KindPlan      = "plan"
 )
+
+// jobKinds lists every job kind.
+var jobKinds = []string{KindTranslate, KindPlace, KindFailover, KindPlan}
 
 // Duration marshals as a Go duration string ("30m") and also accepts
 // integer nanoseconds, so specs round-trip through JSON unambiguously.
@@ -177,9 +181,7 @@ func (s *JobSpec) normalize() {
 // gate: anything that would fail the pipeline for structural reasons is
 // rejected here with a client error instead of burning an executor.
 func (s *JobSpec) parse() (trace.Set, error) {
-	switch s.Kind {
-	case KindTranslate, KindPlace, KindFailover, KindPlan:
-	default:
+	if !slices.Contains(jobKinds, s.Kind) {
 		return nil, fmt.Errorf("serve: unknown job kind %q", s.Kind)
 	}
 	if s.TracesCSV == "" {
