@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"time"
 
@@ -250,12 +251,30 @@ func frameworkFlags(fs *flag.FlagSet) *frameworkOpts {
 	}
 }
 
+// maxSimCacheMB is the largest -sim-cache-mb whose byte count fits an
+// int64.
+const maxSimCacheMB = math.MaxInt64 >> 20
+
+// simCacheBytes converts a -sim-cache-mb value to the store's byte
+// bound: 0 selects the default, a negative value disables sharing, and
+// a value whose byte count would overflow is an error, not a wrapped
+// bound.
+func simCacheBytes(mb int64) (int64, error) {
+	switch {
+	case mb < 0:
+		return -1, nil
+	case mb > maxSimCacheMB:
+		return 0, fmt.Errorf("-sim-cache-mb %d exceeds the largest bound, %d MiB", mb, int64(maxSimCacheMB))
+	}
+	return mb << 20, nil
+}
+
 // build constructs the framework with the given retry policy and
 // checkpoint journal (both may be zero/nil).
 func (o *frameworkOpts) build(h telemetry.Hooks, retry resilience.Policy, journal *checkpoint.Journal) (*core.Framework, error) {
-	cacheBytes := *o.cacheMB << 20
-	if *o.cacheMB < 0 {
-		cacheBytes = -1
+	cacheBytes, err := simCacheBytes(*o.cacheMB)
+	if err != nil {
+		return nil, err
 	}
 	return core.New(core.Config{
 		Commitment:           qos.PoolCommitment{Theta: *o.theta, Deadline: *o.deadline},

@@ -63,9 +63,9 @@ func cmdServe(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	cacheBytes := *cacheMB << 20
-	if *cacheMB < 0 {
-		cacheBytes = -1
+	cacheBytes, err := simCacheBytes(*cacheMB)
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	logger := obslog.Discard()
 	if *logFmt != "off" {

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"maps"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -65,5 +67,47 @@ func TestParsePairs(t *testing.T) {
 		if (err == nil) != (tc.values != nil || tc.in == "") || !maps.Equal(values, tc.values) {
 			t.Errorf("values %q: got %v, %v; want %v", tc.in, values, err, tc.values)
 		}
+	}
+}
+
+// TestSimCacheMB pins -sim-cache-mb's conversion to bytes, shared by
+// `ropus serve` and the framework commands: 0 selects the default, a
+// negative value disables sharing, and a value whose byte count would
+// overflow an int64 is rejected by name instead of wrapping to a
+// negative (disabled) or zero (default) bound. Both command paths
+// reject the first overflowing value.
+func TestSimCacheMB(t *testing.T) {
+	for _, tc := range []struct {
+		mb   int64
+		want int64
+		ok   bool
+	}{
+		{mb: 0, want: 0, ok: true},
+		{mb: -1, want: -1, ok: true},
+		{mb: math.MinInt64, want: -1, ok: true},
+		{mb: 1, want: 1 << 20, ok: true},
+		{mb: math.MaxInt64 >> 20, want: math.MaxInt64 &^ (1<<20 - 1), ok: true},
+		{mb: math.MaxInt64>>20 + 1},
+		{mb: 17592186044416},
+		{mb: math.MaxInt64},
+	} {
+		got, err := simCacheBytes(tc.mb)
+		if tc.ok != (err == nil) || got != tc.want {
+			t.Errorf("simCacheBytes(%d) = %d, %v; want %d, ok %v", tc.mb, got, err, tc.want, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "-sim-cache-mb") {
+			t.Errorf("simCacheBytes(%d): error %q does not name the flag", tc.mb, err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tooBig := strconv.FormatInt(math.MaxInt64>>20+1, 10)
+	err := cmdServe(ctx, []string{"-state-dir", t.TempDir(), "-addr", "127.0.0.1:0", "-log-format", "off", "-sim-cache-mb", tooBig})
+	if err == nil || !strings.Contains(err.Error(), "-sim-cache-mb") {
+		t.Errorf("serve -sim-cache-mb %s: got %v, want an error naming the flag", tooBig, err)
+	}
+	err = run([]string{"place", "-traces", writeFleet(t), "-sim-cache-mb", tooBig})
+	if err == nil || !strings.Contains(err.Error(), "-sim-cache-mb") {
+		t.Errorf("place -sim-cache-mb %s: got %v, want an error naming the flag", tooBig, err)
 	}
 }

@@ -125,23 +125,28 @@ func (a *App) Prepare() error {
 	if err := a.Workload.Validate(); err != nil {
 		return err
 	}
-	h := fnvString(fnvOffset64, a.ID)
-	h = fnvSamples(h, a.Workload.CoS1)
-	h = fnvSamples(h, a.Workload.CoS2)
-	for _, attr := range attributeUnion([]App{*a}) { // sorted
-		w := a.Extra[attr]
-		if err := w.Validate(); err != nil {
+	attrs := attributeUnion([]App{*a}) // sorted
+	for _, attr := range attrs {
+		if err := a.Extra[attr].Validate(); err != nil {
 			return fmt.Errorf("placement: app %q attribute %q: %w", a.ID, attr, err)
 		}
-		h = fnvString(h, string(attr))
-		h = fnvSamples(h, w.CoS1)
-		h = fnvSamples(h, w.CoS2)
 	}
-	if h == 0 {
-		h = 1 // zero is the "not prepared" mark
-	}
-	a.digest = h
+	a.digest = a.contentDigest(attrs)
 	return nil
+}
+
+// contentDigest digests the app's ID and its traces, the extra ones in
+// attrs' order; it is never zero, the "not prepared" mark.
+func (a *App) contentDigest(attrs []Attribute) uint64 {
+	h := fnvString(fnvOffset64, a.ID)
+	h = foldSamples(h, a.Workload.CoS1)
+	h = foldSamples(h, a.Workload.CoS2)
+	for _, attr := range attrs {
+		h = fnvString(h, string(attr))
+		h = foldSamples(h, a.Extra[attr].CoS1)
+		h = foldSamples(h, a.Extra[attr].CoS2)
+	}
+	return max(h, 1)
 }
 
 // Problem is a consolidation exercise: which servers may host which
@@ -460,21 +465,18 @@ func (e *evaluator) release(sc *scratch) {
 // read from the store or simulated. The apps slice must be sorted
 // ascending. Concurrent calls for the same group, from any run on the
 // store, share one computation; waiters give up when ctx is cancelled.
-func (e *evaluator) evalServer(ctx context.Context, sc *scratch, server int, apps []int) (*groupEval, error) {
+func (e *evaluator) evalServer(ctx context.Context, sc *scratch, server int, apps []int) (groupEval, error) {
 	if len(apps) == 0 {
-		return &emptyEval, nil
+		return emptyEval, nil
 	}
 	k := cacheKey{cfg: e.cfgSig, server: e.usageSigs[server], group: hashGroup(e.p.Apps, apps)}
 	sh := e.store.shard(k)
 	for {
 		sh.mu.Lock()
-		if en, ok := sh.entries[k]; ok {
-			sh.touch(en)
-			reused := en.run != e.run
-			en.run = e.run
+		if ev, reused, ok := sh.get(k, e.run); ok {
 			sh.mu.Unlock()
 			e.hit(reused)
-			return &en.eval, nil
+			return ev, nil
 		}
 		fl, computing := sh.inflight[k]
 		if !computing {
@@ -501,7 +503,7 @@ func (e *evaluator) evalServer(ctx context.Context, sc *scratch, server int, app
 			}
 		case <-ctx.Done():
 		}
-		return nil, fmt.Errorf("placement: evaluate server %q: %w", e.p.Servers[server].ID, ctx.Err())
+		return groupEval{}, fmt.Errorf("placement: evaluate server %q: %w", e.p.Servers[server].ID, ctx.Err())
 	}
 }
 
@@ -525,18 +527,17 @@ var errLeaderPanicked = errors.New("placement: group evaluation panicked")
 // hand-off is deferred so that it also runs when the computation panics:
 // the worker pool re-raises that panic only after every in-flight
 // evaluation returns, and a waiter left blocked would stall it forever.
-func (e *evaluator) lead(ctx context.Context, sc *scratch, sh *cacheShard, k cacheKey, server int, apps []int) (ev *groupEval, err error) {
+func (e *evaluator) lead(ctx context.Context, sc *scratch, sh *cacheShard, k cacheKey, server int, apps []int) (ev groupEval, err error) {
 	e.missC.Inc()
 	e.sharedMissC.Inc()
 	e.store.misses.Add(1)
-	en := &cacheEntry{key: k, run: e.run}
 	err = errLeaderPanicked
 	defer func() {
 		sh.mu.Lock()
 		fl := sh.inflight[k]
 		delete(sh.inflight, k)
 		if err == nil {
-			e.evictC.Add(int64(e.store.insert(sh, en)))
+			e.evictC.Add(int64(e.store.insert(sh, k, e.run, &ev)))
 		}
 		sh.mu.Unlock()
 		if fl != nil {
@@ -544,10 +545,7 @@ func (e *evaluator) lead(ctx context.Context, sc *scratch, sh *cacheShard, k cac
 			close(fl.done)
 		}
 	}()
-	if en.eval, err = e.computeServer(ctx, sc, server, apps, k.group); err != nil {
-		return nil, err
-	}
-	return &en.eval, nil
+	return e.computeServer(ctx, sc, server, apps, k.group)
 }
 
 // computeServer runs the simulator for one (server, app-group) pair;

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -20,7 +21,7 @@ import (
 // same shape. A failed server changes which groups are legal, not what a
 // group costs on a survivor.
 //
-// Two entry kinds live in one LRU, both holding the same compact
+// Two entry kinds live in one store, both holding the same compact
 // groupEval record (no server, no app IDs: a hit is told about a group
 // by whoever asks):
 //
@@ -36,12 +37,22 @@ import (
 // produce, so plans are byte-identical whatever the store holds: the
 // parallel sweeps stay deterministic, and a run that loses a record to
 // eviction computes it again.
+//
+// Inside a shard, records live by value in a slab of chunks that never
+// move, so a record costs its own bytes, not a heap object and a
+// pointer to it. An open-addressed table of 4-byte
+// slot numbers indexes the slab, and a CLOCK hand walking the slab
+// bounds it: a hit sets the record's reference bit, and eviction clears
+// set bits until it finds a record nobody used since the hand last
+// passed. A slot eviction frees is reused, so a hit copies the record
+// out under the shard lock instead of handing out a pointer into the
+// slab.
 
 // DefaultSimCacheBytes is the byte bound used when NewSimCache is given
 // a non-positive size.
 const DefaultSimCacheBytes = 256 << 20
 
-// cacheShardBits sets how many lock+map+LRU shards a store is split
+// cacheShardBits sets how many lock+slab+index shards a store is split
 // across: a GA's offspring, a hierarchical plan's partitions and a
 // sweep's scenarios ask it from many goroutines at once.
 const (
@@ -49,7 +60,23 @@ const (
 	cacheShards    = 1 << cacheShardBits
 )
 
-// cacheKey identifies an entry by three independent FNV-1a lanes
+// Slab and index geometry. A shard's first chunkSize slots live in
+// growChunks chunks that double from firstChunk records (8, 8, 16, …,
+// 256), so a small store (a Table I case, a serve job's private store)
+// does not pay sixteen full chunks up front, and growth never copies a
+// record; every later chunk holds chunkSize. The index starts at
+// minIndex positions and doubles when a store would fill more than 3/4
+// of it.
+const (
+	chunkBits      = 9
+	chunkSize      = 1 << chunkBits
+	firstChunkBits = 3
+	firstChunk     = 1 << firstChunkBits
+	growChunks     = chunkBits - firstChunkBits + 1
+	minIndex       = 16
+)
+
+// cacheKey identifies an entry by three independent lanes
 // (configuration, server, group content), an effective key width of 192
 // bits. A usage entry's server lane is the server's shape signature,
 // which is never zero; a warm entry belongs to no server and its server
@@ -58,16 +85,26 @@ type cacheKey struct {
 	cfg, server, group uint64
 }
 
-// cacheEntry is one cached record and its own LRU node. run names the
-// evaluator that used it last (computed it, or reused it since), so
-// that a run's first use of another run's record counts as reuse
-// across runs. The record never changes once stored, so a hit hands out
-// a pointer to it.
-type cacheEntry struct {
-	prev, next *cacheEntry
-	key        cacheKey
-	run        uint64
-	eval       groupEval
+// indexHash mixes the key's three lanes into the index probe start.
+// The shard was picked by the top bits of another mix of the same
+// lanes, so this one finishes with a full avalanche of its own.
+func (k cacheKey) indexHash() uint64 {
+	h := k.group ^ k.server*0x9e3779b97f4a7c15 ^ k.cfg*0xc2b2ae3d27d4eb4f
+	h ^= h >> 32
+	h *= 0xd6e8feb86659fd93
+	return h ^ h>>32
+}
+
+// cacheRecord is one slab slot. live marks a slot holding a record (a
+// free one is zero); ref is the CLOCK reference bit, set by a hit and
+// cleared by the passing hand. run names the evaluator that used the
+// record last (computed it, or reused it since), so that a run's first
+// use of another run's record counts as reuse across runs.
+type cacheRecord struct {
+	key       cacheKey
+	run       uint64
+	live, ref bool
+	eval      groupEval
 }
 
 // inflightEval lets goroutines that need a group another goroutine — of
@@ -77,20 +114,27 @@ type cacheEntry struct {
 type inflightEval struct {
 	done chan struct{}
 	run  uint64
-	eval *groupEval
+	eval groupEval
 	err  error
 }
 
 // cacheShard is one lock's worth of the store: its part of the byte
-// budget, an LRU ring, the index and the in-flight (singleflight) table.
-// A key being computed maps to nil in inflight until a second goroutine
-// actually has to wait for it.
+// budget, the slab, its index and hand, and the in-flight
+// (singleflight) table. slots counts the slab slots handed out so far
+// (see slotChunk), and those eviction emptied wait on free. index holds
+// slot+1, or 0 for an empty position, and its length is a power of
+// two. A key being computed maps to nil in inflight until a second
+// goroutine actually has to wait for it.
 type cacheShard struct {
 	mu       sync.Mutex
 	max      int64
 	bytes    int64
-	lru      cacheEntry // ring sentinel: lru.next is most recently used
-	entries  map[cacheKey]*cacheEntry
+	live     int
+	chunks   [][]cacheRecord
+	slots    int32
+	free     []int32
+	index    []int32
+	hand     int32
 	inflight map[cacheKey]*inflightEval
 }
 
@@ -108,14 +152,14 @@ type CacheStats struct {
 	Bytes   int64
 }
 
-// SimCache is a size-bounded (LRU, byte-accounted) concurrent store of
-// per-(server-shape, app-group) simulation results, shared across
+// SimCache is a size-bounded (CLOCK, byte-accounted) concurrent store
+// of per-(server-shape, app-group) simulation results, shared across
 // consolidation runs via Problem.Cache. The zero value is not usable;
 // construct with NewSimCache.
 type SimCache struct {
 	shards                            [cacheShards]cacheShard
 	hits, misses, warmHits, evictions atomic.Int64
-	// runs numbers the evaluators using the store (see cacheEntry.run).
+	// runs numbers the evaluators using the store (see cacheRecord.run).
 	runs atomic.Uint64
 }
 
@@ -133,9 +177,7 @@ func NewSimCache(maxBytes int64) *SimCache {
 		if int64(i) < maxBytes%cacheShards {
 			sh.max++
 		}
-		sh.entries = make(map[cacheKey]*cacheEntry)
 		sh.inflight = make(map[cacheKey]*inflightEval)
-		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
 	}
 	return c
 }
@@ -152,96 +194,220 @@ func (c *SimCache) Stats() CacheStats {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		s.Entries += len(sh.entries)
+		s.Entries += sh.live
 		s.Bytes += sh.bytes
 		sh.mu.Unlock()
 	}
 	return s
 }
 
-// unlink removes e from the LRU ring, if it is on it.
-func (e *cacheEntry) unlink() {
-	if e.prev != nil {
-		e.prev.next, e.next.prev = e.next, e.prev
-		e.prev, e.next = nil, nil
+// slotChunk locates slab slot s: its chunk and its offset there.
+func slotChunk(s int32) (int, int32) {
+	if s >= chunkSize {
+		return growChunks - 1 + int(s>>chunkBits), s & (chunkSize - 1)
+	}
+	c := bits.Len32(uint32(s) >> firstChunkBits)
+	return c, s & (chunkLen(c) - 1)
+}
+
+// chunkLen is the number of records chunk c holds.
+func chunkLen(c int) int32 {
+	if c >= growChunks {
+		return chunkSize
+	}
+	return firstChunk << max(c-1, 0)
+}
+
+// record returns slab slot s.
+func (sh *cacheShard) record(s int32) *cacheRecord {
+	c, off := slotChunk(s)
+	return &sh.chunks[c][off]
+}
+
+// find returns the record stored under k, or nil.
+func (sh *cacheShard) find(k cacheKey) *cacheRecord {
+	if len(sh.index) == 0 {
+		return nil
+	}
+	mask := uint64(len(sh.index) - 1)
+	for i := k.indexHash() & mask; ; i = (i + 1) & mask {
+		v := sh.index[i]
+		if v == 0 {
+			return nil
+		}
+		if r := sh.record(v - 1); r.key == k {
+			return r
+		}
 	}
 }
 
-// touch makes e the most recently used entry, linking it in if new.
-func (sh *cacheShard) touch(e *cacheEntry) {
-	if sh.lru.next == e {
-		return
+// place puts slot s, holding key k, at the first empty position of k's
+// probe sequence.
+func (sh *cacheShard) place(k cacheKey, s int32) {
+	mask := uint64(len(sh.index) - 1)
+	i := k.indexHash() & mask
+	for sh.index[i] != 0 {
+		i = (i + 1) & mask
 	}
-	e.unlink()
-	e.prev, e.next = &sh.lru, sh.lru.next
-	e.prev.next, e.next.prev = e, e
+	sh.index[i] = s + 1
 }
 
-// insert stores e in sh, which the caller has locked, as the most
-// recently used entry — unless its key is already there (two runs may
-// publish one warm outcome) — and evicts least recently used entries
-// until sh is within its budget, returning how many it evicted.
-func (c *SimCache) insert(sh *cacheShard, e *cacheEntry) int {
-	if old, ok := sh.entries[e.key]; ok {
-		sh.touch(old)
+// grow doubles the index (or allocates the first one) and re-places
+// every live slot.
+func (sh *cacheShard) grow() {
+	old := sh.index
+	sh.index = make([]int32, max(2*len(old), minIndex))
+	for _, v := range old {
+		if v != 0 {
+			sh.place(sh.record(v-1).key, v-1)
+		}
+	}
+}
+
+// unindex removes slot s, holding key k, from the index by backward-
+// shift deletion: each later entry of the probe run whose home position
+// does not lie cyclically in (hole, entry] moves back into the hole,
+// so lookups never need tombstones.
+func (sh *cacheShard) unindex(k cacheKey, s int32) {
+	mask := uint64(len(sh.index) - 1)
+	hole := k.indexHash() & mask
+	for sh.index[hole] != s+1 {
+		hole = (hole + 1) & mask
+	}
+	for j := (hole + 1) & mask; sh.index[j] != 0; j = (j + 1) & mask {
+		home := sh.record(sh.index[j]-1).key.indexHash() & mask
+		if (j-home)&mask >= (j-hole)&mask {
+			sh.index[hole] = sh.index[j]
+			hole = j
+		}
+	}
+	sh.index[hole] = 0
+}
+
+// alloc returns an empty slab slot: one eviction freed, or the next
+// never-used one, adding a chunk when the last is full.
+func (sh *cacheShard) alloc() int32 {
+	if n := len(sh.free); n > 0 {
+		s := sh.free[n-1]
+		sh.free = sh.free[:n-1]
+		return s
+	}
+	s := sh.slots
+	sh.slots++
+	if c, off := slotChunk(s); off == 0 {
+		sh.chunks = append(sh.chunks, make([]cacheRecord, chunkLen(c)))
+	}
+	return s
+}
+
+// evict advances the hand to the first live record whose reference bit
+// is clear, clearing the set bits it passes, and drops that record. The
+// caller has locked sh, which holds a live record.
+func (sh *cacheShard) evict() {
+	for {
+		s := sh.hand
+		if sh.hand++; sh.hand == sh.slots {
+			sh.hand = 0
+		}
+		r := sh.record(s)
+		switch {
+		case !r.live:
+		case r.ref:
+			r.ref = false
+		default:
+			sh.unindex(r.key, s)
+			sh.bytes -= entryBytes(&r.eval)
+			sh.live--
+			*r = cacheRecord{}
+			sh.free = append(sh.free, s)
+			return
+		}
+	}
+}
+
+// insert stores a record under k in sh, which the caller has locked —
+// unless k is already there (two runs may publish one warm outcome),
+// which then counts as a hit on it — and evicts records until sh is
+// within its budget, returning how many it evicted.
+func (c *SimCache) insert(sh *cacheShard, k cacheKey, run uint64, ev *groupEval) int {
+	if r := sh.find(k); r != nil {
+		r.ref = true
 		return 0
 	}
-	sh.entries[e.key] = e
-	sh.touch(e)
-	sh.bytes += entryBytes(&e.eval)
+	if 4*(sh.live+1) > 3*len(sh.index) {
+		sh.grow()
+	}
+	s := sh.alloc()
+	*sh.record(s) = cacheRecord{key: k, run: run, live: true, eval: *ev}
+	sh.place(k, s)
+	sh.live++
+	sh.bytes += entryBytes(ev)
 	n := 0
-	for sh.bytes > sh.max && len(sh.entries) > 0 {
-		last := sh.lru.prev
-		last.unlink()
-		delete(sh.entries, last.key)
-		sh.bytes -= entryBytes(&last.eval)
+	for sh.bytes > sh.max && sh.live > 0 {
+		sh.evict()
 		n++
 	}
 	c.evictions.Add(int64(n))
 	return n
 }
 
+// get copies out the record stored under k in sh, which the caller has
+// locked, marking it referenced and used last by run; reused reports
+// that another run had used it last.
+func (sh *cacheShard) get(k cacheKey, run uint64) (ev groupEval, reused, ok bool) {
+	r := sh.find(k)
+	if r == nil {
+		return groupEval{}, false, false
+	}
+	r.ref = true
+	reused = r.run != run
+	r.run = run
+	return r.eval, reused, true
+}
+
 // getWarm looks up a warm search outcome reusable at capacity: the
 // cached search must gate (the group's TotalPeak, which every replay
 // reports as Result.PeakAggregate) at or below it.
-func (c *SimCache) getWarm(k cacheKey, capacity float64) (*groupEval, bool) {
+func (c *SimCache) getWarm(k cacheKey, capacity float64) (groupEval, bool) {
 	sh := c.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.entries[k]
-	if !ok || capacity < e.eval.result.PeakAggregate {
-		return nil, false
+	r := sh.find(k)
+	if r == nil || capacity < r.eval.result.PeakAggregate {
+		return groupEval{}, false
 	}
 	c.warmHits.Add(1)
-	sh.touch(e)
-	return &e.eval, true
+	r.ref = true
+	return r.eval, true
 }
 
 // put stores a record run computed outside the singleflight — under a
 // warm key, an Unclamped primary-attribute search outcome — and returns
 // how many entries were evicted to make room.
 func (c *SimCache) put(k cacheKey, run uint64, ev groupEval) int {
-	e := &cacheEntry{key: k, run: run, eval: ev}
 	sh := c.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return c.insert(sh, e)
+	return c.insert(sh, k, run, &ev)
 }
 
-// entryBytes is the accounted heap cost of one entry: the 128-byte
-// cacheEntry, its share of the index map (a 24-byte key, a pointer and
-// the tables' slack as the map grows, measured on go1.24), and the
-// per-attribute map a multi-attribute record points at.
-// TestSimCacheBytesHonest holds it to the measured heap.
+// entryBytes is the accounted heap cost of one entry: its 120-byte slab
+// slot with its share of the chunks' size-class rounding and of the
+// last, partly used chunk; its share of the index (4-byte positions at
+// a load between 3/8 and 3/4); and the per-attribute map a
+// multi-attribute record points at. TestSimCacheBytesHonest holds it to
+// the measured heap.
 func entryBytes(ev *groupEval) int64 {
-	return 192 + int64(len(ev.extra))*64
+	return 144 + int64(len(ev.extra))*64
 }
 
 // ---------------------------------------------------------------------
-// Content hashing (FNV-1a, 64-bit). The cache keys must identify the
-// simulation inputs by value: trace contents, commitment parameters and
-// server capacities, never slice identities or (outside an injecting
-// run) server IDs.
+// Content hashing. The cache keys must identify the simulation inputs
+// by value: trace contents, commitment parameters and server
+// capacities, never slice identities or (outside an injecting run)
+// server IDs. Scalars and strings fold byte-wise (FNV-1a, 64-bit); the
+// two hot digests — an app's samples and a group's app digests — fold a
+// whole word per step (foldWord).
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -256,6 +422,15 @@ func fnvU64(h, v uint64) uint64 {
 		v >>= 8
 	}
 	return h
+}
+
+// foldWord folds a 64-bit word into a digest state in one multiply.
+// For a fixed word each step is a bijection of the state, and for a
+// fixed state a bijection of the word, so two sequences of equal
+// length that differ in exactly one word never fold to the same digest.
+func foldWord(h, v uint64) uint64 {
+	h = (h ^ v) * 0xbf58476d1ce4e5b9
+	return h ^ h>>31
 }
 
 // fnvF64 folds a float64 by its bit pattern.
@@ -274,11 +449,12 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-// fnvSamples folds a trace's samples by value.
-func fnvSamples(h uint64, s []float64) uint64 {
-	h = fnvInt(h, len(s))
+// foldSamples folds a length-delimited trace's samples by value, one
+// word per sample.
+func foldSamples(h uint64, s []float64) uint64 {
+	h = foldWord(h, uint64(len(s)))
 	for _, v := range s {
-		h = fnvF64(h, v)
+		h = foldWord(h, math.Float64bits(v))
 	}
 	return h
 }
@@ -318,10 +494,9 @@ func hashServerShape(s Server, attrs []Attribute) uint64 {
 // digests (see App.Prepare). Failure-mode translations share the app ID
 // but carry different samples, so they hash apart.
 func hashGroup(apps []App, group []int) uint64 {
-	h := uint64(fnvOffset64)
-	h = fnvInt(h, len(group))
+	h := foldWord(fnvOffset64, uint64(len(group)))
 	for _, a := range group {
-		h = fnvU64(h, apps[a].digest)
+		h = foldWord(h, apps[a].digest)
 	}
 	return h
 }

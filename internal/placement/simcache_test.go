@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -63,6 +67,37 @@ func TestCacheKeyCollisionFree(t *testing.T) {
 				t.Fatalf("key collision: %q and %q both key %+v", prev, id, k)
 			}
 			seen[k] = id
+		}
+	}
+}
+
+// TestDigestSeesEveryBit flips each of the 64 bits of one sample, in
+// each of an app's traces: every flip must move the app's content
+// digest and the group lane of a store key for a group holding it.
+func TestDigestSeesEveryBit(t *testing.T) {
+	apps := cacheProblem([]float64{2, 3}, 1, 10, nil).Apps
+	apps[0].Extra = map[Attribute]sim.Workload{AttrMemory: flatWorkload(apps[0].ID, 1, 28)}
+	for i := range apps {
+		if err := apps[i].Prepare(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	app := &apps[0]
+	attrs := attributeUnion(apps[:1])
+	digest, lane := app.contentDigest(attrs), hashGroup(apps, []int{0, 1})
+	if digest != app.digest {
+		t.Fatalf("contentDigest %x, Prepare recorded %x", digest, app.digest)
+	}
+	mem := app.Extra[AttrMemory]
+	for name, trace := range map[string][]float64{"CoS1": app.Workload.CoS1, "CoS2": app.Workload.CoS2, "memory CoS1": mem.CoS1, "memory CoS2": mem.CoS2} {
+		for bit := 0; bit < 64; bit++ {
+			saved := trace[5]
+			trace[5] = math.Float64frombits(math.Float64bits(saved) ^ 1<<bit)
+			app.digest = app.contentDigest(attrs)
+			if moved := hashGroup(apps, []int{0, 1}) != lane; app.digest == digest || !moved {
+				t.Errorf("%s sample 5, bit %d: digest %x (was %x), group lane moved %v", name, bit, app.digest, digest, moved)
+			}
+			trace[5] = saved
 		}
 	}
 }
@@ -313,8 +348,7 @@ func TestWarmStartAcrossCapacities(t *testing.T) {
 }
 
 // TestSimCacheEviction checks the byte bound: the shards split the one
-// budget exactly, and a tiny store evicts least-recently-used entries
-// instead of growing.
+// budget exactly, and a tiny store evicts entries instead of growing.
 func TestSimCacheEviction(t *testing.T) {
 	for _, budget := range []int64{1, 1000, DefaultSimCacheBytes} {
 		cache, sum := NewSimCache(budget), int64(0)
@@ -490,7 +524,7 @@ func TestSingleflightLeaderCancelled(t *testing.T) {
 	}()
 	<-hooks.entered
 	type outcome struct {
-		ev  *groupEval
+		ev  groupEval
 		err error
 	}
 	waited := make(chan outcome, 1)
@@ -517,12 +551,297 @@ func TestSingleflightLeaderCancelled(t *testing.T) {
 	}
 	u := cold.Usages[0]
 	if !sameBits(got.ev.required, u.Required) || got.ev.feasible != u.Feasible || got.ev.result != u.Result {
-		t.Errorf("waiter's record %+v, cold usage %+v", *got.ev, u)
+		t.Errorf("waiter's record %+v, cold usage %+v", got.ev, u)
 	}
 	if n := reg.Counter("sim_searches_total").Value(); n != 2 {
 		t.Errorf("sim_searches_total = %d, want the cancelled search and the waiter's", n)
 	}
 	if hasWaiter(p.Cache) {
 		t.Error("in-flight entries leaked")
+	}
+}
+
+// modelEval is a distinct record for the model tests: every field
+// differs between seeds, and some records carry a per-attribute map.
+func modelEval(rng *rand.Rand, seed int) groupEval {
+	ev := groupEval{
+		required: float64(seed) + 0.5,
+		value:    rng.Float64(),
+		feasible: rng.Intn(2) == 0,
+		result:   sim.Result{CoS1Peak: rng.Float64(), Theta: rng.Float64(), DeadlineOK: true, PeakAggregate: rng.Float64() * 4},
+	}
+	if rng.Intn(4) == 0 {
+		ev.extra = map[Attribute]float64{AttrMemory: float64(seed)}
+	}
+	return ev
+}
+
+// sameEval compares two records bit for bit.
+func sameEval(a, b groupEval) bool {
+	return sameBits(a.required, b.required) && sameBits(a.value, b.value) && a.feasible == b.feasible &&
+		a.result == b.result && maps.Equal(a.extra, b.extra)
+}
+
+// modelKeys draws n keys: half anywhere, half in shard 0 starting their
+// probe at one of two index positions, so probe runs are long and every
+// eviction shifts entries back.
+func modelKeys(rng *rand.Rand, c *SimCache, n int) []cacheKey {
+	keys := make([]cacheKey, 0, n)
+	for len(keys) < n {
+		k := cacheKey{cfg: rng.Uint64(), server: rng.Uint64() &^ 1, group: rng.Uint64()}
+		if rng.Intn(2) == 0 {
+			k.server = 0 // a warm key
+		}
+		if len(keys) >= n/2 || (c.shard(k) == &c.shards[0] && k.indexHash()&15 < 2) {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// checkStore verifies the store's invariants: each shard's Bytes is the
+// sum of entryBytes over its live records and within its budget unless
+// it holds nothing, its live count is right, every live record is
+// reachable through the index, no index position names a free slot,
+// and the free list holds exactly the empty slots.
+func checkStore(t *testing.T, c *SimCache) {
+	t.Helper()
+	var entries int
+	var bytes int64
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		var live int
+		var sum int64
+		for s := int32(0); s < sh.slots; s++ {
+			r := sh.record(s)
+			if !r.live {
+				continue
+			}
+			live++
+			sum += entryBytes(&r.eval)
+			if sh.find(r.key) != r {
+				t.Fatalf("shard %d: live slot %d (key %+v) unreachable from the index", i, s, r.key)
+			}
+		}
+		indexed := 0
+		for pos, v := range sh.index {
+			if v != 0 {
+				indexed++
+				if v > sh.slots || !sh.record(v-1).live {
+					t.Fatalf("shard %d: index position %d names free slot %d", i, pos, v-1)
+				}
+			}
+		}
+		for _, s := range sh.free {
+			if sh.record(s).live {
+				t.Fatalf("shard %d: live slot %d is on the free list", i, s)
+			}
+		}
+		if live != sh.live || indexed != live || sum != sh.bytes || int(sh.slots) != live+len(sh.free) {
+			t.Fatalf("shard %d: %d live records (%d indexed, %d B) but live=%d bytes=%d; %d slots, %d free",
+				i, live, indexed, sum, sh.live, sh.bytes, sh.slots, len(sh.free))
+		}
+		if sh.bytes > sh.max && live > 0 {
+			t.Fatalf("shard %d holds %d B over its %d B budget", i, sh.bytes, sh.max)
+		}
+		entries += live
+		bytes += sum
+		sh.mu.Unlock()
+	}
+	if s := c.Stats(); s.Entries != entries || s.Bytes != bytes {
+		t.Fatalf("Stats %+v, want %d entries and %d B", s, entries, bytes)
+	}
+}
+
+// modelOp applies one random operation to c for keys and checks the
+// answer against want, the record last stored under each key: an
+// insert (which keeps a record already there, and is checked against
+// the store under the same lock, as the singleflight leader stores), a
+// hit or a warm lookup.
+func modelOp(rng *rand.Rand, c *SimCache, keys []cacheKey, want map[cacheKey]groupEval, seed int) error {
+	k := keys[rng.Intn(len(keys))]
+	sh := c.shard(k)
+	switch rng.Intn(3) {
+	case 0:
+		ev := modelEval(rng, seed)
+		sh.mu.Lock()
+		if sh.find(k) == nil {
+			want[k] = ev
+		}
+		c.insert(sh, k, uint64(rng.Intn(3)), &ev)
+		sh.mu.Unlock()
+	case 1:
+		sh.mu.Lock()
+		ev, _, ok := sh.get(k, uint64(rng.Intn(3)))
+		sh.mu.Unlock()
+		if w, stored := want[k]; ok && (!stored || !sameEval(ev, w)) {
+			return fmt.Errorf("hit on %+v returned %+v, last stored %+v", k, ev, w)
+		}
+	default:
+		capacity := rng.Float64() * 4
+		ev, ok := c.getWarm(k, capacity)
+		if w, stored := want[k]; ok && (!stored || !sameEval(ev, w) || capacity < w.result.PeakAggregate) {
+			return fmt.Errorf("warm lookup of %+v at %v returned %+v, last stored %+v", k, capacity, ev, w)
+		}
+	}
+	return nil
+}
+
+// TestSimCacheModel drives the store with random puts, hits and warm
+// lookups over a few hundred keys, at budgets from 1 B (every insert
+// evicts) to a few KB per shard (the index doubles and probe runs are
+// long), and holds it to a map model: a lookup returns nothing or the
+// record last stored under its key, bit for bit, and the slab, index
+// and byte accounting agree after every operation. The concurrent pass
+// runs goroutines on disjoint keys over one store, where a record
+// copied out after its slot was reused would show.
+func TestSimCacheModel(t *testing.T) {
+	for _, budget := range []int64{1, 3_000, 12_000, 48_000} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(budget))
+			c := NewSimCache(budget)
+			keys := modelKeys(rng, c, 160)
+			want := make(map[cacheKey]groupEval)
+			for op := 0; op < 1500; op++ {
+				if err := modelOp(rng, c, keys, want, op); err != nil {
+					t.Fatalf("op %d: %v", op, err)
+				}
+				checkStore(t, c)
+				for _, k := range keys {
+					sh := c.shard(k)
+					sh.mu.Lock()
+					r := sh.find(k)
+					if r != nil && !sameEval(r.eval, want[k]) {
+						t.Fatalf("op %d: %+v holds %+v, last stored %+v", op, k, r.eval, want[k])
+					}
+					sh.mu.Unlock()
+				}
+			}
+			if s := c.Stats(); s.Evictions == 0 {
+				t.Fatalf("budget %d never evicted: %+v", budget, s)
+			}
+		})
+	}
+	t.Run("chunks", func(t *testing.T) {
+		// One shard past its first chunks: 1000 keys, room for 700.
+		rng := rand.New(rand.NewSource(7))
+		c := NewSimCache(cacheShards * 700 * entryBytes(&groupEval{}))
+		var keys []cacheKey
+		for len(keys) < 1000 {
+			if k := (cacheKey{cfg: 1, server: 2, group: rng.Uint64()}); c.shard(k) == &c.shards[0] {
+				keys = append(keys, k)
+			}
+		}
+		want := make(map[cacheKey]groupEval)
+		for op := 0; op < 4000; op++ {
+			if err := modelOp(rng, c, keys, want, op); err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+			if op%200 == 0 {
+				checkStore(t, c)
+			}
+		}
+		checkStore(t, c)
+		if sh := &c.shards[0]; sh.slots <= chunkSize || c.Stats().Evictions == 0 {
+			t.Fatalf("%d slots and %+v: the shard never filled its growing chunks or never evicted", sh.slots, c.Stats())
+		}
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		const workers = 4
+		c := NewSimCache(24_000)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				keys := modelKeys(rng, c, 100)
+				want := make(map[cacheKey]groupEval)
+				for op := 0; op < 2000; op++ {
+					if err := modelOp(rng, c, keys, want, op); err != nil {
+						t.Errorf("worker %d, op %d: %v", w, op, err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		checkStore(t, c)
+	})
+}
+
+// TestSimCacheClock pins the CLOCK order in one shard holding three
+// records: a record hit since the hand last passed survives the next
+// eviction, the first unreferenced record after the hand goes instead,
+// and a bit the hand cleared protects nothing on its next pass.
+func TestSimCacheClock(t *testing.T) {
+	c := NewSimCache(cacheShards * 3 * entryBytes(&groupEval{}))
+	rng := rand.New(rand.NewSource(1))
+	var keys []cacheKey
+	for len(keys) < 7 {
+		if k := (cacheKey{cfg: 1, server: 2, group: rng.Uint64()}); c.shard(k) == &c.shards[0] {
+			keys = append(keys, k)
+		}
+	}
+	a, b, cc, d, e, f, g := keys[0], keys[1], keys[2], keys[3], keys[4], keys[5], keys[6]
+	sh := &c.shards[0]
+	hit := func(k cacheKey) {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		if _, _, ok := sh.get(k, 1); !ok {
+			t.Fatalf("%+v missing before its hit", k)
+		}
+	}
+	holds := func(step string, want ...cacheKey) {
+		t.Helper()
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		for _, k := range keys {
+			if got := sh.find(k) != nil; got != slices.Contains(want, k) {
+				t.Errorf("%s: key %d stored = %v", step, slices.Index(keys, k), got)
+			}
+		}
+	}
+	put := func(k cacheKey) int { return c.put(k, 1, groupEval{required: 1}) }
+	for _, k := range []cacheKey{a, b, cc} {
+		if n := put(k); n != 0 {
+			t.Fatalf("filling the shard evicted %d", n)
+		}
+	}
+	hit(a)
+	if put(d) != 1 {
+		t.Fatal("a fourth record did not evict one")
+	}
+	holds("a hit, d inserted", a, cc, d) // the hand cleared a's bit and took b
+	hit(d)
+	put(e)
+	holds("d hit, e inserted", a, d, e) // c was next after the hand
+	put(f)
+	holds("f inserted", d, e, f) // the hand spent d's bit and took a, cleared on its last pass
+	hit(e)
+	put(g)
+	holds("e hit, g inserted", d, e, g) // e's bit saved it, f was next
+	if s := c.Stats(); s.Evictions != 4 || s.Entries != 3 {
+		t.Errorf("stats %+v, want 4 evictions and 3 entries", s)
+	}
+}
+
+// TestSimCacheColdInsertAllocs gates the slab's allocation count: 100k
+// puts into a fresh store allocate per chunk and per index doubling,
+// not per record (a map of pointers to records allocated at least
+// 100k objects).
+func TestSimCacheColdInsertAllocs(t *testing.T) {
+	const n = 100_000
+	allocs := testing.AllocsPerRun(1, func() {
+		c := NewSimCache(1 << 40)
+		for i := 0; i < n; i++ {
+			c.put(cacheKey{cfg: 1, server: uint64(i % 2), group: fnvInt(fnvOffset64, i)}, 0, groupEval{required: float64(i)})
+		}
+	})
+	t.Logf("%d cold puts allocate %.0f objects", n, allocs)
+	const budget = 1200
+	if allocs > budget {
+		t.Errorf("%d cold puts allocate %.0f objects, budget %d", n, allocs, budget)
 	}
 }
