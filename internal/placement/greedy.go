@@ -102,17 +102,14 @@ func greedy(ctx context.Context, p *Problem, pick func([]candidate) candidate) (
 
 // byDecreasingPeak orders the applications by decreasing peak total
 // (CoS1+CoS2) allocation, ties in problem order: the packers and the
-// exact search place the big items first.
+// exact search place the big items first. Each peak is the one
+// App.Prepare recorded, so p must have been validated.
 func byDecreasingPeak(p *Problem) []int {
 	order := make([]int, len(p.Apps))
 	peaks := make([]float64, len(p.Apps))
 	for i, a := range p.Apps {
 		order[i] = i
-		for j := range a.Workload.CoS1 {
-			if t := a.Workload.CoS1[j] + a.Workload.CoS2[j]; t > peaks[i] {
-				peaks[i] = t
-			}
-		}
+		peaks[i] = a.peak
 	}
 	sort.SliceStable(order, func(i, j int) bool { return peaks[order[i]] > peaks[order[j]] })
 	return order

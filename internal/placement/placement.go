@@ -108,10 +108,14 @@ type App struct {
 	// digest is the content hash of the traces above, recorded by
 	// Prepare once they have been validated; zero means not prepared.
 	digest uint64
+	// peak is the primary workload's peak total (CoS1+CoS2)
+	// allocation, recorded by Prepare next to the digest.
+	peak float64
 }
 
 // Prepare validates the application's traces and records their content
-// digest, the identity every simulation cache keys on. It makes both a
+// digest, the identity every simulation cache keys on, and the peak
+// total the packers order apps by. It makes all three a
 // once-per-fleet cost: the digest travels with the App value into every
 // Problem built from it (a sub-pool's, a failure scenario's), and
 // Problem.Validate prepares only the apps that arrive without one. Call
@@ -132,7 +136,19 @@ func (a *App) Prepare() error {
 		}
 	}
 	a.digest = a.contentDigest(attrs)
+	a.peak = peakTotal(a.Workload)
 	return nil
+}
+
+// peakTotal is a workload's peak per-slot CoS1+CoS2 allocation.
+func peakTotal(w sim.Workload) float64 {
+	peak := 0.0
+	for j := range w.CoS1 {
+		if t := w.CoS1[j] + w.CoS2[j]; t > peak {
+			peak = t
+		}
+	}
+	return peak
 }
 
 // contentDigest digests the app's ID and its traces, the extra ones in
@@ -172,7 +188,9 @@ type Problem struct {
 	Hooks telemetry.Hooks
 	// Inject is the test-only fault injector forwarded to the simulator
 	// (points "sim.required_capacity" and "sim.replay", keyed by server
-	// ID); nil (the production default) injects nothing.
+	// ID); nil (the production default) injects nothing. Attaching one
+	// also turns off the first-week screen (sim.Aggregate.RebuildScreened):
+	// every search runs unscreened.
 	Inject faultinject.Injector
 	// Cache is an optional evaluation store shared across runs (see
 	// NewSimCache): per-(server-shape, app-group) results persist across
@@ -360,6 +378,10 @@ type groupEval struct {
 	required float64
 	value    float64
 	feasible bool
+	// screened marks an overbooked record the first-week screen decided
+	// (see sim.Aggregate.RebuildScreened): it holds no sim.Result, so
+	// materialise computes the statistics of a plan that ships it.
+	screened bool
 	result   sim.Result
 	extra    map[Attribute]float64
 }
@@ -545,14 +567,15 @@ func (e *evaluator) lead(ctx context.Context, sc *scratch, sh *cacheShard, k cac
 			close(fl.done)
 		}
 	}()
-	return e.computeServer(ctx, sc, server, apps, k.group)
+	return e.computeServer(ctx, sc, server, apps, k.group, true)
 }
 
 // computeServer runs the simulator for one (server, app-group) pair;
-// group is the group's content hash.
-func (e *evaluator) computeServer(ctx context.Context, sc *scratch, server int, apps []int, group uint64) (groupEval, error) {
+// group is the group's content hash, and screen lets the primary search
+// reject an overbooked group on its first week (see searchPrimary).
+func (e *evaluator) computeServer(ctx context.Context, sc *scratch, server int, apps []int, group uint64, screen bool) (groupEval, error) {
 	srv := e.p.Servers[server]
-	required, res, ok, err := e.searchPrimary(ctx, sc, server, apps, group)
+	ev, err := e.searchPrimary(ctx, sc, server, apps, group, screen)
 	if err != nil {
 		return groupEval{}, err
 	}
@@ -560,8 +583,9 @@ func (e *evaluator) computeServer(ctx context.Context, sc *scratch, server int, 
 	if err != nil {
 		return groupEval{}, err
 	}
-	ev := groupEval{required: required, feasible: ok && extraOK, result: res, extra: extra}
-	ev.value = serverValue(required/srv.Capacity(), srv.CPUs, len(apps), ev.feasible, e.p.Score)
+	ev.feasible = ev.feasible && extraOK
+	ev.extra = extra
+	ev.value = serverValue(ev.required/srv.Capacity(), srv.CPUs, len(apps), ev.feasible, e.p.Score)
 	return ev, nil
 }
 
@@ -584,12 +608,17 @@ func (e *evaluator) simConfig(srv Server) sim.Config {
 // Unclamped, its interval [CoS1Peak, TotalPeak] is limit-independent,
 // so any server with capacity >= the group's TotalPeak would reproduce
 // it bit for bit — the gate getWarm enforces.
-func (e *evaluator) searchPrimary(ctx context.Context, sc *scratch, server int, apps []int, group uint64) (float64, sim.Result, bool, error) {
+//
+// With screen set, a group whose first week already overbooks the
+// server is rejected before the rest of its trace is summed; its record
+// is the search's own (required = capacity, infeasible) minus the
+// statistics, and is marked screened.
+func (e *evaluator) searchPrimary(ctx context.Context, sc *scratch, server int, apps []int, group uint64, screen bool) (groupEval, error) {
 	srv := e.p.Servers[server]
 	wk := cacheKey{cfg: e.cfgSig, server: e.warmSigs[server], group: group}
 	if w, ok := e.store.getWarm(wk, srv.Capacity()); ok {
 		e.warmHitC.Inc()
-		return w.required, w.result, true, nil
+		return groupEval{required: w.required, feasible: true, result: w.result}, nil
 	}
 	// The traces were validated when their App was prepared; the sum goes
 	// into this goroutine's slot buffers, in ascending app order.
@@ -597,18 +626,27 @@ func (e *evaluator) searchPrimary(ctx context.Context, sc *scratch, server int, 
 	for _, a := range apps {
 		sc.workloads = append(sc.workloads, e.p.Apps[a].Workload)
 	}
-	if err := sc.agg.Rebuild(sc.workloads); err != nil {
-		return 0, sim.Result{}, false, err
+	cfg := e.simConfig(srv)
+	if screen {
+		rejected, err := sc.agg.RebuildScreened(sc.workloads, cfg, srv.Capacity())
+		if err != nil {
+			return groupEval{}, err
+		}
+		if rejected {
+			return groupEval{required: srv.Capacity(), screened: true}, nil
+		}
+	} else if err := sc.agg.Rebuild(sc.workloads); err != nil {
+		return groupEval{}, err
 	}
-	out, err := sc.agg.Search(ctx, e.simConfig(srv), srv.Capacity(), e.p.tolerance())
+	out, err := sc.agg.Search(ctx, cfg, srv.Capacity(), e.p.tolerance())
 	if err != nil {
-		return 0, sim.Result{}, false, err
+		return groupEval{}, err
 	}
 	if out.Feasible && out.Unclamped {
 		// out.Result.PeakAggregate is the group's TotalPeak, the gate.
 		e.evictC.Add(int64(e.store.put(wk, e.run, groupEval{required: out.Capacity, feasible: true, result: out.Result})))
 	}
-	return out.Capacity, out.Result, out.Feasible, nil
+	return groupEval{required: out.Capacity, feasible: out.Feasible, result: out.Result}, nil
 }
 
 // scored is one candidate of a search: an assignment with its objective
@@ -653,7 +691,7 @@ func (e *evaluator) score(ctx context.Context, sc *scratch, a Assignment, c *sco
 // materialise expands a candidate this evaluator scored into the full
 // Plan with per-server usages and app IDs. The records come from the
 // store; one evicted since the candidate was scored is computed again,
-// to the same bytes.
+// to the same bytes, and so are the statistics a screened record lacks.
 func (e *evaluator) materialise(ctx context.Context, sc *scratch, c *scored) (*Plan, error) {
 	groupByServer(c.assignment, len(e.p.Servers), &sc.groups)
 	plan := &Plan{
@@ -671,6 +709,9 @@ func (e *evaluator) materialise(ctx context.Context, sc *scratch, c *scored) (*P
 			continue
 		}
 		ev, err := e.evalServer(ctx, sc, s, group)
+		if err == nil && ev.screened {
+			ev, err = e.computeServer(ctx, sc, s, group, hashGroup(e.p.Apps, group), false)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -481,5 +482,27 @@ func TestBurstyWorkloadSharesCapacity(t *testing.T) {
 	}
 	if plan.RequiredTotal >= 12 {
 		t.Errorf("RequiredTotal = %v, want below the sum of peaks 12", plan.RequiredTotal)
+	}
+}
+
+// TestPeakOrderFromPrepare pins that the packers' order, read from the
+// peaks App.Prepare records, is the order of each workload's peak total
+// walked over its slots, ties in problem order included.
+func TestPeakOrderFromPrepare(t *testing.T) {
+	p := lightProblem(7, 12, 4, nil)
+	p.Apps = append(p.Apps, p.Apps[3], p.Apps[5]) // equal peaks: a tie
+	p.Apps[12].ID, p.Apps[13].ID = "tie-3", "tie-5"
+	p.Apps[12].Workload.AppID, p.Apps[13].Workload.AppID = "tie-3", "tie-5"
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int, len(p.Apps))
+	peaks := make([]float64, len(p.Apps))
+	for i, a := range p.Apps {
+		want[i], peaks[i] = i, peakTotal(a.Workload)
+	}
+	sort.SliceStable(want, func(i, j int) bool { return peaks[want[i]] > peaks[want[j]] })
+	if got := byDecreasingPeak(p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("order from prepared peaks %v, walked %v", got, want)
 	}
 }

@@ -71,7 +71,9 @@ type Config struct {
 	Hooks telemetry.Hooks
 	// Inject is the test-only fault injector consulted at the
 	// "sim.replay" and "sim.required_capacity" points; nil (the
-	// production default) injects nothing.
+	// production default) injects nothing. Attaching one also turns
+	// off RebuildScreened's first-week screen, so the points are hit
+	// in the same sequence as without it.
 	Inject faultinject.Injector
 	// InjectKey is the occurrence key passed to Inject (for example the
 	// server ID the replay is evaluating).
@@ -149,39 +151,118 @@ func NewAggregate(workloads []Workload) (*Aggregate, error) {
 // one pass per group instead of two fresh slices and a re-validation.
 // The alignment check stays. Sums are the left fold from zero in
 // workload order NewAggregate always took, so the two agree bit for
-// bit. The previous contents are gone whether or not an error returns.
+// bit. After an error the contents are unspecified.
 func (a *Aggregate) Rebuild(workloads []Workload) error {
+	if err := a.resize(workloads); err != nil {
+		return err
+	}
+	a.cos1Peak, a.totalPeak = a.sum(workloads, 0, len(a.cos1))
+	return nil
+}
+
+// RebuildScreened is Rebuild for a group about to be searched against
+// limit (Search's argument). It sums the first week before the rest
+// and reports rejected, leaving the rest unsummed, when that week alone
+// proves the search would end infeasible:
+//
+//   - the week's CoS1 peak is above limit, so the trace's is too; or
+//   - limit is below the week's total peak, so below the trace's and
+//     Search replays limit alone first, and the week replayed at limit
+//     does not fit. The week's θ groups are the trace's own (the first
+//     week is never the last, which absorbs a ragged tail), so the
+//     trace's θ is at most the week's; and a deadline miss inside the
+//     week is one the full replay, which is causal, makes as well.
+//
+// A rejected search counts in sim_searches_total and
+// sim_search_infeasible_total, as Search's own would; the aggregate is
+// then the first week's alone. Otherwise the aggregate is bit for bit
+// Rebuild's: each slot's fold is the same and the peaks are the larger
+// of the two halves'. Traces shorter than two whole weeks, and replays
+// with a fault injector, whose hit sequence must not change, are summed
+// by Rebuild unscreened.
+func (a *Aggregate) RebuildScreened(workloads []Workload, cfg Config, limit float64) (rejected bool, err error) {
+	cfg.Capacity = 0 // limit stands in for it; Validate checks the rest
+	week := 7 * cfg.SlotsPerDay
+	if len(workloads) == 0 || cfg.Inject != nil || cfg.SlotsPerDay <= 0 ||
+		len(workloads[0].CoS1) < 2*week || !(limit > 0) || cfg.Validate() != nil {
+		return false, a.Rebuild(workloads)
+	}
+	if err := a.resize(workloads); err != nil {
+		return false, err
+	}
+	n := len(a.cos1)
+	a.cos1, a.cos2 = a.cos1[:week], a.cos2[:week]
+	a.cos1Peak, a.totalPeak = a.sum(workloads, 0, week)
+	if a.cos1Peak > limit {
+		countRejected(cfg)
+		return true, nil
+	}
+	if limit < a.totalPeak {
+		br := batchPool.Get().(*BatchReplayer)
+		res, err := a.replayOne(br, cfg, limit)
+		batchPool.Put(br)
+		if err != nil {
+			return false, err
+		}
+		if !res.Fits(cfg.Commitment.Theta) {
+			countRejected(cfg)
+			return true, nil
+		}
+	}
+	a.cos1, a.cos2 = a.cos1[:n], a.cos2[:n]
+	cos1Peak, totalPeak := a.sum(workloads, week, n)
+	a.cos1Peak, a.totalPeak = max(a.cos1Peak, cos1Peak), max(a.totalPeak, totalPeak)
+	return false, nil
+}
+
+// countRejected counts a search the first-week screen decided.
+func countRejected(cfg Config) {
+	h := telemetry.OrNop(cfg.Hooks)
+	h.Counter("sim_searches_total").Inc()
+	h.Counter("sim_search_infeasible_total").Inc()
+}
+
+// resize checks that the workloads are non-empty and aligned, and sizes
+// the slot buffers to their length.
+func (a *Aggregate) resize(workloads []Workload) error {
 	if len(workloads) == 0 {
 		return errors.New("sim: no workloads")
 	}
 	n := len(workloads[0].CoS1)
-	if cap(a.cos1) < n || cap(a.cos2) < n {
-		a.cos1, a.cos2 = make([]float64, n), make([]float64, n)
-	}
-	cos1, cos2 := a.cos1[:n], a.cos2[:n]
-	a.cos1, a.cos2 = cos1, cos2
-	clear(cos1)
-	clear(cos2)
 	for _, w := range workloads {
 		if len(w.CoS1) != n || len(w.CoS2) != n {
 			return fmt.Errorf("sim: workload %q has %d/%d slots, want %d", w.AppID, len(w.CoS1), len(w.CoS2), n)
 		}
-		w1, w2 := w.CoS1[:n], w.CoS2[:n]
+	}
+	if cap(a.cos1) < n || cap(a.cos2) < n {
+		a.cos1, a.cos2 = make([]float64, n), make([]float64, n)
+	}
+	a.cos1, a.cos2 = a.cos1[:n], a.cos2[:n]
+	return nil
+}
+
+// sum folds slots [lo, hi) of the workloads into the buffers, from zero
+// in workload order, and returns that range's CoS1 and total peaks.
+func (a *Aggregate) sum(workloads []Workload, lo, hi int) (cos1Peak, totalPeak float64) {
+	cos1, cos2 := a.cos1[lo:hi], a.cos2[lo:hi]
+	clear(cos1)
+	clear(cos2)
+	for _, w := range workloads {
+		w1, w2 := w.CoS1[lo:][:len(cos1)], w.CoS2[lo:][:len(cos2)]
 		for i := range cos1 {
 			cos1[i] += w1[i]
 			cos2[i] += w2[i]
 		}
 	}
-	a.cos1Peak, a.totalPeak = 0, 0
 	for i := range cos1 {
-		if cos1[i] > a.cos1Peak {
-			a.cos1Peak = cos1[i]
+		if cos1[i] > cos1Peak {
+			cos1Peak = cos1[i]
 		}
-		if total := cos1[i] + cos2[i]; total > a.totalPeak {
-			a.totalPeak = total
+		if total := cos1[i] + cos2[i]; total > totalPeak {
+			totalPeak = total
 		}
 	}
-	return nil
+	return cos1Peak, totalPeak
 }
 
 // Slots returns the number of replay slots.
