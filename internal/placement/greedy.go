@@ -3,6 +3,7 @@ package placement
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -18,46 +19,23 @@ import (
 // per-application placement steps with a wrapped ctx error (greedy
 // packings have no useful partial result).
 func FirstFitDecreasing(ctx context.Context, p *Problem) (*Plan, error) {
-	return greedy(ctx, p, pickFirstFit)
+	return greedy(ctx, p, true)
 }
 
 // BestFitDecreasing places applications in order of decreasing peak
 // allocation, each onto the feasible server whose resulting required
 // capacity leaves the least headroom (the tightest fit).
 func BestFitDecreasing(ctx context.Context, p *Problem) (*Plan, error) {
-	return greedy(ctx, p, pickBestFit)
+	return greedy(ctx, p, false)
 }
 
-// candidate is a feasible placement option for one application.
-type candidate struct {
-	server   int
-	required float64
-	headroom float64
-}
-
-// pickFirstFit selects the lowest-index feasible server.
-func pickFirstFit(cands []candidate) candidate {
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c.server < best.server {
-			best = c
-		}
-	}
-	return best
-}
-
-// pickBestFit selects the feasible server with the least headroom.
-func pickBestFit(cands []candidate) candidate {
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c.headroom < best.headroom {
-			best = c
-		}
-	}
-	return best
-}
-
-func greedy(ctx context.Context, p *Problem, pick func([]candidate) candidate) (*Plan, error) {
+// greedy packs the apps one by one onto the first feasible server
+// (firstFit) or the feasible server with the least headroom, ties to
+// the lowest index. Empty servers of one shape hold the same record for
+// an app, so only the first of each shape is evaluated: the others can
+// neither fit where it does not nor beat it on a tie. An injecting run
+// gives every server its own shape (see newEvaluator), so it skips none.
+func greedy(ctx context.Context, p *Problem, firstFit bool) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -68,14 +46,21 @@ func greedy(ctx context.Context, p *Problem, pick func([]candidate) candidate) (
 	order := byDecreasingPeak(p)
 	groups := make([][]int, len(p.Servers))
 	assignment := make(Assignment, len(p.Apps))
-	var trial []int // the candidate group, rebuilt per (app, server)
-	var cands []candidate
+	var trial []int          // the candidate group, rebuilt per (app, server)
+	var emptyShapes []uint64 // shapes of the empty servers tried for this app
 	for _, app := range order {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("placement: greedy packing: %w", err)
 		}
-		cands = cands[:0]
+		chosen, headroom := -1, 0.0
+		emptyShapes = emptyShapes[:0]
 		for s := range p.Servers {
+			if len(groups[s]) == 0 {
+				if slices.Contains(emptyShapes, ev.usageSigs[s]) {
+					continue
+				}
+				emptyShapes = append(emptyShapes, ev.usageSigs[s])
+			}
 			trial = withApp(trial, groups[s], app)
 			usage, err := ev.evalServer(ctx, sc, s, trial)
 			if err != nil {
@@ -84,18 +69,18 @@ func greedy(ctx context.Context, p *Problem, pick func([]candidate) candidate) (
 			if !usage.feasible {
 				continue
 			}
-			cands = append(cands, candidate{
-				server:   s,
-				required: usage.required,
-				headroom: p.Servers[s].Capacity() - usage.required,
-			})
+			if h := p.Servers[s].Capacity() - usage.required; chosen < 0 || h < headroom {
+				chosen, headroom = s, h
+			}
+			if firstFit {
+				break
+			}
 		}
-		if len(cands) == 0 {
+		if chosen < 0 {
 			return nil, fmt.Errorf("placement: app %q fits on no server", p.Apps[app].ID)
 		}
-		chosen := pick(cands)
-		groups[chosen.server] = withApp(nil, groups[chosen.server], app)
-		assignment[app] = chosen.server
+		groups[chosen] = withApp(nil, groups[chosen], app)
+		assignment[app] = chosen
 	}
 	return ev.evaluate(ctx, assignment)
 }

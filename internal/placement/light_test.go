@@ -20,7 +20,9 @@ import (
 // evaluation as it was before — a fresh validating sim.NewAggregate per
 // group, no cache, every ServerUsage built on the spot.
 
-// referencePlan evaluates an assignment from first principles.
+// referencePlan evaluates an assignment from first principles. An
+// infeasible server's statistics are Replay at its capacity, the
+// measurement a search that ends infeasible does not make.
 func referencePlan(t *testing.T, p *Problem, a Assignment) *Plan {
 	t.Helper()
 	if err := p.Validate(); err != nil {
@@ -65,6 +67,13 @@ func referenceUsage(t *testing.T, p *Problem, srv Server, group []int) ServerUsa
 		t.Fatal(err)
 	}
 	u.Required, u.Result, u.Feasible = out.Capacity, out.Result, out.Feasible
+	if !out.Feasible { // the search's Result is decided; measure it
+		cfg.Capacity = out.Capacity
+		if u.Result, err = agg.Replay(cfg); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Capacity = 0
+	}
 	for _, attr := range p.attrs {
 		if u.ExtraRequired == nil {
 			u.ExtraRequired = make(map[Attribute]float64)

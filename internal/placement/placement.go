@@ -378,9 +378,12 @@ type groupEval struct {
 	required float64
 	value    float64
 	feasible bool
-	// screened marks an overbooked record the first-week screen decided
-	// (see sim.Aggregate.RebuildScreened): it holds no sim.Result, so
-	// materialise computes the statistics of a plan that ships it.
+	// screened marks a record whose primary search ended infeasible,
+	// whether the first-week screen (sim.Aggregate.RebuildScreened) or
+	// the search (sim.Aggregate.Search) decided it: required is the
+	// server's capacity and there is no sim.Result, since an infeasible
+	// search's is decided, not measured. materialise replays the group
+	// at the capacity for the statistics of a plan that ships it.
 	screened bool
 	result   sim.Result
 	extra    map[Attribute]float64
@@ -567,15 +570,14 @@ func (e *evaluator) lead(ctx context.Context, sc *scratch, sh *cacheShard, k cac
 			close(fl.done)
 		}
 	}()
-	return e.computeServer(ctx, sc, server, apps, k.group, true)
+	return e.computeServer(ctx, sc, server, apps, k.group)
 }
 
 // computeServer runs the simulator for one (server, app-group) pair;
-// group is the group's content hash, and screen lets the primary search
-// reject an overbooked group on its first week (see searchPrimary).
-func (e *evaluator) computeServer(ctx context.Context, sc *scratch, server int, apps []int, group uint64, screen bool) (groupEval, error) {
+// group is the group's content hash.
+func (e *evaluator) computeServer(ctx context.Context, sc *scratch, server int, apps []int, group uint64) (groupEval, error) {
 	srv := e.p.Servers[server]
-	ev, err := e.searchPrimary(ctx, sc, server, apps, group, screen)
+	ev, err := e.searchPrimary(ctx, sc, server, apps, group)
 	if err != nil {
 		return groupEval{}, err
 	}
@@ -609,44 +611,61 @@ func (e *evaluator) simConfig(srv Server) sim.Config {
 // so any server with capacity >= the group's TotalPeak would reproduce
 // it bit for bit — the gate getWarm enforces.
 //
-// With screen set, a group whose first week already overbooks the
-// server is rejected before the rest of its trace is summed; its record
-// is the search's own (required = capacity, infeasible) minus the
-// statistics, and is marked screened.
-func (e *evaluator) searchPrimary(ctx context.Context, sc *scratch, server int, apps []int, group uint64, screen bool) (groupEval, error) {
+// A group whose first week already overbooks the server is rejected
+// before the rest of its trace is summed. Its record, like that of any
+// search that ends infeasible, is required = capacity, infeasible, no
+// statistics, and marked screened. A run with a fault injector keeps
+// the search's own Result, which is then measured in full.
+func (e *evaluator) searchPrimary(ctx context.Context, sc *scratch, server int, apps []int, group uint64) (groupEval, error) {
 	srv := e.p.Servers[server]
 	wk := cacheKey{cfg: e.cfgSig, server: e.warmSigs[server], group: group}
 	if w, ok := e.store.getWarm(wk, srv.Capacity()); ok {
 		e.warmHitC.Inc()
 		return groupEval{required: w.required, feasible: true, result: w.result}, nil
 	}
-	// The traces were validated when their App was prepared; the sum goes
-	// into this goroutine's slot buffers, in ascending app order.
-	sc.workloads = sc.workloads[:0]
-	for _, a := range apps {
-		sc.workloads = append(sc.workloads, e.p.Apps[a].Workload)
-	}
+	e.gather(sc, apps)
 	cfg := e.simConfig(srv)
-	if screen {
-		rejected, err := sc.agg.RebuildScreened(sc.workloads, cfg, srv.Capacity())
-		if err != nil {
-			return groupEval{}, err
-		}
-		if rejected {
-			return groupEval{required: srv.Capacity(), screened: true}, nil
-		}
-	} else if err := sc.agg.Rebuild(sc.workloads); err != nil {
+	rejected, err := sc.agg.RebuildScreened(sc.workloads, cfg, srv.Capacity())
+	if err != nil {
 		return groupEval{}, err
+	}
+	if rejected {
+		return groupEval{required: srv.Capacity(), screened: true}, nil
 	}
 	out, err := sc.agg.Search(ctx, cfg, srv.Capacity(), e.p.tolerance())
 	if err != nil {
 		return groupEval{}, err
+	}
+	if !out.Feasible && e.p.Inject == nil {
+		return groupEval{required: out.Capacity, screened: true}, nil
 	}
 	if out.Feasible && out.Unclamped {
 		// out.Result.PeakAggregate is the group's TotalPeak, the gate.
 		e.evictC.Add(int64(e.store.put(wk, e.run, groupEval{required: out.Capacity, feasible: true, result: out.Result})))
 	}
 	return groupEval{required: out.Capacity, feasible: out.Feasible, result: out.Result}, nil
+}
+
+// gather lists the apps' workloads in sc, in ascending app order. The
+// traces were validated when their App was prepared.
+func (e *evaluator) gather(sc *scratch, apps []int) {
+	sc.workloads = sc.workloads[:0]
+	for _, a := range apps {
+		sc.workloads = append(sc.workloads, e.p.Apps[a].Workload)
+	}
+}
+
+// replayStats is the sim.Result a screened record lacks: the group
+// replayed at the server's capacity, which is what the Result of an
+// infeasible search measured in full always was.
+func (e *evaluator) replayStats(sc *scratch, server int, apps []int) (sim.Result, error) {
+	e.gather(sc, apps)
+	if err := sc.agg.Rebuild(sc.workloads); err != nil {
+		return sim.Result{}, err
+	}
+	cfg := e.simConfig(e.p.Servers[server])
+	cfg.Capacity = e.p.Servers[server].Capacity()
+	return sc.agg.Replay(cfg)
 }
 
 // scored is one candidate of a search: an assignment with its objective
@@ -691,7 +710,8 @@ func (e *evaluator) score(ctx context.Context, sc *scratch, a Assignment, c *sco
 // materialise expands a candidate this evaluator scored into the full
 // Plan with per-server usages and app IDs. The records come from the
 // store; one evicted since the candidate was scored is computed again,
-// to the same bytes, and so are the statistics a screened record lacks.
+// to the same bytes. A screened record's statistics are a replay at the
+// server's capacity.
 func (e *evaluator) materialise(ctx context.Context, sc *scratch, c *scored) (*Plan, error) {
 	groupByServer(c.assignment, len(e.p.Servers), &sc.groups)
 	plan := &Plan{
@@ -710,7 +730,7 @@ func (e *evaluator) materialise(ctx context.Context, sc *scratch, c *scored) (*P
 		}
 		ev, err := e.evalServer(ctx, sc, s, group)
 		if err == nil && ev.screened {
-			ev, err = e.computeServer(ctx, sc, s, group, hashGroup(e.p.Apps, group), false)
+			ev.result, err = e.replayStats(sc, s, group)
 		}
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,15 +10,33 @@ import (
 )
 
 // TestEvaluateScreenedRecordRecomputed pins what a plan ships for a
-// server whose first week overbooks it. The search rejects the group
-// on that week alone and stores a record without statistics; the plan
-// must still carry the full sim.Result, bit for bit what Rebuild and
-// Search compute, whether the record is fresh or read back from a
-// shared store, and the same as the unscreened path computes.
+// server whose group its primary search decides infeasible: on two
+// weeks the first-week screen rejects it, on one week (too short to
+// screen) the search itself does. Either way the store holds a record
+// without statistics; the plan must still carry the full sim.Result,
+// bit for bit a Replay at the server's capacity, whether the record is
+// fresh or read back from a shared store.
 func TestEvaluateScreenedRecordRecomputed(t *testing.T) {
+	for _, weeks := range []int{2, 1} {
+		t.Run(fmt.Sprintf("weeks=%d", weeks), func(t *testing.T) {
+			testScreenedRecord(t, weeks)
+		})
+	}
+}
+
+func testScreenedRecord(t *testing.T, weeks int) {
 	ctx := context.Background()
 	cache := NewSimCache(0)
 	p := lightProblem(46, 9, 6, cache) // two weeks of 4-slot days
+	slots := weeks * 7 * p.SlotsPerDay
+	for i := range p.Apps {
+		w := &p.Apps[i].Workload
+		w.CoS1, w.CoS2 = w.CoS1[:slots], w.CoS2[:slots]
+		for attr, x := range p.Apps[i].Extra {
+			x.CoS1, x.CoS2 = x.CoS1[:slots], x.CoS2[:slots]
+			p.Apps[i].Extra[attr] = x
+		}
+	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,16 +77,20 @@ func TestEvaluateScreenedRecordRecomputed(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Evaluate through the shared store\n%+v\nreference\n%+v", got, want)
 	}
-	// The unscreened path computes the same record, statistics included.
+	// A fresh evaluator computes the same record, and its statistics
+	// are the replay at the server's capacity.
 	fresh := newEvaluator(p)
 	fsc := fresh.acquire()
 	defer fresh.release(fsc)
-	ev, err := fresh.computeServer(ctx, fsc, 0, group, hashGroup(p.Apps, group), false)
+	ev, err := fresh.computeServer(ctx, fsc, 0, group, hashGroup(p.Apps, group))
 	if err != nil {
 		t.Fatal(err)
 	}
 	u := want.Usages[0]
-	if ev.screened || ev.feasible || ev.required != u.Required || ev.value != u.Value || ev.result != u.Result {
-		t.Fatalf("unscreened record = %+v, want the reference usage %+v", ev, u)
+	if !ev.screened || ev.feasible || ev.required != u.Required || ev.value != u.Value || ev.result != (sim.Result{}) {
+		t.Fatalf("fresh record = %+v, want the reference usage %+v without statistics", ev, u)
+	}
+	if res, err := fresh.replayStats(fsc, 0, group); err != nil || res != u.Result {
+		t.Fatalf("replayed statistics = %+v (err %v), want %+v", res, err, u.Result)
 	}
 }

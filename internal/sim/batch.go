@@ -46,6 +46,26 @@ import (
 // backlog/deadline edge cases and the NaN-corruption fault path). The
 // kernel is the only production replay: Replay, Diagnose and the
 // capacity search all run through it.
+//
+// The search and the first-week screen read a probe through Fits
+// alone, so they run the kernel in decided-lane mode (replayBatch with
+// decide set), where a lane stops as soon as its verdict is known:
+//
+//   - a lane below the CoS1 peak is never summed, and phase 1 classifies
+//     against the lowest lane that remains;
+//   - a group's served sum is nondecreasing in capacity (every term is,
+//     and rounding is monotone), so the lanes that fail θ form a prefix:
+//     after each hot group phase 2 raises a low-lane index past every
+//     lane whose ratio is below θ − 1e-12, the comparison Fits makes,
+//     and sums only the lanes above it;
+//   - phase 3 skips the lanes below that index and stops a lane at its
+//     first deadline miss. The lane's own hot list is then incomplete,
+//     so the next lane walks the last complete one, a superset of its
+//     own.
+//
+// A lane that fits takes exactly the operations of the exact mode, so
+// its Result is bit for bit the same; a decided lane guarantees only
+// !Fits(). With a fault injector attached the mode is off.
 
 // eps is the replay's tolerance for "served in full" and "drained".
 const eps = 1e-9
@@ -59,11 +79,15 @@ func groupRatio(requested, served float64) float64 {
 	return 1
 }
 
-// batchLane is one capacity's deadline statistics.
+// batchLane is one capacity's deadline statistics. A decided lane was
+// stopped before the end of the pass (decided-lane mode only); theta is
+// then the ratio of the group that failed it, or 0 if θ was not summed.
 type batchLane struct {
 	deadlineOK bool
+	decided    bool
 	unserved   float64
 	misses     int64
+	theta      float64
 }
 
 // BatchReplayer carries the scratch buffers for batched replays: the
@@ -103,8 +127,10 @@ type BatchReplayer struct {
 	// workFrac is the last pass's mean expensive-lane fraction: the
 	// share of (slot, lane) pairs that are hot or enter the slot with a
 	// live backlog, i.e. that took the full serve/backlog arithmetic.
-	// It is the cost signal the K-ary search adapts its speculation
-	// depth to, and never affects replay results.
+	// Only lanes that ran to the end count (a decided lane's partial
+	// walk would look cheap); a pass that completes none leaves it as
+	// it was. It is the cost signal the K-ary search adapts its
+	// speculation depth to, and never affects replay results.
 	workFrac float64
 	// hintDepth is cross-search scratch for the K-ary search: the
 	// speculation depth the last search on this (pooled) replayer
@@ -200,6 +226,14 @@ func (r *BatchReplayer) setup(capacities []float64, groups, n int) {
 // is hot by construction), so the whole batch surfaces the same
 // NaN-statistics error.
 func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float64, out []Result) error {
+	return a.replayBatch(r, cfg, capacities, out, false)
+}
+
+// replayBatch is ReplayBatch, in decided-lane mode when decide is set
+// and cfg has no fault injector: each lane that fits is still
+// bit-identical to ReplayBatch's, but a lane that does not fit stops as
+// soon as that is known, and its Result guarantees only !Fits().
+func (a *Aggregate) replayBatch(r *BatchReplayer, cfg Config, capacities []float64, out []Result, decide bool) error {
 	cfg.Capacity = 0 // ignored; keep Validate happy for the shared fields
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -224,6 +258,7 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 			return fmt.Errorf("sim: replay %q: %w", cfg.InjectKey, err)
 		}
 		corrupted = o.Corrupt
+		decide = false
 	}
 
 	r.acquire()
@@ -248,10 +283,23 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 		hotGroup = r.hotGroup
 		cos1     = a.cos1[:n]
 		cos2     = a.cos2[:n]
+		thetaMin = cfg.Commitment.Theta - 1e-12 // Fits' θ threshold
 	)
 
-	// Phase 1, classify. A slot is hot iff the lowest lane cannot serve
-	// its request in full: !(max(0, c0−cos1) >= cos2), the kernel's own
+	// low is the lowest lane still undecided: the lanes below it do not
+	// fit and are not replayed further. Outside decided-lane mode it
+	// stays 0. Lanes that fail CoS1 are decided before anything is summed.
+	low := 0
+	if decide {
+		for low < k && !(a.cos1Peak <= caps[low]+eps) {
+			lanes[low].decided = true
+			low++
+		}
+	}
+
+	// Phase 1, classify. A slot is hot iff the lowest undecided lane (low;
+	// with none left there is nothing to classify) cannot serve its
+	// request in full: !(max(0, c0−cos1) >= cos2), the kernel's own
 	// predicate. The scan tests it as "c0−cos1 >= cos2 is cold" first —
 	// the clamp can only raise avail — and consults the clamp only on
 	// the slots that fail, so a cold slot costs one subtraction and one
@@ -264,8 +312,11 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 	if corrupted {
 		hot[0], hotGroup[0], m = 0, true, 1
 	}
-	c0 := caps[0]
-	for base, day, week := 0, 0, 0; base < n; base += t {
+	var c0 float64
+	if low < k {
+		c0 = caps[low]
+	}
+	for base, day, week := 0, 0, 0; low < k && base < n; base += t {
 		first := base
 		if corrupted && base == 0 {
 			first = 1
@@ -297,9 +348,11 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 	// Phase 2, θ. Every member of a hot group, hot or not, adds to the
 	// group's sums in time order with exactly the scalar operations:
 	// lanes in the deficit prefix add min(requested, avail), the rest
-	// add requested.
+	// add requested. In decided-lane mode a finished group then decides
+	// every lane from low up whose ratio fails θ.
 	visited := int64(0)
 	hotGroups := r.hotGroups
+phase2:
 	for week, g := 0, 0; week < weeks; week++ {
 		end := (week + 1) * 7 * t
 		if week == lastWeek {
@@ -311,7 +364,7 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 			}
 			hotGroups = append(hotGroups, g)
 			row := served[g*k : g*k+k]
-			clear(row)
+			clear(row[low:])
 			rq := 0.0
 			for i := week*7*t + x; i < end; i += t {
 				visited++
@@ -321,7 +374,7 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 					requested = math.NaN()
 				}
 				rq += requested
-				j := 0
+				j := low
 				for ; j < k; j++ {
 					avail := caps[j] - c1
 					if avail < 0 {
@@ -337,6 +390,19 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 				}
 			}
 			req[g] = rq
+			if decide {
+				for low < k {
+					ratio := groupRatio(rq, row[low])
+					if !(ratio < thetaMin) {
+						break
+					}
+					lanes[low].decided, lanes[low].theta = true, ratio
+					low++
+				}
+				if low == k {
+					break phase2
+				}
+			}
 		}
 	}
 	r.hotGroups = hotGroups
@@ -346,14 +412,19 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 	// listed slots its backlog is empty and every slot is served in
 	// full, so nothing happens there; at a hot slot it runs the scalar
 	// sequence and keeps stepping slot by slot until the backlog has
-	// drained. workSlots counts the scalar-sequence runs — the (slot,
-	// lane) pairs that are hot or enter the slot with a live backlog.
-	workSlots := int64(0)
+	// drained. work counts the lane's scalar-sequence runs — the (slot,
+	// lane) pairs that are hot or enter the slot with a live backlog —
+	// and workSlots sums it over the lanes that ran to the end. In
+	// decided-lane mode a lane stops at its first miss; its list is
+	// then incomplete, so the next lane walks the one this lane did.
+	workSlots, done := int64(0), 0
 	next := r.hotNext[:n]
 	backlog := r.backlog[:0]
-	for j := 0; j < k; j++ {
+lanes:
+	for j := low; j < k; j++ {
 		ln := &lanes[j]
 		c := caps[j]
+		work := int64(0)
 		m = 0
 		for p := 0; p < len(hot); {
 			i := hot[p]
@@ -372,7 +443,7 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 			}
 			next[m] = i
 			m++
-			workSlots++
+			work++
 			deficit := requested - min(requested, avail)
 			if !(deficit > eps) {
 				continue
@@ -381,6 +452,10 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 				ln.deadlineOK = false
 				ln.unserved += deficit
 				ln.misses++
+				if decide {
+					ln.decided = true
+					continue lanes
+				}
 				continue
 			}
 			// The deficit opens a backlog: step through the slots behind
@@ -389,7 +464,7 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 			head := 0
 			for i++; i < n && head < len(backlog); i++ {
 				visited++
-				workSlots++
+				work++
 				avail := c - cos1[i]
 				if avail < 0 {
 					avail = 0
@@ -414,6 +489,10 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 						ln.deadlineOK = false
 						ln.unserved += backlog[head].amount
 						ln.misses++
+						if decide {
+							ln.decided = true
+							continue lanes
+						}
 					}
 					head++
 				}
@@ -426,6 +505,8 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 				p++
 			}
 		}
+		workSlots += work
+		done++
 		hot, next = next[:m], hot[:n]
 	}
 	r.backlog = backlog[:0]
@@ -433,10 +514,12 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 	// Finalize each lane exactly like the scalar θ loop, writing results
 	// back in the caller's capacity order. Cold groups are skipped: their
 	// served and requested sums are the same fold of the same finite
-	// numbers, so their ratio is exactly 1 and they hold no NaN.
+	// numbers, so their ratio is exactly 1 and they hold no NaN. A lane
+	// decided in phase 2 or before has no complete sums: its Theta is
+	// the one it was decided on, and sim_probe_theta does not observe it.
 	h := telemetry.OrNop(cfg.Hooks)
 	thetaHist := h.Histogram("sim_probe_theta", telemetry.RatioBuckets)
-	var missesTotal int64
+	var missesTotal, stopped int64
 	for j := 0; j < k; j++ {
 		res := Result{
 			CoS1Peak:      a.cos1Peak,
@@ -444,6 +527,14 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 			DeadlineOK:    lanes[j].deadlineOK,
 			UnservedTotal: lanes[j].unserved,
 			PeakAggregate: a.totalPeak,
+		}
+		if lanes[j].decided {
+			stopped++
+		}
+		if j < low {
+			res.Theta = lanes[j].theta
+			out[r.order[j]] = res
+			continue
 		}
 		res.Theta = 1
 		for _, g := range hotGroups {
@@ -465,12 +556,17 @@ func (a *Aggregate) ReplayBatch(r *BatchReplayer, cfg Config, capacities []float
 	h.Counter("sim_replays_total").Add(int64(k))
 	h.Counter("sim_replay_slots_total").Add(int64(n))
 	h.Counter("sim_replay_slots_visited_total").Add(visited)
-	r.workFrac = 0
-	if n > 0 {
-		r.workFrac = float64(workSlots) / float64(int64(n)*int64(k))
+	if done > 0 {
+		r.workFrac = 0
+		if n > 0 {
+			r.workFrac = float64(workSlots) / float64(int64(n)*int64(done))
+		}
 	}
 	h.Counter("sim_batch_passes_total").Inc()
 	h.Counter("sim_batch_lanes_total").Add(int64(k))
 	h.Counter("sim_deadline_misses_total").Add(missesTotal)
+	if decide {
+		h.Counter("sim_lanes_stopped_total").Add(stopped)
+	}
 	return nil
 }

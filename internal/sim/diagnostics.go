@@ -26,7 +26,7 @@ type Diagnostics struct {
 func (a *Aggregate) Diagnose(cfg Config) (*Diagnostics, error) {
 	br := batchPool.Get().(*BatchReplayer)
 	defer batchPool.Put(br)
-	res, err := a.replayOne(br, cfg, cfg.Capacity)
+	res, err := a.replayOne(br, cfg, cfg.Capacity, false)
 	if err != nil {
 		return nil, err
 	}

@@ -78,7 +78,7 @@ func TestReplayZeroAllocsSteadyState(t *testing.T) {
 			t.Errorf("warm %s allocates %.1f objects per run, want 0", name, allocs)
 		}
 	}
-	steady("one-lane pass", func() (Result, error) { return agg.replayOne(br, cfg, cfg.Capacity) })
+	steady("one-lane pass", func() (Result, error) { return agg.replayOne(br, cfg, cfg.Capacity, false) })
 	if poolDropsPuts() {
 		t.Log("sync.Pool drops Puts here; skipping the pooled half")
 		return

@@ -15,7 +15,9 @@ import (
 // fleet shapes the golden experiments use, the K-ary Search must
 // return the identical SearchOutcome — capacity, Result, Feasible,
 // Unclamped, bit for bit — as a cold scalar bisection, across the θ
-// targets, limits and tolerances the pipeline exercises. Each search
+// targets, limits and tolerances the pipeline exercises; an infeasible
+// outcome's decided Result is checked by Replay at its Capacity
+// (sameOutcome). Each search
 // runs twice so the second pass starts from pooled, already-grown
 // (warm) batch scratch; the outcome must not depend on that.
 func TestSearchKaryGoldenCorpus(t *testing.T) {
@@ -66,9 +68,9 @@ func TestSearchKaryGoldenCorpus(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							if got != want {
-								t.Fatalf("seed=%d apps=%d theta=%v tol=%v limit=%v round=%d:\n kary  =%+v\n bisect=%+v",
-									seed, n, theta, tol, limit, round, got, want)
+							if same, err := agg.sameOutcome(cfg, got, want); err != nil || !same {
+								t.Fatalf("seed=%d apps=%d theta=%v tol=%v limit=%v round=%d (err %v):\n kary  =%+v\n bisect=%+v",
+									seed, n, theta, tol, limit, round, err, got, want)
 							}
 						}
 					}

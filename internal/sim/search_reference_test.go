@@ -76,3 +76,20 @@ func (a *Aggregate) searchBisect(ctx context.Context, cfg Config, limit, tol flo
 	}
 	return SearchOutcome{Capacity: hi, Result: hiRes, Feasible: true, Unclamped: unclamped}, nil
 }
+
+// sameOutcome reports whether a Search outcome agrees with the
+// reference bisection's. A feasible outcome must match bit for bit. An
+// infeasible one's Result is decided, not measured, so it must match in
+// Capacity, Feasible and Unclamped, and Replay at its Capacity must
+// reproduce the reference Result.
+func (a *Aggregate) sameOutcome(cfg Config, got, want SearchOutcome) (bool, error) {
+	if want.Feasible || got.Feasible {
+		return got == want, nil
+	}
+	if got.Capacity != want.Capacity || got.Unclamped != want.Unclamped {
+		return false, nil
+	}
+	cfg.Capacity = got.Capacity
+	res, err := a.Replay(cfg)
+	return res == want.Result, err
+}

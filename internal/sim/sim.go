@@ -199,7 +199,7 @@ func (a *Aggregate) RebuildScreened(workloads []Workload, cfg Config, limit floa
 	}
 	if limit < a.totalPeak {
 		br := batchPool.Get().(*BatchReplayer)
-		res, err := a.replayOne(br, cfg, limit)
+		res, err := a.replayOne(br, cfg, limit, true)
 		batchPool.Put(br)
 		if err != nil {
 			return false, err
@@ -288,14 +288,17 @@ type backlogEntry struct {
 func (a *Aggregate) Replay(cfg Config) (Result, error) {
 	br := batchPool.Get().(*BatchReplayer)
 	defer batchPool.Put(br)
-	return a.replayOne(br, cfg, cfg.Capacity)
+	return a.replayOne(br, cfg, cfg.Capacity, false)
 }
 
 // SearchOutcome is the detailed result of a required-capacity search.
 type SearchOutcome struct {
 	// Capacity is the capacity the search settled on.
 	Capacity float64
-	// Result is the replay outcome at Capacity.
+	// Result is the replay outcome at Capacity when Feasible. An
+	// infeasible outcome's Result is decided, not measured: it only
+	// guarantees !Fits(), and a caller that needs the statistics
+	// replays at Capacity (the limit) for them.
 	Result Result
 	// Feasible reports whether the commitments are satisfied within the
 	// search limit.
@@ -312,9 +315,10 @@ type SearchOutcome struct {
 // satisfies the CoS commitments, searching [CoS1Peak, limit] by
 // bisection as in Figure 4. It returns the capacity and the replay
 // result at that capacity. If even the limit does not satisfy the
-// commitments, ok is false and the returned result describes the replay
-// at the limit. Cancelling ctx aborts the search between bisection
-// iterations with a wrapped ctx error.
+// commitments, ok is false, capacity is the limit and the result is
+// decided, not measured (see SearchOutcome.Result): Replay at the limit
+// gives its statistics. Cancelling ctx aborts the search between
+// bisection iterations with a wrapped ctx error.
 func (a *Aggregate) RequiredCapacity(ctx context.Context, cfg Config, limit, tol float64) (capacity float64, res Result, ok bool, err error) {
 	out, err := a.Search(ctx, cfg, limit, tol)
 	return out.Capacity, out.Result, out.Feasible, err
@@ -335,6 +339,14 @@ func (a *Aggregate) RequiredCapacity(ctx context.Context, cfg Config, limit, tol
 // afterwards; an unclamped search, whose ceiling is TotalPeak and
 // nearly free to replay, carries it as one more lane of the first tree
 // pass. The "sim.replay" injection point fires once per trace pass.
+//
+// Only a probe's Fits verdict steers the walk, so every pass runs the
+// kernel in decided-lane mode (see replayBatch): a lane that does not
+// fit stops at its first θ or deadline failure. A feasible outcome's
+// Result is therefore still the exact replay at Capacity, but an
+// infeasible one's is decided: Capacity is the limit, and Replay at it
+// gives the statistics. With a fault injector attached every lane is
+// replayed in full, as by ReplayBatch.
 func (a *Aggregate) Search(ctx context.Context, cfg Config, limit, tol float64) (SearchOutcome, error) {
 	if tol <= 0 {
 		return SearchOutcome{}, fmt.Errorf("sim: tolerance %v <= 0", tol)
@@ -481,7 +493,7 @@ func (a *Aggregate) searchKaryWith(ctx context.Context, cfg Config, limit, tol f
 	// The workloads cannot fit at any capacity <= limit if the
 	// guaranteed class alone exceeds it.
 	if a.cos1Peak > limit {
-		res, err := a.replayOne(br, cfg, limit)
+		res, err := a.replayOne(br, cfg, limit, true)
 		if err != nil {
 			return SearchOutcome{}, err
 		}
@@ -538,7 +550,7 @@ func (a *Aggregate) searchKaryWith(ctx context.Context, cfg Config, limit, tol f
 		// would read. The lone probe says nothing about the cost regime
 		// of the midpoints, so it leaves hintDepth alone.
 		var err error
-		if hiRes, err = a.replayOne(br, cfg, hi); err != nil {
+		if hiRes, err = a.replayOne(br, cfg, hi, true); err != nil {
 			return SearchOutcome{}, err
 		}
 		if !hiRes.Fits(cfg.Commitment.Theta) {
@@ -554,7 +566,7 @@ func (a *Aggregate) searchKaryWith(ctx context.Context, cfg Config, limit, tol f
 		k := len(tree.caps)
 		caps := append(tree.caps, hi)
 		out := tree.out[:k+1]
-		if err := a.ReplayBatch(br, cfg, caps, out); err != nil {
+		if err := a.replayBatch(br, cfg, caps, out, true); err != nil {
 			return SearchOutcome{}, err
 		}
 		tree.caps = caps[:k]
@@ -570,7 +582,7 @@ func (a *Aggregate) searchKaryWith(ctx context.Context, cfg Config, limit, tol f
 			treeLive = false // the speculative tree covered (lo, old hi)
 			if hi < limit {
 				var err error
-				if hiRes, err = a.replayOne(br, cfg, limit); err != nil {
+				if hiRes, err = a.replayOne(br, cfg, limit, true); err != nil {
 					return SearchOutcome{}, err
 				}
 				probes++
@@ -591,7 +603,7 @@ func (a *Aggregate) searchKaryWith(ctx context.Context, cfg Config, limit, tol f
 		}
 		if !treeLive {
 			tree.build(lo, hi, tol, depth)
-			if err := a.ReplayBatch(br, cfg, tree.caps, tree.out[:len(tree.caps)]); err != nil {
+			if err := a.replayBatch(br, cfg, tree.caps, tree.out[:len(tree.caps)], true); err != nil {
 				return SearchOutcome{}, err
 			}
 			passes++
@@ -627,11 +639,12 @@ func (a *Aggregate) searchKaryWith(ctx context.Context, cfg Config, limit, tol f
 }
 
 // replayOne replays a single capacity through the batch replayer (the
-// search already holds one, so single probes reuse its buffers).
-func (a *Aggregate) replayOne(br *BatchReplayer, cfg Config, capacity float64) (Result, error) {
+// search already holds one, so single probes reuse its buffers), in
+// decided-lane mode when decide is set.
+func (a *Aggregate) replayOne(br *BatchReplayer, cfg Config, capacity float64, decide bool) (Result, error) {
 	one := [1]float64{capacity}
 	var res [1]Result
-	if err := a.ReplayBatch(br, cfg, one[:], res[:]); err != nil {
+	if err := a.replayBatch(br, cfg, one[:], res[:], decide); err != nil {
 		return Result{}, err
 	}
 	return res[0], nil
