@@ -274,35 +274,6 @@ func BenchmarkAblationExactVsHeuristics(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationScoreModel compares the paper's U^(2Z) score against
-// the linear ablation on the case-1 problem: same search budget, the
-// servers metric shows whether the exaggerated exponent matters.
-func BenchmarkAblationScoreModel(b *testing.B) {
-	for _, model := range []placement.ScoreModel{placement.ScorePaper, placement.ScoreLinear} {
-		model := model
-		b.Run("score="+model.String(), func(b *testing.B) {
-			problem := table1Problem(b)
-			problem.Score = model
-			cfg := placement.DefaultGAConfig(42)
-			cfg.MaxGenerations = 60
-			cfg.Stagnation = 15
-			servers := 0
-			for i := 0; i < b.N; i++ {
-				initial, err := placement.OneAppPerServer(problem)
-				if err != nil {
-					b.Fatal(err)
-				}
-				plan, err := placement.Consolidate(context.Background(), problem, initial, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				servers = plan.ServersUsed
-			}
-			b.ReportMetric(float64(servers), "servers")
-		})
-	}
-}
-
 // BenchmarkAblationBisectionTolerance measures the required-capacity
 // search cost as a function of the bisection tolerance.
 func BenchmarkAblationBisectionTolerance(b *testing.B) {

@@ -69,8 +69,6 @@ type Config struct {
 	GA placement.GAConfig
 	// Tolerance for required-capacity bisection (0 = default).
 	Tolerance float64
-	// Score selects the placement score model (zero value = paper's).
-	Score placement.ScoreModel
 	// Hooks receives pipeline telemetry (stage spans, GA and simulator
 	// metrics); nil disables it. It is propagated to every stage:
 	// translation, consolidation and failure planning.
@@ -495,7 +493,6 @@ func (f *Framework) problemFor(t *Translation) (*placement.Problem, error) {
 		SlotsPerDay:   t.Traces[0].SlotsPerDay(),
 		DeadlineSlots: f.cfg.Commitment.DeadlineSlots(interval),
 		Tolerance:     f.cfg.Tolerance,
-		Score:         f.cfg.Score,
 		Hooks:         f.cfg.Hooks,
 		Inject:        f.cfg.Inject,
 		Cache:         f.cache,

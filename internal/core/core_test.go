@@ -269,31 +269,6 @@ func TestPlanForMultiFailures(t *testing.T) {
 	}
 }
 
-func TestLinearScoreConfig(t *testing.T) {
-	cfg := testConfig()
-	cfg.Score = placement.ScoreLinear
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := smallFleet(t)
-	reqs := Requirements{Default: caseStudyRequirement()}
-	tr, err := f.Translate(context.Background(), set, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cons, err := f.Consolidate(context.Background(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cons.Problem.Score != placement.ScoreLinear {
-		t.Error("score model not threaded through to the problem")
-	}
-	if !cons.Plan.Feasible {
-		t.Error("linear-score consolidation infeasible")
-	}
-}
-
 func TestConsolidateErrors(t *testing.T) {
 	f, err := New(testConfig())
 	if err != nil {

@@ -2,7 +2,6 @@ package failure
 
 import (
 	"context"
-	"slices"
 	"testing"
 	"time"
 
@@ -62,48 +61,6 @@ func ga() placement.GAConfig {
 	cfg := placement.DefaultGAConfig(11)
 	cfg.MaxGenerations = 60
 	return cfg
-}
-
-// TestAnalyzeKeepsScoreModel (regression): the survivors' problem keeps
-// the placement score model, so a ScoreLinear ablation is re-consolidated
-// and scored under the linear model in every scenario, not the paper's.
-func TestAnalyzeKeepsScoreModel(t *testing.T) {
-	p := problem([]float64{6, 6, 6}, 3, 10)
-	p.Score = placement.ScoreLinear
-	base, err := placement.Evaluate(p, placement.Assignment{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := Input{Problem: p, FailureApps: failureApps(p, 0.5), GA: ga()}
-	report, err := Analyze(context.Background(), in, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feasible := 0
-	for _, s := range report.Scenarios {
-		if !s.Feasible {
-			continue
-		}
-		feasible++
-		reduced := *p
-		reduced.Servers = s.Servers
-		reduced.Apps = slices.Clone(p.Apps)
-		for i, a := range p.Apps {
-			if slices.Contains(s.AffectedApps, a.ID) {
-				reduced.Apps[i] = in.FailureApps[i]
-			}
-		}
-		want, err := placement.Evaluate(&reduced, s.Plan.Assignment)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Plan.Score != want.Score {
-			t.Errorf("failing %s: plan score %v, linear model gives %v", s.FailedServer, s.Plan.Score, want.Score)
-		}
-	}
-	if feasible == 0 {
-		t.Fatal("no feasible scenario to check")
-	}
 }
 
 func TestAnalyzeAbsorbableFailure(t *testing.T) {

@@ -548,7 +548,6 @@ func consolidateSurvivors(ctx context.Context, in Input, basePlan *placement.Pla
 		SlotsPerDay:   p.SlotsPerDay,
 		DeadlineSlots: p.DeadlineSlots,
 		Tolerance:     p.Tolerance,
-		Score:         p.Score,
 		Hooks:         in.Hooks,
 		Inject:        in.Inject,
 		// The shared simulation cache stays valid across scenarios — and

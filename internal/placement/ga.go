@@ -29,14 +29,6 @@ type GAConfig struct {
 	// Stagnation stops the search after this many generations without
 	// score improvement ("little improvement" in Figure 5).
 	Stagnation int
-	// Elite is the number of best assignments copied unchanged into the
-	// next generation.
-	Elite int
-	// TournamentK is the tournament size for parent selection.
-	TournamentK int
-	// MutationRate is the per-offspring probability of applying a
-	// mutation (either emptying a server or moving a single app).
-	MutationRate float64
 	// SeedGreedy adds the first-fit-decreasing and best-fit-decreasing
 	// packings to the initial population as warm starts; the search can
 	// only improve on them.
@@ -51,32 +43,34 @@ func DefaultGAConfig(seed int64) GAConfig {
 		PopulationSize: 32,
 		MaxGenerations: 250,
 		Stagnation:     40,
-		Elite:          2,
-		TournamentK:    3,
-		MutationRate:   0.9,
 		SeedGreedy:     true,
 		Seed:           seed,
 	}
 }
 
+// The fixed operators of the search: the gaElite best assignments are
+// copied unchanged into the next generation, each parent wins a
+// tournament of gaTournament members, and an offspring is mutated (a
+// server emptied or a single app moved) with probability gaMutationProb.
+const (
+	gaElite        = 2
+	gaTournament   = 3
+	gaMutationProb = 0.9
+)
+
+// minPopulation is the smallest population that holds the elite and
+// one bred offspring, and fills a tournament.
+const minPopulation = max(gaElite+1, gaTournament)
+
 // Validate checks the GA parameters.
 func (c GAConfig) Validate() error {
 	switch {
-	case c.PopulationSize < 2:
-		return fmt.Errorf("placement: PopulationSize %d < 2", c.PopulationSize)
+	case c.PopulationSize < minPopulation:
+		return fmt.Errorf("placement: PopulationSize %d < %d", c.PopulationSize, minPopulation)
 	case c.MaxGenerations < 1:
 		return fmt.Errorf("placement: MaxGenerations %d < 1", c.MaxGenerations)
 	case c.Stagnation < 1:
 		return fmt.Errorf("placement: Stagnation %d < 1", c.Stagnation)
-	case c.Elite < 0 || c.Elite >= c.PopulationSize:
-		return fmt.Errorf("placement: Elite %d outside [0,%d)", c.Elite, c.PopulationSize)
-	case c.TournamentK < 1:
-		return fmt.Errorf("placement: TournamentK %d < 1", c.TournamentK)
-	case c.TournamentK > c.PopulationSize:
-		return fmt.Errorf("placement: TournamentK %d > PopulationSize %d", c.TournamentK, c.PopulationSize)
-	// Negated-range form so that a NaN rate is rejected too.
-	case !(c.MutationRate >= 0 && c.MutationRate <= 1):
-		return fmt.Errorf("placement: MutationRate %v outside [0,1]", c.MutationRate)
 	}
 	return nil
 }
@@ -277,7 +271,7 @@ func seedPopulation(ctx context.Context, ev *evaluator, sc *scratch, initial Ass
 // part and independent of each other.
 func (pop *population) evolve(ctx context.Context, ev *evaluator, cfg GAConfig, tel *gaTelemetry) (int, error) {
 	next := pop.next[:0]
-	for i := 0; i < cfg.Elite && i < len(pop.members); i++ {
+	for i := 0; i < gaElite && i < len(pop.members); i++ {
 		elite := pop.members[i]
 		elite.assignment = pop.row(pop.spare, i)
 		copy(elite.assignment, pop.members[i].assignment)
@@ -286,10 +280,10 @@ func (pop *population) evolve(ctx context.Context, ev *evaluator, cfg GAConfig, 
 	elites := len(next)
 	for len(next) < cfg.PopulationSize {
 		a := pop.row(pop.spare, len(next))
-		crossover(a, tournament(pop.members, cfg.TournamentK, pop.rng).assignment,
-			tournament(pop.members, cfg.TournamentK, pop.rng).assignment, pop.rng)
+		crossover(a, tournament(pop.members, gaTournament, pop.rng).assignment,
+			tournament(pop.members, gaTournament, pop.rng).assignment, pop.rng)
 		tel.crossovers.Inc()
-		if pop.rng.Float64() < cfg.MutationRate {
+		if pop.rng.Float64() < gaMutationProb {
 			mutate(a, ev.p, pop.rng, &pop.breed)
 			tel.mutations.Inc()
 		}

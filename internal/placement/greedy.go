@@ -56,10 +56,10 @@ func greedy(ctx context.Context, p *Problem, firstFit bool) (*Plan, error) {
 		emptyShapes = emptyShapes[:0]
 		for s := range p.Servers {
 			if len(groups[s]) == 0 {
-				if slices.Contains(emptyShapes, ev.usageSigs[s]) {
+				if slices.Contains(emptyShapes, ev.serverSigs[s]) {
 					continue
 				}
-				emptyShapes = append(emptyShapes, ev.usageSigs[s])
+				emptyShapes = append(emptyShapes, ev.serverSigs[s])
 			}
 			trial = withApp(trial, groups[s], app)
 			usage, err := ev.evalServer(ctx, sc, s, trial)

@@ -363,7 +363,6 @@ func subProblem(p *Problem, group []int, k int) *Problem {
 		SlotsPerDay:   p.SlotsPerDay,
 		DeadlineSlots: p.DeadlineSlots,
 		Tolerance:     p.Tolerance,
-		Score:         p.Score,
 		Hooks:         p.Hooks,
 		Inject:        p.Inject,
 		Cache:         p.Cache,

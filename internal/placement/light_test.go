@@ -99,14 +99,14 @@ func referenceUsage(t *testing.T, p *Problem, srv Server, group []int) ServerUsa
 		u.ExtraRequired[attr] = req
 		u.Feasible = u.Feasible && ok
 	}
-	u.Value = serverValue(u.Utilization(), srv.CPUs, len(group), u.Feasible, p.Score)
+	u.Value = serverValue(u.Utilization(), srv.CPUs, len(group), u.Feasible)
 	return u
 }
 
 // lightProblem builds a seeded problem with varied traces: a
 // zero-demand app, a memory attribute on some apps, two server sizes
-// (so warm cross-capacity reuse is exercised) and tight capacity (so
-// infeasible servers appear).
+// (two shapes share the store) and tight capacity (so infeasible
+// servers appear).
 func lightProblem(seed int64, apps, servers int, cache *SimCache) *Problem {
 	r := rand.New(rand.NewSource(seed))
 	const slots = 56
@@ -206,7 +206,7 @@ func TestLightScoreMatchesMaterialisedPlan(t *testing.T) {
 			t.Errorf("cached=%v: %d of 1000 assignments infeasible; the problem no longer exercises both outcomes", cached, infeasible)
 		}
 		if cached {
-			if s := cache.Stats(); s.Hits == 0 || s.WarmHits == 0 {
+			if s := cache.Stats(); s.Hits == 0 {
 				t.Errorf("shared cache never answered: %+v", s)
 			}
 		}
@@ -355,7 +355,7 @@ func TestSimCacheBytesHonest(t *testing.T) {
 	before := heap()
 	cache := NewSimCache(1 << 40)
 	for i := 0; i < n; i++ {
-		k := cacheKey{cfg: 1, server: uint64(i % 2), group: fnvInt(fnvOffset64, i)} // usage and warm keys
+		k := cacheKey{cfg: 1, server: uint64(i % 2), group: fnvInt(fnvOffset64, i)}
 		cache.put(k, 0, groupEval{required: float64(i), feasible: true})
 	}
 	grown := float64(heap() - before)

@@ -34,34 +34,6 @@ import (
 // required-capacity computations when the Problem does not override it.
 const DefaultTolerance = 0.05
 
-// ScoreModel selects the per-server value function of the consolidation
-// objective. The zero value is the paper's model, so existing Problems
-// keep their behaviour.
-type ScoreModel int
-
-const (
-	// ScorePaper is the paper's f(U) = U^(2Z): the squared term
-	// exaggerates high utilizations and the Z term demands that servers
-	// with more CPUs run hotter (motivated by the open-network response
-	// time estimate 1/(1-U^Z)).
-	ScorePaper ScoreModel = iota
-	// ScoreLinear uses f(U) = U, an ablation baseline that values all
-	// utilization improvements equally and ignores the CPU count.
-	ScoreLinear
-)
-
-// String implements fmt.Stringer.
-func (m ScoreModel) String() string {
-	switch m {
-	case ScorePaper:
-		return "paper"
-	case ScoreLinear:
-		return "linear"
-	default:
-		return fmt.Sprintf("ScoreModel(%d)", int(m))
-	}
-}
-
 // Server describes one resource in the pool.
 type Server struct {
 	// ID names the server.
@@ -179,9 +151,6 @@ type Problem struct {
 	DeadlineSlots int
 	// Tolerance for required-capacity bisection; DefaultTolerance if 0.
 	Tolerance float64
-	// Score selects the per-server value function; the zero value is
-	// the paper's U^(2Z) model.
-	Score ScoreModel
 	// Hooks receives search and simulation telemetry (GA generation
 	// progress, evaluator cache efficiency, bisection probes); nil
 	// disables it.
@@ -262,9 +231,6 @@ func (p *Problem) Validate() error {
 	}
 	if p.Tolerance < 0 {
 		return fmt.Errorf("placement: Tolerance %v < 0", p.Tolerance)
-	}
-	if p.Score != ScorePaper && p.Score != ScoreLinear {
-		return fmt.Errorf("placement: unknown score model %v", p.Score)
 	}
 	if err := validateAttributes(p); err != nil {
 		return err
@@ -355,17 +321,16 @@ type Plan struct {
 }
 
 // serverValue implements the per-server score contribution: +1 for an
-// unused server, -N for an overbooked one, and f(U) per the score model
-// for a feasible server.
-func serverValue(u float64, z, nApps int, feasible bool, model ScoreModel) float64 {
+// unused server, -N for an overbooked one, and the paper's f(U) = U^(2Z)
+// for a feasible server. The squared term exaggerates high utilizations
+// and the Z term demands that servers with more CPUs run hotter
+// (motivated by the open-network response time estimate 1/(1-U^Z)).
+func serverValue(u float64, z, nApps int, feasible bool) float64 {
 	if nApps == 0 {
 		return 1
 	}
 	if !feasible {
 		return -float64(nApps)
-	}
-	if model == ScoreLinear {
-		return u
 	}
 	return math.Pow(u, 2*float64(z))
 }
@@ -414,21 +379,20 @@ type evaluator struct {
 	p *Problem
 
 	// store is Problem.Cache or a private store, and run, numbered by
-	// the store, tags the records this evaluator computes or reuses. The key lanes are precomputed so a key is
-	// a few integer folds: cfgSig for the problem, and per server the
-	// server lane of its usage keys and of its warm keys.
-	store     *SimCache
-	run       uint64
-	cfgSig    uint64
-	usageSigs []uint64
-	warmSigs  []uint64
+	// the store, tags the records this evaluator computes or reuses. The
+	// key lanes are precomputed so a key is a few integer folds: cfgSig
+	// for the problem, and per server the server lane of its keys.
+	store      *SimCache
+	run        uint64
+	cfgSig     uint64
+	serverSigs []uint64
 
 	// hitC/missC count this run's lookups against its store (a
 	// singleflight waiter is a hit); sharedHitC/sharedMissC count the
 	// lookups answered by another run's record, and the computations.
 	hitC, missC             *telemetry.Counter
 	sharedHitC, sharedMissC *telemetry.Counter
-	warmHitC, evictC        *telemetry.Counter
+	evictC                  *telemetry.Counter
 
 	// free holds the scratch not in use; see acquire.
 	freeMu sync.Mutex
@@ -441,13 +405,11 @@ func newEvaluator(p *Problem) *evaluator {
 		p:           p,
 		store:       p.Cache,
 		cfgSig:      hashConfig(p),
-		usageSigs:   make([]uint64, len(p.Servers)),
-		warmSigs:    make([]uint64, len(p.Servers)),
+		serverSigs:  make([]uint64, len(p.Servers)),
 		hitC:        h.Counter("placement_eval_cache_hits_total"),
 		missC:       h.Counter("placement_eval_cache_misses_total"),
 		sharedHitC:  h.Counter("placement_shared_cache_hits_total"),
 		sharedMissC: h.Counter("placement_shared_cache_misses_total"),
-		warmHitC:    h.Counter("placement_shared_cache_warm_hits_total"),
 		evictC:      h.Counter("placement_shared_cache_evictions_total"),
 	}
 	if e.store == nil || p.Inject != nil {
@@ -455,13 +417,11 @@ func newEvaluator(p *Problem) *evaluator {
 	}
 	e.run = e.store.runs.Add(1)
 	for i, s := range p.Servers {
-		e.usageSigs[i] = hashServerShape(s, p.attrs)
+		e.serverSigs[i] = hashServerShape(s, p.attrs)
 		if p.Inject != nil {
 			// Injection points are keyed by server ID (sim.Config.InjectKey),
-			// so each record of an injecting run, warm ones included,
-			// belongs to one server.
-			e.usageSigs[i] = max(fnvString(e.usageSigs[i], s.ID), 1)
-			e.warmSigs[i] = fnvString(fnvOffset64, s.ID)
+			// so each record of an injecting run belongs to one server.
+			e.serverSigs[i] = fnvString(e.serverSigs[i], s.ID)
 		}
 	}
 	return e
@@ -494,7 +454,7 @@ func (e *evaluator) evalServer(ctx context.Context, sc *scratch, server int, app
 	if len(apps) == 0 {
 		return emptyEval, nil
 	}
-	k := cacheKey{cfg: e.cfgSig, server: e.usageSigs[server], group: hashGroup(e.p.Apps, apps)}
+	k := cacheKey{cfg: e.cfgSig, server: e.serverSigs[server], group: hashGroup(e.p.Apps, apps)}
 	sh := e.store.shard(k)
 	for {
 		sh.mu.Lock()
@@ -570,14 +530,13 @@ func (e *evaluator) lead(ctx context.Context, sc *scratch, sh *cacheShard, k cac
 			close(fl.done)
 		}
 	}()
-	return e.computeServer(ctx, sc, server, apps, k.group)
+	return e.computeServer(ctx, sc, server, apps)
 }
 
-// computeServer runs the simulator for one (server, app-group) pair;
-// group is the group's content hash.
-func (e *evaluator) computeServer(ctx context.Context, sc *scratch, server int, apps []int, group uint64) (groupEval, error) {
+// computeServer runs the simulator for one (server, app-group) pair.
+func (e *evaluator) computeServer(ctx context.Context, sc *scratch, server int, apps []int) (groupEval, error) {
 	srv := e.p.Servers[server]
-	ev, err := e.searchPrimary(ctx, sc, server, apps, group)
+	ev, err := e.searchPrimary(ctx, sc, server, apps)
 	if err != nil {
 		return groupEval{}, err
 	}
@@ -587,7 +546,7 @@ func (e *evaluator) computeServer(ctx context.Context, sc *scratch, server int, 
 	}
 	ev.feasible = ev.feasible && extraOK
 	ev.extra = extra
-	ev.value = serverValue(ev.required/srv.Capacity(), srv.CPUs, len(apps), ev.feasible, e.p.Score)
+	ev.value = serverValue(ev.required/srv.Capacity(), srv.CPUs, len(apps), ev.feasible)
 	return ev, nil
 }
 
@@ -603,26 +562,16 @@ func (e *evaluator) simConfig(srv Server) sim.Config {
 	}
 }
 
-// searchPrimary runs (or warm-starts) the primary-attribute
-// required-capacity search for a sorted app group on a server. A warm
-// hit reuses the bisection outcome of the same group computed on a
-// server of a *different* capacity: when the original search was
-// Unclamped, its interval [CoS1Peak, TotalPeak] is limit-independent,
-// so any server with capacity >= the group's TotalPeak would reproduce
-// it bit for bit — the gate getWarm enforces.
+// searchPrimary runs the primary-attribute required-capacity search for
+// a sorted app group on a server.
 //
 // A group whose first week already overbooks the server is rejected
 // before the rest of its trace is summed. Its record, like that of any
 // search that ends infeasible, is required = capacity, infeasible, no
 // statistics, and marked screened. A run with a fault injector keeps
 // the search's own Result, which is then measured in full.
-func (e *evaluator) searchPrimary(ctx context.Context, sc *scratch, server int, apps []int, group uint64) (groupEval, error) {
+func (e *evaluator) searchPrimary(ctx context.Context, sc *scratch, server int, apps []int) (groupEval, error) {
 	srv := e.p.Servers[server]
-	wk := cacheKey{cfg: e.cfgSig, server: e.warmSigs[server], group: group}
-	if w, ok := e.store.getWarm(wk, srv.Capacity()); ok {
-		e.warmHitC.Inc()
-		return groupEval{required: w.required, feasible: true, result: w.result}, nil
-	}
 	e.gather(sc, apps)
 	cfg := e.simConfig(srv)
 	rejected, err := sc.agg.RebuildScreened(sc.workloads, cfg, srv.Capacity())
@@ -638,10 +587,6 @@ func (e *evaluator) searchPrimary(ctx context.Context, sc *scratch, server int, 
 	}
 	if !out.Feasible && e.p.Inject == nil {
 		return groupEval{required: out.Capacity, screened: true}, nil
-	}
-	if out.Feasible && out.Unclamped {
-		// out.Result.PeakAggregate is the group's TotalPeak, the gate.
-		e.evictC.Add(int64(e.store.put(wk, e.run, groupEval{required: out.Capacity, feasible: true, result: out.Result})))
 	}
 	return groupEval{required: out.Capacity, feasible: out.Feasible, result: out.Result}, nil
 }

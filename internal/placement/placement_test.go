@@ -123,67 +123,22 @@ func TestAssignmentValidate(t *testing.T) {
 }
 
 func TestServerValue(t *testing.T) {
-	if got := serverValue(0.5, 2, 0, true, ScorePaper); got != 1 {
+	if got := serverValue(0.5, 2, 0, true); got != 1 {
 		t.Errorf("empty server value = %v, want 1", got)
 	}
-	if got := serverValue(1.2, 2, 3, false, ScorePaper); got != -3 {
+	if got := serverValue(1.2, 2, 3, false); got != -3 {
 		t.Errorf("overbooked server value = %v, want -3", got)
 	}
 	want := math.Pow(0.5, 4)
-	if got := serverValue(0.5, 2, 1, true, ScorePaper); math.Abs(got-want) > 1e-12 {
+	if got := serverValue(0.5, 2, 1, true); math.Abs(got-want) > 1e-12 {
 		t.Errorf("feasible server value = %v, want %v", got, want)
 	}
 	// Higher utilization always scores higher; more CPUs demand more.
-	if serverValue(0.9, 16, 1, true, ScorePaper) <= serverValue(0.5, 16, 1, true, ScorePaper) {
+	if serverValue(0.9, 16, 1, true) <= serverValue(0.5, 16, 1, true) {
 		t.Error("score should increase with utilization")
 	}
-	if serverValue(0.8, 16, 1, true, ScorePaper) >= serverValue(0.8, 2, 1, true, ScorePaper) {
+	if serverValue(0.8, 16, 1, true) >= serverValue(0.8, 2, 1, true) {
 		t.Error("servers with more CPUs should need higher utilization for the same value")
-	}
-	// Linear ablation: value equals utilization, CPU count irrelevant.
-	if got := serverValue(0.7, 16, 1, true, ScoreLinear); got != 0.7 {
-		t.Errorf("linear value = %v, want 0.7", got)
-	}
-	if serverValue(0.7, 16, 2, true, ScoreLinear) != serverValue(0.7, 2, 2, true, ScoreLinear) {
-		t.Error("linear model should ignore CPU count")
-	}
-}
-
-func TestScoreModelString(t *testing.T) {
-	if ScorePaper.String() != "paper" || ScoreLinear.String() != "linear" {
-		t.Error("unexpected score model strings")
-	}
-	if got := ScoreModel(9).String(); got != "ScoreModel(9)" {
-		t.Errorf("unknown model String = %q", got)
-	}
-}
-
-func TestProblemRejectsUnknownScoreModel(t *testing.T) {
-	p := binPackProblem([]float64{1}, 1, 4)
-	p.Score = ScoreModel(7)
-	if err := p.Validate(); err == nil {
-		t.Error("unknown score model accepted")
-	}
-}
-
-func TestConsolidateLinearScoreStillPacks(t *testing.T) {
-	p := binPackProblem([]float64{6, 6, 4, 4, 3, 3, 2}, 7, 10)
-	p.Score = ScoreLinear
-	initial, err := OneAppPerServer(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultGAConfig(7)
-	cfg.MaxGenerations = 120
-	plan, err := Consolidate(context.Background(), p, initial, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.Feasible {
-		t.Fatal("linear-score plan infeasible")
-	}
-	if plan.ServersUsed > 4 {
-		t.Errorf("linear-score ServersUsed = %d, want <= 4", plan.ServersUsed)
 	}
 }
 
@@ -306,6 +261,10 @@ func TestGAConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
 	}
+	good.PopulationSize = minPopulation
+	if err := good.Validate(); err != nil {
+		t.Errorf("smallest population rejected: %v", err)
+	}
 	tests := []struct {
 		name   string
 		mutate func(*GAConfig)
@@ -313,14 +272,8 @@ func TestGAConfigValidate(t *testing.T) {
 		{name: "population too small", mutate: func(c *GAConfig) { c.PopulationSize = 1 }},
 		{name: "no generations", mutate: func(c *GAConfig) { c.MaxGenerations = 0 }},
 		{name: "no stagnation", mutate: func(c *GAConfig) { c.Stagnation = 0 }},
-		{name: "elite too big", mutate: func(c *GAConfig) { c.Elite = c.PopulationSize }},
-		{name: "negative elite", mutate: func(c *GAConfig) { c.Elite = -1 }},
-		{name: "zero tournament", mutate: func(c *GAConfig) { c.TournamentK = 0 }},
-		{name: "negative tournament", mutate: func(c *GAConfig) { c.TournamentK = -3 }},
-		{name: "tournament exceeds population", mutate: func(c *GAConfig) { c.TournamentK = c.PopulationSize + 1 }},
-		{name: "mutation rate above one", mutate: func(c *GAConfig) { c.MutationRate = 1.5 }},
-		{name: "negative mutation rate", mutate: func(c *GAConfig) { c.MutationRate = -0.1 }},
-		{name: "NaN mutation rate", mutate: func(c *GAConfig) { c.MutationRate = math.NaN() }},
+		{name: "elite too big", mutate: func(c *GAConfig) { c.PopulationSize = gaElite }},
+		{name: "tournament exceeds population", mutate: func(c *GAConfig) { c.PopulationSize = gaTournament - 1 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -53,7 +53,7 @@ func testScreenedRecord(t *testing.T, weeks int) {
 		t.Fatal(err)
 	}
 	group := append([]int(nil), sc.groups.of(0)...)
-	k := cacheKey{cfg: e.cfgSig, server: e.usageSigs[0], group: hashGroup(p.Apps, group)}
+	k := cacheKey{cfg: e.cfgSig, server: e.serverSigs[0], group: hashGroup(p.Apps, group)}
 	sh := e.store.shard(k)
 	sh.mu.Lock()
 	rec, _, ok := sh.get(k, e.run)
@@ -82,7 +82,7 @@ func testScreenedRecord(t *testing.T, weeks int) {
 	fresh := newEvaluator(p)
 	fsc := fresh.acquire()
 	defer fresh.release(fsc)
-	ev, err := fresh.computeServer(ctx, fsc, 0, group, hashGroup(p.Apps, group))
+	ev, err := fresh.computeServer(ctx, fsc, 0, group)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,19 +21,10 @@ import (
 // same shape. A failed server changes which groups are legal, not what a
 // group costs on a survivor.
 //
-// Two entry kinds live in one store, both holding the same compact
-// groupEval record (no server, no app IDs: a hit is told about a group
-// by whoever asks):
-//
-//   - usage entries: the full outcome for (cfg, server-shape, group).
-//     Hits skip the simulation entirely.
-//   - warm entries: the primary-attribute search outcome for (cfg,
-//     group) when the search was Unclamped (see sim.SearchOutcome): the
-//     bisection ran over [CoS1Peak, TotalPeak] and is therefore valid,
-//     bit for bit, for any server whose capacity is >= the group's
-//     TotalPeak — including capacities never simulated before.
-//
-// Both reuse paths reproduce exactly what a cold computation would
+// Each entry is the full outcome for (cfg, server-shape, group), held
+// as a compact groupEval record (no server, no app IDs: a hit is told
+// about a group by whoever asks), and a hit skips the simulation
+// entirely. A hit reproduces exactly what a cold computation would
 // produce, so plans are byte-identical whatever the store holds: the
 // parallel sweeps stay deterministic, and a run that loses a record to
 // eviction computes it again.
@@ -78,9 +69,8 @@ const (
 
 // cacheKey identifies an entry by three independent lanes
 // (configuration, server, group content), an effective key width of 192
-// bits. A usage entry's server lane is the server's shape signature,
-// which is never zero; a warm entry belongs to no server and its server
-// lane is zero (in an injecting run, a digest of the server ID).
+// bits. The server lane is the server's shape signature (in an injecting
+// run, folded with the server ID).
 type cacheKey struct {
 	cfg, server, group uint64
 }
@@ -143,8 +133,6 @@ type CacheStats struct {
 	// Hits counts reuse across runs: a run's first use of a record
 	// another run computed or used last. Misses counts computations.
 	Hits, Misses int64
-	// WarmHits counts cross-capacity warm-start reuses of a search.
-	WarmHits int64
 	// Evictions counts entries dropped to honour the byte bound.
 	Evictions int64
 	// Entries and Bytes describe the current contents.
@@ -157,8 +145,8 @@ type CacheStats struct {
 // consolidation runs via Problem.Cache. The zero value is not usable;
 // construct with NewSimCache.
 type SimCache struct {
-	shards                            [cacheShards]cacheShard
-	hits, misses, warmHits, evictions atomic.Int64
+	shards                  [cacheShards]cacheShard
+	hits, misses, evictions atomic.Int64
 	// runs numbers the evaluators using the store (see cacheRecord.run).
 	runs atomic.Uint64
 }
@@ -190,7 +178,7 @@ func (c *SimCache) shard(k cacheKey) *cacheShard {
 
 // Stats snapshots the store's counters.
 func (c *SimCache) Stats() CacheStats {
-	s := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), WarmHits: c.warmHits.Load(), Evictions: c.evictions.Load()}
+	s := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load()}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
@@ -325,15 +313,11 @@ func (sh *cacheShard) evict() {
 	}
 }
 
-// insert stores a record under k in sh, which the caller has locked —
-// unless k is already there (two runs may publish one warm outcome),
-// which then counts as a hit on it — and evicts records until sh is
-// within its budget, returning how many it evicted.
+// insert stores a record under k in sh, which the caller has locked,
+// and evicts records until sh is within its budget, returning how many
+// it evicted. k must be absent: its one writer is the singleflight
+// leader that claimed it.
 func (c *SimCache) insert(sh *cacheShard, k cacheKey, run uint64, ev *groupEval) int {
-	if r := sh.find(k); r != nil {
-		r.ref = true
-		return 0
-	}
 	if 4*(sh.live+1) > 3*len(sh.index) {
 		sh.grow()
 	}
@@ -363,32 +347,6 @@ func (sh *cacheShard) get(k cacheKey, run uint64) (ev groupEval, reused, ok bool
 	reused = r.run != run
 	r.run = run
 	return r.eval, reused, true
-}
-
-// getWarm looks up a warm search outcome reusable at capacity: the
-// cached search must gate (the group's TotalPeak, which every replay
-// reports as Result.PeakAggregate) at or below it.
-func (c *SimCache) getWarm(k cacheKey, capacity float64) (groupEval, bool) {
-	sh := c.shard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r := sh.find(k)
-	if r == nil || capacity < r.eval.result.PeakAggregate {
-		return groupEval{}, false
-	}
-	c.warmHits.Add(1)
-	r.ref = true
-	return r.eval, true
-}
-
-// put stores a record run computed outside the singleflight — under a
-// warm key, an Unclamped primary-attribute search outcome — and returns
-// how many entries were evicted to make room.
-func (c *SimCache) put(k cacheKey, run uint64, ev groupEval) int {
-	sh := c.shard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return c.insert(sh, k, run, &ev)
 }
 
 // entryBytes is the accounted heap cost of one entry: its 120-byte slab
@@ -461,7 +419,7 @@ func foldSamples(h uint64, s []float64) uint64 {
 
 // hashConfig digests every Problem field that parameterizes a
 // simulation outcome (the commitment, slot geometry, bisection
-// tolerance and score model). New simulation-relevant Problem fields
+// and tolerance). New simulation-relevant Problem fields
 // must be folded in here (or, per server, in hashServerShape), or the
 // store will alias them; TestHashConfigCoversProblem fails until they
 // are, or are excluded by name.
@@ -471,14 +429,12 @@ func hashConfig(p *Problem) uint64 {
 	h = fnvU64(h, uint64(p.Commitment.Deadline))
 	h = fnvInt(h, p.SlotsPerDay)
 	h = fnvInt(h, p.DeadlineSlots)
-	h = fnvF64(h, p.tolerance())
-	h = fnvInt(h, int(p.Score))
-	return h
+	return fnvF64(h, p.tolerance())
 }
 
 // hashServerShape digests a server's capacity signature — everything a
 // simulation reads except its identity, so same-shape servers share
-// entries. It is never zero, the server lane of a warm key.
+// entries.
 func hashServerShape(s Server, attrs []Attribute) uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvInt(h, s.CPUs)
@@ -487,7 +443,7 @@ func hashServerShape(s Server, attrs []Attribute) uint64 {
 		h = fnvString(h, string(attr))
 		h = fnvF64(h, s.Extra[attr])
 	}
-	return max(h, 1)
+	return h
 }
 
 // hashGroup digests a sorted app-index group through the apps' content

@@ -22,10 +22,9 @@ import (
 )
 
 // TestCacheKeyCollisionFree enumerates every group a mid-sized exercise
-// can produce — all subsets of 12 apps — on three server shapes, under
-// the warm key, and in an injecting run on three server IDs (usage and
-// warm keys), and checks no two distinct (server lane, group) pairs
-// share a store key.
+// can produce — all subsets of 12 apps — on three server shapes, and in
+// an injecting run on three server IDs, and checks no two distinct
+// (server lane, group) pairs share a store key.
 func TestCacheKeyCollisionFree(t *testing.T) {
 	const apps = 12
 	sizes := make([]float64, apps)
@@ -41,14 +40,13 @@ func TestCacheKeyCollisionFree(t *testing.T) {
 	injecting := *p
 	injecting.Inject = faultinject.Func(func(string, string) faultinject.Outcome { return faultinject.Outcome{} })
 	plain, inj := newEvaluator(p), newEvaluator(&injecting)
-	lanes := map[string]uint64{"warm": plain.warmSigs[0]}
+	lanes := map[string]uint64{}
 	for i, s := range p.Servers {
-		lanes["shape of "+s.ID] = plain.usageSigs[i]
-		lanes["inject "+s.ID] = inj.usageSigs[i]
-		lanes["inject warm "+s.ID] = inj.warmSigs[i]
+		lanes["shape of "+s.ID] = plain.serverSigs[i]
+		lanes["inject "+s.ID] = inj.serverSigs[i]
 	}
-	if len(lanes) != 10 {
-		t.Fatalf("%d distinct lane names, want 10", len(lanes))
+	if len(lanes) != 6 {
+		t.Fatalf("%d distinct lane names, want 6", len(lanes))
 	}
 	seen := make(map[cacheKey]string, len(lanes)<<apps)
 	group := make([]int, 0, apps)
@@ -316,34 +314,31 @@ func TestSharedCacheServerShapeCollapses(t *testing.T) {
 	}
 }
 
-// TestWarmStartAcrossCapacities checks the cross-capacity warm path: a
-// group solved on a small server is reused on a larger one (different
-// shape, so the full-usage key misses) and reproduces the cold result
-// exactly.
-func TestWarmStartAcrossCapacities(t *testing.T) {
-	cache := NewSimCache(0)
-	small := cacheProblem([]float64{2, 3}, 2, 10, cache)
-	if _, err := Evaluate(small, Assignment{0, 0}); err != nil {
-		t.Fatal(err)
-	}
-
-	big := cacheProblem([]float64{2, 3}, 2, 16, cache)
-	warmPlan, err := Evaluate(big, Assignment{0, 0})
+// TestStoreOneRecordPerGroup: a consolidation on a fresh store leaves
+// exactly one record per group it computed, feasible groups whose peak
+// fits under the server's capacity included, and an infeasible group's
+// screened record too.
+func TestStoreOneRecordPerGroup(t *testing.T) {
+	p := cacheProblem([]float64{2, 3, 4, 5, 6}, 5, 8, NewSimCache(0))
+	initial, err := OneAppPerServer(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := cache.Stats(); s.WarmHits == 0 {
-		t.Fatalf("bigger-capacity evaluation should warm-start, stats %+v", s)
-	}
-
-	coldBig := cacheProblem([]float64{2, 3}, 2, 16, nil)
-	coldPlan, err := Evaluate(coldBig, Assignment{0, 0})
+	cfg := DefaultGAConfig(3)
+	cfg.MaxGenerations = 30
+	plan, err := Consolidate(context.Background(), p, initial, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(warmPlan, coldPlan) {
-		t.Errorf("warm-started plan diverges from cold compute:\nwarm %+v\ncold %+v",
-			warmPlan, coldPlan)
+	fits := false
+	for _, u := range plan.Usages {
+		fits = fits || (len(u.AppIDs) > 0 && u.Feasible && u.Result.PeakAggregate <= u.Server.Capacity())
+	}
+	if !fits {
+		t.Fatal("no used server holds a feasible group whose peak fits its capacity")
+	}
+	if s := p.Cache.Stats(); s.Misses == 0 || s.Evictions != 0 || int64(s.Entries) != s.Misses {
+		t.Errorf("store stats %+v, want one entry per computation and no evictions", s)
 	}
 }
 
@@ -494,8 +489,8 @@ func TestSingleflightAcrossRuns(t *testing.T) {
 	// How often the record changed hands between the runs depends on the
 	// order the hits took; the second run's first use always counts.
 	reused := reg.Counter("placement_shared_cache_hits_total").Value()
-	if s := p.Cache.Stats(); reused < 1 || reused >= goroutines || s.Hits != reused || s.Misses != 1 || s.Entries != 2 {
-		t.Errorf("store stats %+v and %d reuses, want 1 to 15 reuses, 1 computation, a usage and a warm entry", s, reused)
+	if s := p.Cache.Stats(); reused < 1 || reused >= goroutines || s.Hits != reused || s.Misses != 1 || s.Entries != 1 {
+		t.Errorf("store stats %+v and %d reuses, want 1 to 15 reuses, 1 computation and 1 entry", s, reused)
 	}
 	if hasWaiter(p.Cache) {
 		t.Error("in-flight entries leaked")
@@ -588,10 +583,7 @@ func sameEval(a, b groupEval) bool {
 func modelKeys(rng *rand.Rand, c *SimCache, n int) []cacheKey {
 	keys := make([]cacheKey, 0, n)
 	for len(keys) < n {
-		k := cacheKey{cfg: rng.Uint64(), server: rng.Uint64() &^ 1, group: rng.Uint64()}
-		if rng.Intn(2) == 0 {
-			k.server = 0 // a warm key
-		}
+		k := cacheKey{cfg: rng.Uint64(), server: rng.Uint64(), group: rng.Uint64()}
 		if len(keys) >= n/2 || (c.shard(k) == &c.shards[0] && k.indexHash()&15 < 2) {
 			keys = append(keys, k)
 		}
@@ -656,42 +648,36 @@ func checkStore(t *testing.T, c *SimCache) {
 
 // modelOp applies one random operation to c for keys and checks the
 // answer against want, the record last stored under each key: an
-// insert (which keeps a record already there, and is checked against
-// the store under the same lock, as the singleflight leader stores), a
-// hit or a warm lookup.
+// insert of a key the store does not hold (checked under the same lock,
+// as the singleflight leader that claimed an absent key stores it), or
+// a hit.
 func modelOp(rng *rand.Rand, c *SimCache, keys []cacheKey, want map[cacheKey]groupEval, seed int) error {
 	k := keys[rng.Intn(len(keys))]
 	sh := c.shard(k)
-	switch rng.Intn(3) {
-	case 0:
+	run := uint64(rng.Intn(3))
+	if rng.Intn(2) == 0 {
 		ev := modelEval(rng, seed)
 		sh.mu.Lock()
 		if sh.find(k) == nil {
 			want[k] = ev
+			c.insert(sh, k, run, &ev)
 		}
-		c.insert(sh, k, uint64(rng.Intn(3)), &ev)
 		sh.mu.Unlock()
-	case 1:
-		sh.mu.Lock()
-		ev, _, ok := sh.get(k, uint64(rng.Intn(3)))
-		sh.mu.Unlock()
-		if w, stored := want[k]; ok && (!stored || !sameEval(ev, w)) {
-			return fmt.Errorf("hit on %+v returned %+v, last stored %+v", k, ev, w)
-		}
-	default:
-		capacity := rng.Float64() * 4
-		ev, ok := c.getWarm(k, capacity)
-		if w, stored := want[k]; ok && (!stored || !sameEval(ev, w) || capacity < w.result.PeakAggregate) {
-			return fmt.Errorf("warm lookup of %+v at %v returned %+v, last stored %+v", k, capacity, ev, w)
-		}
+		return nil
+	}
+	sh.mu.Lock()
+	ev, _, ok := sh.get(k, run)
+	sh.mu.Unlock()
+	if w, stored := want[k]; ok && (!stored || !sameEval(ev, w)) {
+		return fmt.Errorf("hit on %+v returned %+v, last stored %+v", k, ev, w)
 	}
 	return nil
 }
 
-// TestSimCacheModel drives the store with random puts, hits and warm
-// lookups over a few hundred keys, at budgets from 1 B (every insert
-// evicts) to a few KB per shard (the index doubles and probe runs are
-// long), and holds it to a map model: a lookup returns nothing or the
+// TestSimCacheModel drives the store with random inserts and hits over
+// a few hundred keys, at budgets from 1 B (every insert evicts) to a
+// few KB per shard (the index doubles and probe runs are long), and
+// holds it to a map model: a lookup returns nothing or the
 // record last stored under its key, bit for bit, and the slab, index
 // and byte accounting agree after every operation. The concurrent pass
 // runs goroutines on disjoint keys over one store, where a record
@@ -825,6 +811,15 @@ func TestSimCacheClock(t *testing.T) {
 	if s := c.Stats(); s.Evictions != 4 || s.Entries != 3 {
 		t.Errorf("stats %+v, want 4 evictions and 3 entries", s)
 	}
+}
+
+// put stores a record under k, which the store does not hold, as the
+// singleflight leader does, and returns how many entries were evicted.
+func (c *SimCache) put(k cacheKey, run uint64, ev groupEval) int {
+	sh := c.shard(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return c.insert(sh, k, run, &ev)
 }
 
 // TestSimCacheColdInsertAllocs gates the slab's allocation count: 100k

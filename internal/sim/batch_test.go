@@ -200,7 +200,7 @@ func TestBatchReplayerReentrancyGuard(t *testing.T) {
 
 // TestSearchKaryMatchesBisect is the randomized search-level parity
 // check: the batched K-ary search must return the identical SearchOutcome
-// — capacity, Result, Feasible and Unclamped, bit for bit — as the
+// — capacity, Result and Feasible, bit for bit — as the
 // scalar reference bisection, across feasible, infeasible and escalation
 // regimes. An infeasible outcome's Result is decided, so there Replay at
 // its Capacity stands in for it (sameOutcome).

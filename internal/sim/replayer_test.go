@@ -120,36 +120,3 @@ func TestSearchMatchesRequiredCapacity(t *testing.T) {
 		}
 	}
 }
-
-func TestSearchUnclampedFlag(t *testing.T) {
-	agg, cfg := replayFixture(t)
-	ctx := context.Background()
-
-	// Limit above TotalPeak: the bisection interval is [CoS1Peak,
-	// TotalPeak], independent of the limit.
-	wide, err := agg.Search(ctx, cfg, agg.TotalPeak()+10, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wide.Feasible || !wide.Unclamped {
-		t.Fatalf("limit above TotalPeak should be feasible and unclamped, got %+v", wide)
-	}
-	// The warm-start contract: any other limit >= TotalPeak reproduces
-	// the outcome exactly.
-	other, err := agg.Search(ctx, cfg, agg.TotalPeak()+1000, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other != wide {
-		t.Fatalf("unclamped outcomes must be limit-invariant: %+v vs %+v", other, wide)
-	}
-
-	// Limit below TotalPeak: the interval is clamped by the limit.
-	narrow, err := agg.Search(ctx, cfg, agg.TotalPeak()-1, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if narrow.Unclamped {
-		t.Fatalf("limit below TotalPeak must not claim unclamped, got %+v", narrow)
-	}
-}

@@ -13,8 +13,8 @@ import (
 // TestSearchKaryGoldenCorpus is the corpus-level regression for the
 // batched search rewrite: for every aggregate built from the same
 // fleet shapes the golden experiments use, the K-ary Search must
-// return the identical SearchOutcome — capacity, Result, Feasible,
-// Unclamped, bit for bit — as a cold scalar bisection, across the θ
+// return the identical SearchOutcome — capacity, Result and Feasible,
+// bit for bit — as a cold scalar bisection, across the θ
 // targets, limits and tolerances the pipeline exercises; an infeasible
 // outcome's decided Result is checked by Replay at its Capacity
 // (sameOutcome). Each search

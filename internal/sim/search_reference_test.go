@@ -24,10 +24,6 @@ func (a *Aggregate) searchBisect(ctx context.Context, cfg Config, limit, tol flo
 		return SearchOutcome{Capacity: limit, Result: res}, err
 	}
 
-	// With limit >= TotalPeak the whole search is independent of the
-	// limit (barring an escalation below, which clears the flag).
-	unclamped := limit >= a.totalPeak
-
 	hi := math.Min(limit, a.totalPeak) // capacity beyond the total peak is never needed
 	if hi <= 0 {
 		hi = tol // all-zero workloads: any positive capacity fits
@@ -40,7 +36,6 @@ func (a *Aggregate) searchBisect(ctx context.Context, cfg Config, limit, tol flo
 	if !hiRes.Fits(cfg.Commitment.Theta) {
 		// θ or deadline unsatisfiable even at the peak: try the full
 		// limit before giving up (deadline backlogs can need headroom).
-		unclamped = false
 		if hi < limit {
 			cfg.Capacity = limit
 			hiRes, err = a.replayScalar(cfg)
@@ -74,19 +69,19 @@ func (a *Aggregate) searchBisect(ctx context.Context, cfg Config, limit, tol flo
 			lo = mid
 		}
 	}
-	return SearchOutcome{Capacity: hi, Result: hiRes, Feasible: true, Unclamped: unclamped}, nil
+	return SearchOutcome{Capacity: hi, Result: hiRes, Feasible: true}, nil
 }
 
 // sameOutcome reports whether a Search outcome agrees with the
 // reference bisection's. A feasible outcome must match bit for bit. An
 // infeasible one's Result is decided, not measured, so it must match in
-// Capacity, Feasible and Unclamped, and Replay at its Capacity must
-// reproduce the reference Result.
+// Capacity and Feasible, and Replay at its Capacity must reproduce the
+// reference Result.
 func (a *Aggregate) sameOutcome(cfg Config, got, want SearchOutcome) (bool, error) {
 	if want.Feasible || got.Feasible {
 		return got == want, nil
 	}
-	if got.Capacity != want.Capacity || got.Unclamped != want.Unclamped {
+	if got.Capacity != want.Capacity {
 		return false, nil
 	}
 	cfg.Capacity = got.Capacity

@@ -303,12 +303,6 @@ type SearchOutcome struct {
 	// Feasible reports whether the commitments are satisfied within the
 	// search limit.
 	Feasible bool
-	// Unclamped reports that the bisection ran over the limit-independent
-	// interval [CoS1Peak, TotalPeak] — the limit was at least TotalPeak
-	// and no escalation to the limit was needed — so the same outcome
-	// would be produced, bit for bit, by a search against any limit >=
-	// TotalPeak. Cross-capacity caches key warm starts on this flag.
-	Unclamped bool
 }
 
 // RequiredCapacity finds the smallest capacity (within tol CPUs) that
@@ -558,7 +552,7 @@ func (a *Aggregate) searchKaryWith(ctx context.Context, cfg Config, limit, tol f
 			return SearchOutcome{Capacity: hi, Result: hiRes}, nil
 		}
 	} else {
-		// Unclamped (hi == TotalPeak, a lane with next to no hot slots):
+		// Not clamped (hi == TotalPeak, a lane with next to no hot slots):
 		// the hi probe rides along with the speculative first tree of
 		// midpoints over (lo, hi), so the walk starts with the first
 		// levels already evaluated.
@@ -578,7 +572,6 @@ func (a *Aggregate) searchKaryWith(ctx context.Context, cfg Config, limit, tol f
 		if !hiRes.Fits(cfg.Commitment.Theta) {
 			// θ or deadline unsatisfiable even at the peak: try the full
 			// limit before giving up (deadline backlogs can need headroom).
-			unclamped = false
 			treeLive = false // the speculative tree covered (lo, old hi)
 			if hi < limit {
 				var err error
@@ -635,7 +628,7 @@ func (a *Aggregate) searchKaryWith(ctx context.Context, cfg Config, limit, tol f
 	if saved := probes - passes; saved > 0 {
 		h.Counter("sim_search_passes_saved_total").Add(int64(saved))
 	}
-	return SearchOutcome{Capacity: hi, Result: hiRes, Feasible: true, Unclamped: unclamped}, nil
+	return SearchOutcome{Capacity: hi, Result: hiRes, Feasible: true}, nil
 }
 
 // replayOne replays a single capacity through the batch replayer (the

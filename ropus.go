@@ -70,12 +70,6 @@ const (
 	CoS2 = qos.CoS2
 )
 
-// Consolidation score models (paper's U^(2Z) and a linear ablation).
-const (
-	ScorePaper  = placement.ScorePaper
-	ScoreLinear = placement.ScoreLinear
-)
-
 // AttrMemory is the common additional capacity attribute (any string
 // works as an attribute name).
 const AttrMemory = placement.AttrMemory
@@ -117,8 +111,6 @@ type (
 	Plan = placement.Plan
 	// GAConfig tunes the genetic consolidation search.
 	GAConfig = placement.GAConfig
-	// ScoreModel selects the consolidation score function.
-	ScoreModel = placement.ScoreModel
 	// SimCache is a shared, size-bounded cross-run simulation cache;
 	// attach one via PlacementProblem.Cache (or let the Framework manage
 	// one via Config.CacheBytes) to reuse per-(server-shape, app-group)
