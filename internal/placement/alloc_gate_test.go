@@ -3,8 +3,11 @@ package placement
 import (
 	"context"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
+	"ropus/internal/qos"
 	"ropus/internal/telemetry"
 )
 
@@ -82,4 +85,76 @@ func TestGenerationAllocsZero(t *testing.T) {
 	if gens := reg.Snapshot().Counters["ga_generations_total"]; gens != 80 {
 		t.Fatalf("the long search ran %d generations, want 80", gens)
 	}
+}
+
+// TestAggregateBuffersPooled holds a fresh evaluator that computes one
+// group to less than one aggregate's slot buffers: those come from
+// aggPool, so 20 evaluators in turn, each summing a 3-app group of
+// 8 064-slot traces through computeServer, allocate them once between
+// them, not once each. It is skipped where sync.Pool drops Puts at
+// random (the race detector does), since a dropped aggregate is
+// allocated anew.
+func TestAggregateBuffersPooled(t *testing.T) {
+	if poolDropsPuts() {
+		t.Skip("sync.Pool drops Puts here")
+	}
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	const slots = 8064
+	p := &Problem{
+		Apps:          []App{flatApp("a", 0.5, 1, slots), flatApp("b", 1, 0.5, slots), flatApp("c", 0.25, 2, slots)},
+		Servers:       servers(1, 8),
+		Commitment:    qos.PoolCommitment{Theta: 0.9, Deadline: time.Hour},
+		SlotsPerDay:   288,
+		DeadlineSlots: 12,
+		Tolerance:     0.01,
+		Cache:         NewSimCache(0),
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	compute := func() {
+		e := newEvaluator(p)
+		sc := e.acquire()
+		defer e.release(sc)
+		ev, err := e.computeServer(context.Background(), sc, 0, []int{0, 1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ev.feasible {
+			t.Fatalf("group record = %+v, want feasible", ev)
+		}
+	}
+	// The first computation fills the pools; the second grows the pooled
+	// replayer for the deeper tree its depth hint then asks for.
+	compute()
+	compute()
+	const evaluators = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < evaluators; i++ {
+		compute()
+	}
+	runtime.ReadMemStats(&after)
+	perEvaluator := (after.TotalAlloc - before.TotalAlloc) / evaluators
+	t.Logf("%d bytes per evaluator", perEvaluator)
+	if buffers := uint64(2 * 8 * slots); perEvaluator >= buffers {
+		t.Errorf("a fresh evaluator allocates %d bytes to compute one group, want under one aggregate's buffers (%d)", perEvaluator, buffers)
+	}
+}
+
+// poolDropsPuts reports whether sync.Pool discards Puts at random: under
+// the race detector a Put is dropped one time in four, so 64 Put/Get
+// round trips all coming back is a one-in-10^8 event there, and the norm
+// everywhere else.
+func poolDropsPuts() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		p.Put(x)
+		if p.Get() != x {
+			return true
+		}
+	}
+	return false
 }

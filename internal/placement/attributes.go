@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
+
+	"ropus/internal/sim"
 )
 
 // Multiple capacity attributes. The paper characterizes workloads "for
@@ -90,6 +92,8 @@ func (e *evaluator) evalAttributes(ctx context.Context, sc *scratch, srv Server,
 	required := make(map[Attribute]float64, len(attrs))
 	allFit := true
 	cfg := e.simConfig(srv)
+	agg := aggPool.Get().(*sim.Aggregate)
+	defer aggPool.Put(agg)
 	for _, attr := range attrs {
 		sc.workloads = sc.workloads[:0]
 		for _, a := range apps {
@@ -101,10 +105,10 @@ func (e *evaluator) evalAttributes(ctx context.Context, sc *scratch, srv Server,
 			required[attr] = 0
 			continue
 		}
-		if err := sc.agg.Rebuild(sc.workloads); err != nil {
+		if err := agg.Rebuild(sc.workloads); err != nil {
 			return nil, false, err
 		}
-		req, _, ok, err := sc.agg.RequiredCapacity(ctx, cfg, srv.Extra[attr], e.p.tolerance())
+		req, _, ok, err := agg.RequiredCapacity(ctx, cfg, srv.Extra[attr], e.p.tolerance())
 		if err != nil {
 			return nil, false, err
 		}

@@ -358,15 +358,23 @@ type groupEval struct {
 var emptyEval = groupEval{feasible: true, value: 1}
 
 // scratch is one goroutine's working memory for scoring assignments:
-// the per-server grouping of the assignment at hand, and the aggregate
-// (slot buffers) and workload list a cache miss sums its group into.
-// It belongs to the evaluator that handed it out and dies with it; a
-// process-wide pool would keep traces alive past their job.
+// the per-server grouping of the assignment at hand, and the workload
+// list a cache miss gathers its group into. It belongs to the evaluator
+// that handed it out and dies with it; a process-wide pool would keep
+// traces alive past their job. The slot buffers the group is summed
+// into come from aggPool instead.
 type scratch struct {
 	groups    grouping
-	agg       sim.Aggregate
 	workloads []sim.Workload
 }
+
+// aggPool lends the aggregate (two slot buffers) a group is summed into,
+// across evaluators: each of a plan's failure-scenario consolidations
+// builds a fresh evaluator, which would otherwise allocate the buffers
+// anew. An Aggregate holds sums, not traces, so pooling it process-wide
+// keeps no job's data alive. It is taken only where a group is
+// computed, never on a store hit.
+var aggPool = sync.Pool{New: func() any { return new(sim.Aggregate) }}
 
 // evaluator evaluates assignments against a problem through one
 // evaluation store: the GA revisits the same app groupings constantly,
@@ -574,14 +582,16 @@ func (e *evaluator) searchPrimary(ctx context.Context, sc *scratch, server int, 
 	srv := e.p.Servers[server]
 	e.gather(sc, apps)
 	cfg := e.simConfig(srv)
-	rejected, err := sc.agg.RebuildScreened(sc.workloads, cfg, srv.Capacity())
+	agg := aggPool.Get().(*sim.Aggregate)
+	defer aggPool.Put(agg)
+	rejected, err := agg.RebuildScreened(sc.workloads, cfg, srv.Capacity())
 	if err != nil {
 		return groupEval{}, err
 	}
 	if rejected {
 		return groupEval{required: srv.Capacity(), screened: true}, nil
 	}
-	out, err := sc.agg.Search(ctx, cfg, srv.Capacity(), e.p.tolerance())
+	out, err := agg.Search(ctx, cfg, srv.Capacity(), e.p.tolerance())
 	if err != nil {
 		return groupEval{}, err
 	}
@@ -605,12 +615,14 @@ func (e *evaluator) gather(sc *scratch, apps []int) {
 // infeasible search measured in full always was.
 func (e *evaluator) replayStats(sc *scratch, server int, apps []int) (sim.Result, error) {
 	e.gather(sc, apps)
-	if err := sc.agg.Rebuild(sc.workloads); err != nil {
+	agg := aggPool.Get().(*sim.Aggregate)
+	defer aggPool.Put(agg)
+	if err := agg.Rebuild(sc.workloads); err != nil {
 		return sim.Result{}, err
 	}
 	cfg := e.simConfig(e.p.Servers[server])
 	cfg.Capacity = e.p.Servers[server].Capacity()
-	return sc.agg.Replay(cfg)
+	return agg.Replay(cfg)
 }
 
 // scored is one candidate of a search: an assignment with its objective

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -102,12 +104,19 @@ func TestRebuildMatchesReferenceCorpus(t *testing.T) {
 }
 
 // TestRebuildMatchesReferenceRandom draws 1000 random ascending groups
-// — single apps included — from a pool holding a zero-demand app and an
-// app of negative zeros (valid samples whose sign only survives a copy,
-// not the 0 + x fold the reference takes), across trace lengths so the
-// scratch both grows and shrinks.
+// from a pool of 12 apps, across trace lengths so the scratch both grows
+// and shrinks. Each round draws every group size from 1 to 12, so the
+// three-wide sweep folds every remainder, alone and after full sweeps.
+// The pool holds a zero-demand app; an app of negative zeros (valid
+// samples whose sign only survives a copy, not the 0 + x fold the
+// reference takes), which every fifth group puts first; other apps
+// whose samples are a quarter negative zeros, so a first sweep that
+// copies shows in groups of several apps too; and an app whose peak is
+// the first slot and one whose peak is the last, so a peak scan that
+// misses either end shows.
 func TestRebuildMatchesReferenceRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
+	negZero := math.Copysign(0, -1)
 	var scratch Aggregate
 	for round := 0; round < 10; round++ {
 		slots := 24 * (1 + r.Intn(14))
@@ -118,10 +127,22 @@ func TestRebuildMatchesReferenceRandom(t *testing.T) {
 				switch i {
 				case 0: // zero demand
 				case 1:
-					w.CoS1[s], w.CoS2[s] = math.Copysign(0, -1), math.Copysign(0, -1)
+					w.CoS1[s], w.CoS2[s] = negZero, negZero
 				default:
 					w.CoS1[s], w.CoS2[s] = r.Float64()*3, r.ExpFloat64()
+					if r.Intn(4) == 0 {
+						w.CoS1[s] = negZero
+					}
+					if r.Intn(4) == 0 {
+						w.CoS2[s] = negZero
+					}
 				}
+			}
+			switch i {
+			case 2:
+				w.CoS1[0], w.CoS2[0] = 1000, 1000
+			case 3:
+				w.CoS1[slots-1], w.CoS2[slots-1] = 2000, 2000
 			}
 			if err := w.Validate(); err != nil {
 				t.Fatal(err)
@@ -129,20 +150,23 @@ func TestRebuildMatchesReferenceRandom(t *testing.T) {
 			pool[i] = w
 		}
 		for g := 0; g < 100; g++ {
-			var group []Workload
-			if g%10 == 0 {
-				group = pool[g/10%len(pool):][:1] // single-app groups, the special apps first
+			size := 1 + g%len(pool)
+			var apps []int
+			if g%5 == 0 && size < len(pool) {
+				// The negative-zero app first: app 0 out, app 1 in.
+				apps = append(apps, 1)
+				for _, i := range r.Perm(len(pool) - 2)[:size-1] {
+					apps = append(apps, i+2)
+				}
 			} else {
-				for i := range pool {
-					if r.Intn(3) == 0 {
-						group = append(group, pool[i])
-					}
-				}
-				if len(group) == 0 {
-					group = pool[:2]
-				}
+				apps = r.Perm(len(pool))[:size]
 			}
-			checkBuilds(t, "random", &scratch, group)
+			sort.Ints(apps)
+			group := make([]Workload, 0, size)
+			for _, i := range apps {
+				group = append(group, pool[i])
+			}
+			checkBuilds(t, fmt.Sprintf("round %d, apps %v", round, apps), &scratch, group)
 		}
 	}
 }

@@ -147,11 +147,12 @@ func NewAggregate(workloads []Workload) (*Aggregate, error) {
 
 // Rebuild re-sums the aggregate in place from workloads whose samples
 // the caller has already validated (Workload.Validate), reusing the
-// aggregate's slot buffers: a search loop that owns one Aggregate pays
-// one pass per group instead of two fresh slices and a re-validation.
-// The alignment check stays. Sums are the left fold from zero in
-// workload order NewAggregate always took, so the two agree bit for
-// bit. After an error the contents are unspecified.
+// aggregate's slot buffers: a caller that keeps one Aggregate pays one
+// sweep of them per three workloads (see sum) and no allocation, instead
+// of two fresh slices and a re-validation. The alignment check stays.
+// Sums are the left fold from zero in workload order NewAggregate always
+// took, so the two agree bit for bit. After an error the contents are
+// unspecified.
 func (a *Aggregate) Rebuild(workloads []Workload) error {
 	if err := a.resize(workloads); err != nil {
 		return err
@@ -241,25 +242,93 @@ func (a *Aggregate) resize(workloads []Workload) error {
 	return nil
 }
 
-// sum folds slots [lo, hi) of the workloads into the buffers, from zero
-// in workload order, and returns that range's CoS1 and total peaks.
+// sum folds slots [lo, hi) of the workloads into the buffers and returns
+// that range's CoS1 and total peaks. Each slot is the left fold from +0
+// in workload order, ((0 + w₀) + w₁) + …, so a negative-zero sample sums
+// to +0. The fold runs slot-major, up to three workloads per sweep of the
+// buffers: the first sweep writes without reading them, later ones read,
+// add and write, and the last also takes the peaks, in slot order. A
+// k-workload group costs ⌈k/3⌉ sweeps, with no clear and no peak pass.
 func (a *Aggregate) sum(workloads []Workload, lo, hi int) (cos1Peak, totalPeak float64) {
 	cos1, cos2 := a.cos1[lo:hi], a.cos2[lo:hi]
-	clear(cos1)
-	clear(cos2)
-	for _, w := range workloads {
-		w1, w2 := w.CoS1[lo:][:len(cos1)], w.CoS2[lo:][:len(cos2)]
-		for i := range cos1 {
-			cos1[i] += w1[i]
-			cos2[i] += w2[i]
-		}
+	first := true
+	for ; len(workloads) > 3; workloads, first = workloads[3:], false {
+		x, y, z := workloads[0], workloads[1], workloads[2]
+		fold3(cos1, x.CoS1[lo:hi], y.CoS1[lo:hi], z.CoS1[lo:hi], first)
+		fold3(cos2, x.CoS2[lo:hi], y.CoS2[lo:hi], z.CoS2[lo:hi], first)
 	}
-	for i := range cos1 {
-		if cos1[i] > cos1Peak {
-			cos1Peak = cos1[i]
+	return foldPeaks(cos1, cos2, workloads, lo, first)
+}
+
+// fold3 is one sweep that is not the last: dst[i] = ((s + x[i]) + y[i]) +
+// z[i], where s is dst[i], or +0 on the first sweep.
+func fold3(dst, x, y, z []float64, first bool) {
+	x, y, z = x[:len(dst)], y[:len(dst)], z[:len(dst)]
+	if first {
+		for i := range dst {
+			dst[i] = ((0 + x[i]) + y[i]) + z[i]
 		}
-		if total := cos1[i] + cos2[i]; total > totalPeak {
-			totalPeak = total
+		return
+	}
+	for i := range dst {
+		dst[i] = ((dst[i] + x[i]) + y[i]) + z[i]
+	}
+}
+
+// foldPeaks is the last sweep: it folds the one to three workloads left,
+// as fold3 does, and takes the peaks of the finished sums.
+func foldPeaks(cos1, cos2 []float64, workloads []Workload, lo int, first bool) (cos1Peak, totalPeak float64) {
+	n := len(cos1)
+	cos2 = cos2[:n]
+	x1, x2 := workloads[0].CoS1[lo:][:n], workloads[0].CoS2[lo:][:n]
+	switch len(workloads) {
+	case 1:
+		for i := range cos1 {
+			var c1, c2 float64
+			if !first {
+				c1, c2 = cos1[i], cos2[i]
+			}
+			c1, c2 = c1+x1[i], c2+x2[i]
+			cos1[i], cos2[i] = c1, c2
+			if c1 > cos1Peak {
+				cos1Peak = c1
+			}
+			if total := c1 + c2; total > totalPeak {
+				totalPeak = total
+			}
+		}
+	case 2:
+		y1, y2 := workloads[1].CoS1[lo:][:n], workloads[1].CoS2[lo:][:n]
+		for i := range cos1 {
+			var c1, c2 float64
+			if !first {
+				c1, c2 = cos1[i], cos2[i]
+			}
+			c1, c2 = (c1+x1[i])+y1[i], (c2+x2[i])+y2[i]
+			cos1[i], cos2[i] = c1, c2
+			if c1 > cos1Peak {
+				cos1Peak = c1
+			}
+			if total := c1 + c2; total > totalPeak {
+				totalPeak = total
+			}
+		}
+	default:
+		y1, y2 := workloads[1].CoS1[lo:][:n], workloads[1].CoS2[lo:][:n]
+		z1, z2 := workloads[2].CoS1[lo:][:n], workloads[2].CoS2[lo:][:n]
+		for i := range cos1 {
+			var c1, c2 float64
+			if !first {
+				c1, c2 = cos1[i], cos2[i]
+			}
+			c1, c2 = ((c1+x1[i])+y1[i])+z1[i], ((c2+x2[i])+y2[i])+z2[i]
+			cos1[i], cos2[i] = c1, c2
+			if c1 > cos1Peak {
+				cos1Peak = c1
+			}
+			if total := c1 + c2; total > totalPeak {
+				totalPeak = total
+			}
 		}
 	}
 	return cos1Peak, totalPeak
